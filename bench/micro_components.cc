@@ -5,11 +5,14 @@
 // figure benchmarks crawl.
 #include <benchmark/benchmark.h>
 
+#include "common.h"
 #include "net/wire.h"
 #include "util/ip.h"
 #include "pisa/switch.h"
 #include "planner/planner.h"
 #include "queries/catalog.h"
+#include "runtime/plan_install.h"
+#include "runtime/stream_processor.h"
 #include "stream/executor.h"
 #include "trace/trace.h"
 
@@ -61,50 +64,67 @@ void BM_RegisterChainUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_RegisterChainUpdate)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_SwitchPipeline8Queries(benchmark::State& state) {
-  const auto pkts = small_trace();
-  queries::Thresholds th;
-  const auto qs = queries::evaluation_queries(th, util::seconds(3));
+// The drivers' switch call: Switch::process_batch on 256-tuple batches of
+// the eval-8 Sonata plan (refinement levels included), with the winners the
+// stream processor installs after two warm-up windows. Registers reset
+// (untimed) at the end of each replayed window.
+void BM_SwitchBatchEvalPlan(benchmark::State& state) {
+  bench::Options opts;
+  opts.scale = 0.25;
+  const bench::Workload w = bench::make_eval_workload(opts);
+  const auto qs = queries::evaluation_queries(w.thresholds, w.window);
+  planner::PlannerConfig cfg;
+  cfg.window = w.window;
+  cfg.search_node_cap = 10000;
+  const planner::Plan plan = planner::Planner(cfg).plan(qs, w.trace);
+  pisa::Switch sw(plan.switch_config);
+  runtime::PipelineBuild build = runtime::build_pipelines(plan, {});
+  if (!sw.install(std::move(build.pipelines), build.resources).empty()) std::abort();
+  runtime::StreamProcessor sp(plan);
 
-  std::vector<std::unique_ptr<pisa::CompiledSwitchQuery>> progs;
-  std::vector<pisa::ProgramResources> res;
-  for (const auto& q : qs) {
-    int si = 0;
-    for (const auto* src : q.sources()) {
-      const std::size_t p = pisa::max_switch_prefix(*src);
-      std::map<std::size_t, pisa::RegisterSizing> sizing;
-      for (std::size_t i = 0; i < p; ++i) {
-        if (src->ops[i].stateful()) sizing[i] = {.entries = 16384, .depth = 2};
-      }
-      pisa::CompiledSwitchQuery::Options opts;
-      opts.qid = q.id();
-      opts.source_index = si;
-      opts.partition = p;
-      opts.sizing = sizing;
-      progs.push_back(std::make_unique<pisa::CompiledSwitchQuery>(*src, opts));
-      res.push_back(pisa::build_resources(*src, p, sizing, q.id(), si, 32));
-      ++si;
+  const auto windows = trace::split_windows(w.trace, w.window);
+  if (windows.size() < 4) std::abort();
+  const auto tuples_of = [](std::span<const net::Packet> pkts) {
+    std::vector<query::Tuple> out;
+    out.reserve(pkts.size());
+    for (const auto& p : pkts) out.push_back(query::materialize_tuple(p));
+    return out;
+  };
+  pisa::EmitSink sink;
+  for (std::size_t i = 0; i < 3; ++i) {
+    std::vector<query::Tuple> tuples = tuples_of(windows[i]);
+    sink.clear();
+    sw.process_batch(tuples, sink);
+    sp.deliver_batch(sink.records());
+    if (sp.wants_raw_mirror()) sp.deliver_raw_batch(tuples);
+    sp.poll_switch(sw);
+    runtime::WindowStats stats;
+    pisa::Switch* const switches[] = {&sw};
+    sp.close_levels(stats, switches);
+    sw.reset_all_registers();
+  }
+
+  constexpr std::size_t kBatch = 256;
+  const std::vector<query::Tuple> tuples = tuples_of(windows[3]);
+  std::size_t off = 0;
+  std::int64_t items = 0;
+  for (auto _ : state) {
+    const std::size_t n = std::min(kBatch, tuples.size() - off);
+    sink.clear();
+    sw.process_batch({tuples.data() + off, n}, sink);
+    benchmark::DoNotOptimize(sink.records().data());
+    items += static_cast<std::int64_t>(n);
+    off += n;
+    if (off == tuples.size()) {
+      state.PauseTiming();
+      sw.reset_all_registers();
+      off = 0;
+      state.ResumeTiming();
     }
   }
-  pisa::SwitchConfig sw_cfg;
-  sw_cfg.stateful_actions_per_stage = 32;
-  pisa::Switch sw(sw_cfg);
-  if (!sw.install(std::move(progs), res).empty()) std::abort();
-
-  std::vector<query::Tuple> tuples;
-  tuples.reserve(pkts.size());
-  for (const auto& p : pkts) tuples.push_back(query::materialize_tuple(p));
-  std::vector<pisa::EmitRecord> out;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    out.clear();
-    sw.process_tuple(tuples[i], out);
-    benchmark::DoNotOptimize(out.data());
-    i = (i + 1) % tuples.size();
-  }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(items);
 }
-BENCHMARK(BM_SwitchPipeline8Queries);
+BENCHMARK(BM_SwitchBatchEvalPlan);
 
 void BM_StreamExecutorQuery1(benchmark::State& state) {
   const auto pkts = small_trace();

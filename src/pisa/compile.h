@@ -19,15 +19,10 @@
 #include <map>
 
 #include "pisa/program.h"
+#include "pisa/register.h"
 #include "query/query.h"
 
 namespace sonata::pisa {
-
-// Describes a foldable threshold filter.
-struct FoldedThreshold {
-  std::uint64_t threshold = 0;
-  bool strict = true;  // true: value > Th, false: value >= Th
-};
 
 // If ops[i] is a filter foldable into the reduce at ops[i-1], return its
 // threshold; otherwise nullopt. Requires validated node schemas.

@@ -4,9 +4,14 @@
 #include <cassert>
 #include <cstring>
 
-#include "state/engine.h"  // state::apply_reduce
 
 namespace sonata::pisa {
+
+namespace {
+
+constexpr std::size_t kNpos = ~std::size_t{0};
+
+}  // namespace
 
 std::uint64_t apply_reduce(query::ReduceFn fn, std::uint64_t current,
                            std::uint64_t delta) noexcept {
@@ -16,7 +21,8 @@ std::uint64_t apply_reduce(query::ReduceFn fn, std::uint64_t current,
 RegisterChain::RegisterChain(const RegisterChainConfig& cfg)
     : cfg_(cfg),
       hashes_(static_cast<std::size_t>(std::max(cfg.depth, 1)),
-              cfg.hash_seed != 0 ? cfg.hash_seed : 0x5eed5eed5eed5eedULL) {
+              cfg.hash_seed != 0 ? cfg.hash_seed : 0x5eed5eed5eed5eedULL),
+      mod_(std::max<std::size_t>(cfg.entries_per_register, 1)) {
   assert(cfg_.entries_per_register > 0);
   assert(cfg_.depth >= 1);
   if (cfg_.hashpipe) {
@@ -27,10 +33,75 @@ RegisterChain::RegisterChain(const RegisterChainConfig& cfg)
     });
     return;
   }
-  registers_.assign(static_cast<std::size_t>(cfg_.depth),
-                    std::vector<Slot>(cfg_.entries_per_register));
+  key_words_ = cfg_.key_kinds.size();
+  stride_ = key_words_ + 1;
+  for (std::size_t c = 0; c < key_words_; ++c) {
+    if (cfg_.key_kinds[c] == query::ValueKind::kString) string_cols_.push_back(c);
+  }
+  const std::size_t slots = static_cast<std::size_t>(cfg_.depth) * cfg_.entries_per_register;
+  slots_.resize(slots * stride_);
+  if (!string_cols_.empty()) strings_.resize(slots * string_cols_.size());
   occ_.resize(static_cast<std::size_t>(cfg_.depth) * occ_words_per_register());
+  rep_.resize(occ_.size());
 }
+
+bool RegisterChain::same_key(std::size_t s, const std::uint64_t* key,
+                             const query::Value* const* strings) const noexcept {
+  const std::uint64_t* w = slot(s);
+  for (std::size_t c = 0; c < key_words_; ++c) {
+    if (w[c] != key[c]) return false;
+  }
+  // Equal words: numbers are equal; strings have equal hashes and must
+  // still compare equal byte for byte.
+  const std::size_t ns = string_cols_.size();
+  for (std::size_t j = 0; j < ns; ++j) {
+    if (strings_[s * ns + j] != *strings[j]) return false;
+  }
+  return true;
+}
+
+namespace {
+
+// A Tuple key as packed words plus pointers to its string values. Keys of
+// up to kInline columns (every catalog key) stay on the stack.
+class LoweredKey {
+ public:
+  LoweredKey(const query::Tuple& key, const std::vector<query::ValueKind>& kinds) {
+    assert(key.size() == kinds.size());
+    if (kinds.size() > kInline) {
+      heap_words_.resize(kinds.size());
+      heap_strings_.resize(kinds.size());
+      words_ = heap_words_.data();
+      strings_ = heap_strings_.data();
+    }
+    std::size_t j = 0;
+    for (std::size_t c = 0; c < kinds.size(); ++c) {
+      const query::Value& v = key.values[c];
+      if (kinds[c] == query::ValueKind::kString) {
+        words_[c] = v.hash();
+        strings_[j++] = &v;
+      } else {
+        words_[c] = v.as_uint();
+      }
+    }
+  }
+  LoweredKey(const LoweredKey&) = delete;
+  LoweredKey& operator=(const LoweredKey&) = delete;
+
+  [[nodiscard]] const std::uint64_t* words() const noexcept { return words_; }
+  [[nodiscard]] const query::Value* const* strings() const noexcept { return strings_; }
+
+ private:
+  static constexpr std::size_t kInline = 16;
+  std::uint64_t inline_words_[kInline];
+  const query::Value* inline_strings_[kInline];
+  std::vector<std::uint64_t> heap_words_;
+  std::vector<const query::Value*> heap_strings_;
+  std::uint64_t* words_ = inline_words_;
+  const query::Value** strings_ = inline_strings_;
+};
+
+}  // namespace
 
 RegisterChain::UpdateResult RegisterChain::update(const query::Tuple& key, std::uint64_t delta,
                                                   query::ReduceFn fn) {
@@ -42,54 +113,21 @@ RegisterChain::UpdateResult RegisterChain::update(const query::Tuple& key, std::
             .probes = r.probes,
             .value = r.value};
   }
+  const LoweredKey k(key, cfg_.key_kinds);
   const std::uint64_t fp = key.hash();
-  // Precompute the whole d-way lane-hash block in one (vectorized) pass and
-  // prefetch the first two probe targets: the common case resolves at
-  // depth 1, and a depth-2 continuation finds its slot line already in
-  // flight. Indices are bit-identical to hashes_.index(d, fp, n).
-  const std::size_t n = cfg_.entries_per_register;
-  const std::size_t depth = registers_.size();
-  std::uint64_t lanes[util::HashFamily::kMaxFamily];
-  std::size_t idx0;
-  if (depth > 1) {
-    hashes_.hash_all(fp, lanes);
-    idx0 = static_cast<std::size_t>(lanes[0] % n);
-    __builtin_prefetch(&registers_[1][static_cast<std::size_t>(lanes[1] % n)]);
-  } else {
-    lanes[0] = hashes_(0, fp);
-    idx0 = static_cast<std::size_t>(lanes[0] % n);
+  return update_prepared<0>(k.words(), k.strings(), fp, mod_(hashes_(0, fp)), delta, fn, nullptr);
+}
+
+std::size_t RegisterChain::find(const query::Tuple& key) const {
+  const LoweredKey k(key, cfg_.key_kinds);
+  const std::uint64_t fp = key.hash();
+  for (std::size_t d = 0; d < static_cast<std::size_t>(cfg_.depth); ++d) {
+    const std::size_t idx = mod_(hashes_(d, fp));
+    const std::size_t s = slot_index(d, idx);
+    const bool occupied = (occ_[d * occ_words_per_register() + idx / 64] >> (idx % 64)) & 1;
+    if (occupied && same_key(s, k.words(), k.strings())) return s;
   }
-  for (std::size_t d = 0; d < depth; ++d) {
-    const std::size_t idx = d == 0 ? idx0 : static_cast<std::size_t>(lanes[d] % n);
-    Slot& slot = registers_[d][idx];
-    if (!slot.occupied) {
-      slot.occupied = true;
-      slot.key = key;
-      slot.value = delta;  // initial value for every reduce fn (incl. min)
-      occ_set(d, idx);
-      ++stored_;
-      return {.stored = true,
-              .newly_inserted = true,
-              .overflow = false,
-              .probes = static_cast<int>(d) + 1,
-              .value = slot.value};
-    }
-    if (slot.key == key) {
-      slot.value = apply_reduce(fn, slot.value, delta);
-      return {.stored = true,
-              .newly_inserted = false,
-              .overflow = false,
-              .probes = static_cast<int>(d) + 1,
-              .value = slot.value};
-    }
-    // Occupied by a different key: fall through to the next register.
-  }
-  ++overflows_;
-  return {.stored = false,
-          .newly_inserted = false,
-          .overflow = true,
-          .probes = cfg_.depth,
-          .value = 0};
+  return kNpos;
 }
 
 std::optional<std::uint64_t> RegisterChain::read(const query::Tuple& key) const {
@@ -98,47 +136,47 @@ std::optional<std::uint64_t> RegisterChain::read(const query::Tuple& key) const 
   // distinct register uses at this boundary's call sites (value_bits=1
   // distinct slots hold 1s, so sum == presence).
   if (hp_) return hp_->read(key, query::ReduceFn::kSum);
-  const std::uint64_t fp = key.hash();
-  for (std::size_t d = 0; d < registers_.size(); ++d) {
-    const Slot& slot = registers_[d][hashes_.index(d, fp, cfg_.entries_per_register)];
-    if (slot.occupied && slot.key == key) return slot.value;
-  }
-  return std::nullopt;
+  const std::size_t s = find(key);
+  if (s == kNpos) return std::nullopt;
+  return slot(s)[key_words_];
 }
 
 bool RegisterChain::mark_reported(const query::Tuple& key) {
   if (hp_) return hp_->mark_reported(key);
-  const std::uint64_t fp = key.hash();
-  for (std::size_t d = 0; d < registers_.size(); ++d) {
-    Slot& slot = registers_[d][hashes_.index(d, fp, cfg_.entries_per_register)];
-    if (slot.occupied && slot.key == key) {
-      const bool first = !slot.reported;
-      slot.reported = true;
-      return first;
+  const std::size_t s = find(key);
+  if (s == kNpos) return false;
+  // Slot s is register s / n, index s % n: its bits sit at the same
+  // positions as in occ_.
+  const std::size_t n = cfg_.entries_per_register;
+  std::uint64_t& word = rep_[(s / n) * occ_words_per_register() + (s % n) / 64];
+  const std::uint64_t bit = std::uint64_t{1} << ((s % n) % 64);
+  const bool first = (word & bit) == 0;
+  word |= bit;
+  return first;
+}
+
+query::Tuple RegisterChain::key_tuple(std::size_t s) const {
+  const std::uint64_t* w = slot(s);
+  const std::size_t ns = string_cols_.size();
+  query::Tuple t;
+  t.values.reserve(key_words_);
+  std::size_t j = 0;
+  for (std::size_t c = 0; c < key_words_; ++c) {
+    if (j < ns && string_cols_[j] == c) {
+      t.values.push_back(strings_[s * ns + j++]);
+    } else {
+      t.values.emplace_back(w[c]);
     }
   }
-  return false;
+  return t;
 }
 
 std::vector<std::pair<query::Tuple, std::uint64_t>> RegisterChain::entries() const {
-  if (hp_) return hp_->entries();  // may repeat a key; the SP reduce merges
   std::vector<std::pair<query::Tuple, std::uint64_t>> out;
-  out.reserve(stored_);
-  // Walk the occupancy bitmap instead of every slot: O(stored) with a
-  // 64-slot skip per empty word, in the same register-by-register
-  // slot-ascending order the full scan produced.
-  const std::size_t words = occ_words_per_register();
-  for (std::size_t d = 0; d < registers_.size(); ++d) {
-    const auto& reg = registers_[d];
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = occ_[d * words + w];
-      while (bits != 0) {
-        const std::size_t slot = w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        out.emplace_back(reg[slot].key, reg[slot].value);
-      }
-    }
-  }
+  out.reserve(keys_stored());
+  for_each_entry([&](query::Tuple key, std::uint64_t value) {
+    out.emplace_back(std::move(key), value);
+  });
   return out;
 }
 
@@ -147,22 +185,19 @@ void RegisterChain::reset() {
     hp_->reset();
     return;
   }
-  // Clear only occupied slots (bitmap-guided), then wipe the bitmap. The
-  // per-window reset cost becomes proportional to the keys the window
-  // actually stored, not to configured capacity.
-  const std::size_t words = occ_words_per_register();
-  for (std::size_t d = 0; d < registers_.size(); ++d) {
-    auto& reg = registers_[d];
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = occ_[d * words + w];
-      while (bits != 0) {
-        const std::size_t slot = w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        reg[slot] = Slot{};
-      }
-    }
+  // Key words and aggregates are overwritten by the next insert, so a reset
+  // clears the two bitmaps (one bit per slot) and releases any strings the
+  // window's keys held.
+  const std::size_t ns = string_cols_.size();
+  if (ns != 0) {
+    for_each_occupied([&](std::size_t s) {
+      for (std::size_t j = 0; j < ns; ++j) strings_[s * ns + j] = query::Value{};
+    });
   }
-  if (!occ_.empty()) std::memset(occ_.data(), 0, occ_.size() * sizeof(std::uint64_t));
+  if (!occ_.empty()) {
+    std::memset(occ_.data(), 0, occ_.size() * sizeof(std::uint64_t));
+    std::memset(rep_.data(), 0, rep_.size() * sizeof(std::uint64_t));
+  }
   stored_ = 0;
   overflows_ = 0;
 }

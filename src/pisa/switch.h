@@ -1,10 +1,15 @@
 // Executable PISA switch simulator.
 //
 // A Switch hosts one CompiledSwitchQuery per (query, source, refinement
-// level). Each packet is parsed once into a source tuple (the PHV), then
-// every installed pipeline processes it; pipelines that mark the report
-// flag cause a mirrored packet — an EmitRecord — on the monitoring port,
-// which the emitter turns into stream-processor input (paper Figure 6).
+// level). Each packet is parsed once into a source tuple, then every
+// installed pipeline processes it; pipelines that mark the report flag
+// cause a mirrored packet — an EmitRecord — on the monitoring port, which
+// the emitter turns into stream-processor input (paper Figure 6).
+//
+// Execution is pipeline-at-a-time (pisa/kernel.h): a batch is gathered
+// into a columnar PHV, each pipeline runs over the whole block, and the
+// staged records are merged back into packet-then-pipeline order, so the
+// sink holds exactly what per-packet processing would have appended.
 //
 // The driver-facing surface (install / update_filter_entries /
 // poll_and_reset) mirrors what Sonata's runtime does to BMV2/Tofino over
@@ -26,10 +31,12 @@
 #include "obs/metrics.h"
 #include "pisa/compile.h"
 #include "pisa/config.h"
+#include "pisa/kernel.h"
 #include "pisa/layout.h"
 #include "pisa/register.h"
 #include "query/field.h"
 #include "query/query.h"
+#include "util/flat_table.h"
 
 namespace sonata::pisa {
 
@@ -91,6 +98,18 @@ class EmitSink {
   std::uint64_t packets_with_records_ = 0;
 };
 
+// Records one kernel run staged before the switch merges them into the
+// sink: each with the block row of the packet that produced it.
+struct EmitStaging {
+  std::vector<EmitRecord> records;
+  std::vector<std::uint32_t> rows;  // parallel to records
+
+  void clear() noexcept {
+    records.clear();
+    rows.clear();
+  }
+};
+
 // Executable form of one partitioned (and possibly refined) sub-query.
 class CompiledSwitchQuery {
  public:
@@ -105,14 +124,24 @@ class CompiledSwitchQuery {
 
   // `node` must stay alive and validated for the lifetime of this object.
   CompiledSwitchQuery(const query::StreamNode& node, Options opts);
+  ~CompiledSwitchQuery();
 
   // Process one source tuple; a mirrored record is appended to `sink` if
   // the report flag is set at the end of the pipeline. Returns whether a
-  // record was emitted.
+  // record was emitted. A batch of one through run().
   bool process_into(const query::Tuple& source, EmitSink& sink);
 
   // Convenience wrapper around process_into for single-packet callers.
   [[nodiscard]] std::optional<EmitRecord> process(const query::Tuple& source);
+
+  // The kernel: run this pipeline over the `live` rows (ascending) of one
+  // block's PHV, staging each emitted record with its row. A pipeline
+  // emits at most one record per row.
+  void run(const kernel::Phv& phv, std::span<const std::uint32_t> live, kernel::Scratch& s,
+           EmitStaging& out);
+
+  // Source-schema columns run() reads from the PHV.
+  [[nodiscard]] std::span<const std::uint32_t> phv_columns() const noexcept { return phv_cols_; }
 
   // True when the pipeline ends in a register (reduce) the stream
   // processor must poll at the end of each window.
@@ -210,36 +239,82 @@ class CompiledSwitchQuery {
   }
 
  private:
+  // Operators address columns by slot: slots [0, source columns) are the
+  // PHV's, the rest are map outputs this pipeline computes (derived_).
   struct CompiledOp {
     query::OpKind kind = query::OpKind::kFilter;
     std::size_t op_index = 0;
-    // filter
-    query::Expr::Evaluator pred;
-    // filter_in
-    std::vector<query::Expr::Evaluator> match;
+    std::vector<std::uint32_t> env;  // slot of each input-schema column
+    bool identity = true;            // the input row is the source tuple itself
+    // filter: top-level conjuncts, each narrowing the selection
+    std::vector<kernel::ColumnExpr> conjuncts;
+    // filter_in: match expressions and the winner set (string match
+    // columns keep their entry Values in entry_strings, [entry][column])
+    std::vector<kernel::ColumnExpr> match;
     std::string table_name;
-    std::unordered_set<query::Tuple, query::TupleHasher> entries;
-    // map
-    std::vector<query::Expr::Evaluator> projections;
+    util::FlatWordSet entries;
+    std::vector<query::Value> entry_strings;
+    // map: slot of each output column; computed outputs and their exprs
+    std::vector<std::uint32_t> out_env;
+    std::vector<std::pair<std::uint32_t, kernel::ColumnExpr>> computed;
     // distinct / reduce
-    std::vector<std::size_t> key_idx;
+    std::vector<std::size_t> key_idx;      // reduce: key positions in the input schema
+    std::vector<std::uint32_t> key_slots;  // distinct: env; reduce: env[key_idx]
     std::size_t value_idx = 0;
+    std::uint32_t value_slot = 0;
     query::ReduceFn fn = query::ReduceFn::kSum;
     std::unique_ptr<RegisterChain> chain;
     // folded threshold on the tail reduce
     std::optional<FoldedThreshold> folded;
+    // filter_in / distinct / reduce: whether each key column is a string
+    std::vector<std::uint8_t> key_string;
+    std::size_t string_keys = 0;
+    std::vector<kernel::Temp> match_temps;        // filter_in: match values of a run
+    std::vector<const kernel::Column*> key_cols;  // distinct / reduce: &cols_[key_slots[c]]
   };
+
+  struct DerivedColumn {
+    bool string = false;
+    std::vector<std::uint64_t> words;
+    std::vector<const query::Value*> strings;
+    std::vector<query::Value> owned;
+  };
+
+  std::uint32_t add_derived(bool string);
+  // A derived column holding `v` in every row, filled once.
+  std::uint32_t add_constant(const query::Value& v);
+  // The tuple of block row `row` whose columns sit in `env` (the source
+  // tuple itself when `identity`).
+  [[nodiscard]] query::Tuple row_tuple(std::span<const std::uint32_t> env, bool identity,
+                                       const kernel::Phv& phv, std::uint32_t row) const;
+  void emit(EmitStaging& out, EmitRecord::Kind kind, std::size_t op_index, query::Tuple tuple,
+            std::uint32_t row);
+  std::size_t run_filter_in(CompiledOp& op, std::uint32_t* sel, std::size_t m,
+                            kernel::Scratch& s);
+  void run_map(CompiledOp& op, const std::uint32_t* sel, std::size_t m, kernel::Scratch& s);
+  std::size_t run_stateful(CompiledOp& op, const kernel::Phv& phv, std::uint32_t* sel,
+                           std::size_t m, kernel::Scratch& s, EmitStaging& out);
 
   const query::StreamNode& node_;
   Options opts_;
   std::vector<CompiledOp> ops_;
   CompiledOp* tail_reduce_ = nullptr;  // set when the last op is a reduce
   std::size_t poll_entry_ = 0;
+  std::size_t source_cols_ = 0;             // width of the source schema
+  std::vector<bool> slot_string_;           // by slot
+  std::vector<kernel::Column> cols_;        // by slot; PHV slots bound per run
+  std::vector<DerivedColumn> derived_;      // slot source_cols_ + i
+  std::vector<std::uint32_t> tail_env_;     // row layout of a stateless tail
+  bool tail_identity_ = true;
+  std::vector<std::uint32_t> phv_cols_;
   std::uint64_t packets_seen_ = 0;
   std::uint64_t emitted_ = 0;
   std::uint64_t overflows_ = 0;
   std::uint64_t key_reports_ = 0;
   std::uint64_t probe_tally_[kProbeTallyMax + 1] = {};
+  // Batch-of-one state for process_into, made on first use.
+  struct Single;
+  std::unique_ptr<Single> single_;
 };
 
 // Counters the evaluation reads per window.
@@ -273,21 +348,21 @@ class Switch {
   // left program-less until the next install().
   [[nodiscard]] std::vector<std::unique_ptr<CompiledSwitchQuery>> release_pipelines();
 
-  // The batched hot path: process every pre-materialized source tuple
-  // through every installed pipeline, appending mirrored records to the
-  // caller-owned sink in arrival order. A Switch must be driven by at most
-  // one thread at a time — the fleet pins each switch to a single worker.
+  // The data path: process every pre-materialized source tuple through
+  // every installed pipeline, appending mirrored records to the
+  // caller-owned sink in arrival order (packet by packet, pipelines in
+  // install order). A Switch must be driven by at most one thread at a
+  // time — the fleet pins each switch to a single worker.
   void process_batch(std::span<const query::Tuple> sources, EmitSink& sink);
 
-  // Single-tuple variant of process_batch (same sink contract).
+  // process_batch on a batch of one (same sink contract).
   void process_one(const query::Tuple& source, EmitSink& sink);
 
   // Process one packet through every installed pipeline; emitted records
   // are appended to `out`.
   void process(const net::Packet& packet, std::vector<EmitRecord>& out);
 
-  // Process a pre-materialized source tuple (compatibility wrapper over
-  // process_one for single-packet callers).
+  // process_one for callers that collect records in a vector.
   void process_tuple(const query::Tuple& source, std::vector<EmitRecord>& out);
 
   [[nodiscard]] const std::vector<std::unique_ptr<CompiledSwitchQuery>>& pipelines() const noexcept {
@@ -325,6 +400,11 @@ class Switch {
   // global registry (called from reset_all_registers, before clearing).
   void init_obs_handles();
   void publish_obs();
+  // One block (at most kernel::kBlock tuples) through every pipeline.
+  void process_block(std::span<const query::Tuple> block, EmitSink& sink);
+  // Move the block's staged records into the sink in packet-then-pipeline
+  // order, as per-packet processing would have appended them.
+  void merge_staged(std::size_t rows, EmitSink& sink);
 
   struct ObsHandles {
     obs::Counter* packets = nullptr;
@@ -351,7 +431,13 @@ class Switch {
   std::vector<std::unique_ptr<CompiledSwitchQuery>> pipelines_;
   Layout layout_;
   SwitchStats stats_;
-  EmitSink scratch_sink_;  // backs the legacy vector-based wrappers
+  EmitSink scratch_sink_;  // backs the vector-based wrappers
+  kernel::PhvBuffer phv_;
+  std::unique_ptr<kernel::Scratch> scratch_ = std::make_unique<kernel::Scratch>();
+  EmitStaging staging_;
+  std::vector<std::uint32_t> live_;   // rows the guard table lets through
+  std::vector<std::uint32_t> order_;    // merge_staged: staged index by output position
+  std::vector<std::uint32_t> offsets_;  // merge_staged: first output position per row
   std::string obs_label_ = "0";
   ObsHandles obs_;
   // Guard table: source-schema column index -> blocked key values.

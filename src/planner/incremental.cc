@@ -21,6 +21,7 @@ std::string_view to_string(AdmissionDiagnostic::Code code) noexcept {
     case AdmissionDiagnostic::Code::kLayout: return "layout";
     case AdmissionDiagnostic::Code::kNoControlPlane: return "no_control_plane";
     case AdmissionDiagnostic::Code::kScript: return "script";
+    case AdmissionDiagnostic::Code::kTopology: return "topology";
   }
   return "?";
 }

@@ -74,6 +74,7 @@ struct AdmissionDiagnostic {
     kLayout,            // switch stage layout cannot host the query at all
     kNoControlPlane,    // engine was built without a control plane
     kScript,            // malformed admit-script / flag input (tools)
+    kTopology,          // a deployment shape the drivers cannot run
   };
   Code code = Code::kValidation;
   std::string message;     // human-readable, one line

@@ -74,7 +74,7 @@ void hash_tuples(std::span<const Tuple> tuples, std::uint64_t* out) noexcept {
     std::uint64_t h[kLanes];
     std::uint64_t col[kLanes];
     std::uint64_t vh[kLanes];
-    for (std::size_t l = 0; l < g; ++l) h[l] = 0x531a0badcafeULL;
+    for (std::size_t l = 0; l < g; ++l) h[l] = kTupleHashSeed;
     for (std::size_t c = 0; c < arity; ++c) {
       for (std::size_t l = 0; l < g; ++l) col[l] = tuples[i + l].values[c].as_uint();
       // Value::hash for numerics is hash_u64(u, 0); then the combine chain.

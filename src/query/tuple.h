@@ -231,6 +231,10 @@ class ValueVec {
   alignas(Value) unsigned char inline_[kInlineCapacity * sizeof(Value)];
 };
 
+// Initial accumulator of Tuple::hash: h = hash_combine(h, v.hash()) per
+// value, starting here.
+inline constexpr std::uint64_t kTupleHashSeed = 0x531a0badcafeULL;
+
 struct Tuple {
   ValueVec values;
 
@@ -242,7 +246,7 @@ struct Tuple {
   [[nodiscard]] const Value& at(std::size_t i) const { return values.at(i); }
 
   [[nodiscard]] std::uint64_t hash() const noexcept {
-    std::uint64_t h = 0x531a0badcafeULL;
+    std::uint64_t h = kTupleHashSeed;
     for (const auto& v : values) h = util::hash_combine(h, v.hash());
     return h;
   }

@@ -11,6 +11,7 @@
 #include "query/field.h"
 #include "query/tuple.h"
 #include "pisa/register.h"
+#include "runtime/limits.h"
 #include "runtime/report.h"
 #include "util/flat_table.h"
 #include "util/hash.h"
@@ -169,6 +170,7 @@ const nt::TransportCounters& SwitchNode::transport_counters() const noexcept {
 }
 
 std::string SwitchNode::run(std::span<const net::Packet> trace) {
+  if (std::string err = switch_count_error(cfg_.switches); !err.empty()) return err;
   std::string err = handshake();
   if (!err.empty()) return err;
   // Identical window split to TelemetryEngine::run_trace: every role
@@ -583,7 +585,10 @@ Collector::Collector(const planner::Plan& plan, DistributedConfig cfg,
 
 Collector::~Collector() = default;
 
-std::string Collector::listen() { return endpoint_->listen(); }
+std::string Collector::listen() {
+  if (std::string err = switch_count_error(cfg_.switches); !err.empty()) return err;
+  return endpoint_->listen();
+}
 
 std::uint64_t Collector::full_mask() const noexcept {
   return cfg_.switches >= 64 ? ~0ull : ((1ull << cfg_.switches) - 1);
@@ -607,6 +612,7 @@ bool Collector::all_done() const {
 }
 
 std::string Collector::run(const WindowFn& on_window) {
+  if (std::string err = switch_count_error(cfg_.switches); !err.empty()) return err;
   auto last_activity = steady_clock::now();
   std::vector<nt::Frame> frames;
   while (!all_done()) {

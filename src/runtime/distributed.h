@@ -65,7 +65,7 @@ namespace sonata::runtime {
 inline constexpr std::uint16_t kDistributedProto = 1;
 
 struct DistributedConfig {
-  std::size_t switches = 2;      // total data-plane shards across all nodes
+  std::size_t switches = 2;      // total data-plane shards across all nodes (<= kMaxSwitches)
   std::uint16_t nodes = 1;       // switch-node process count
   std::uint16_t node_index = 0;  // this process's index (switch role only)
   std::size_t batch = 256;       // data-path handoff granularity
@@ -105,7 +105,8 @@ class SwitchNode {
 
   // Connect + handshake, then replay the whole trace (window split by the
   // plan's window size, identical to TelemetryEngine::run_trace). Returns
-  // "" on success or a protocol/transport error.
+  // "" on success, or a config (more than kMaxSwitches switches),
+  // protocol or transport error.
   [[nodiscard]] std::string run(std::span<const net::Packet> trace);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -190,6 +191,8 @@ class Collector {
 
   // Serve until every node's final window closed (or a protocol error /
   // idle timeout). `on_window` fires once per closed window, in order.
+  // listen() and run() refuse a config with more than kMaxSwitches
+  // switches.
   [[nodiscard]] std::string run(const WindowFn& on_window);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

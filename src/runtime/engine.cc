@@ -9,6 +9,7 @@
 #include "obs/tracing.h"
 #include "runtime/control_plane.h"
 #include "runtime/fleet.h"
+#include "runtime/limits.h"
 #include "runtime/runtime.h"
 #include "util/log.h"
 #include "util/time.h"
@@ -241,6 +242,15 @@ EngineBuilder::plan_only() {
 
 util::Expected<std::unique_ptr<TelemetryEngine>, planner::AdmissionDiagnostic>
 EngineBuilder::build() {
+  if (std::string err = switch_count_error(switches_); !err.empty()) {
+    planner::AdmissionDiagnostic d;
+    d.code = planner::AdmissionDiagnostic::Code::kTopology;
+    d.message = std::move(err);
+    d.constraint = "switches";
+    d.budget = kMaxSwitches;
+    d.required = switches_;
+    return d;
+  }
   auto planned = plan_only();
   if (!planned) return planned.error();
   auto control = std::move(planned->control);

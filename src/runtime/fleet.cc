@@ -4,11 +4,13 @@
 #include <cassert>
 #include <chrono>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "obs/journal.h"
 #include "pisa/extract.h"
+#include "runtime/limits.h"
 #include "runtime/plan_install.h"
 #include "util/cpu.h"
 #include "util/flat_table.h"
@@ -26,6 +28,9 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
       batch_size_(std::max<std::size_t>(batch_size, 1)),
       pin_workers_(pin_workers) {
   assert(switch_count >= 1);
+  if (std::string err = switch_count_error(switch_count); !err.empty()) {
+    throw std::invalid_argument(err);
+  }
   // A stall without a watchdog would spin the window barrier forever
   // (parse_fault_spec rejects this; assert for programmatic specs).
   assert(faults.stall_windows == 0 || faults.watchdog_ms > 0);
@@ -104,9 +109,9 @@ Fleet::~Fleet() {
 void Fleet::process_batch_on_shard(Shard& shard, std::span<const net::Packet> packets) {
   // Parse into the shard's tuple slots — warm slots keep their value
   // storage, so a steady-state batch materializes without touching the
-  // allocator — and run the pipelines in cache-sized chunks. Each phase
-  // timer spans a kTimedRun-packet stretch, not a single 16-tuple chunk:
-  // per-chunk clock reads would dominate the obs overhead budget.
+  // allocator — and run each kTimedRun-packet stretch through the switch
+  // in one call. Each phase timer spans a whole run: per-call clock reads
+  // would dominate the obs overhead budget.
   constexpr std::size_t kTimedRun = 256;
   while (!packets.empty()) {
     const std::size_t run = std::min(packets.size(), kTimedRun);
@@ -124,11 +129,7 @@ void Fleet::process_batch_on_shard(Shard& shard, std::span<const net::Packet> pa
       // component; the stamp is metadata only and never affects results).
       const std::uint64_t ingest_ns = obs::enabled() ? obs::now_ns() : 0;
       obs::PhaseTimer t{shard.phases, obs::Phase::kCompute};
-      for (std::size_t off = 0; off < run; off += kProcessChunk) {
-        process_tuples_on_shard(
-            shard, {shard.tuple_scratch.data() + off, std::min(kProcessChunk, run - off)},
-            ingest_ns);
-      }
+      process_tuples_on_shard(shard, {shard.tuple_scratch.data(), run}, ingest_ns);
     }
     packets = packets.subspan(run);
   }
@@ -395,13 +396,10 @@ void Fleet::ingest_at(std::size_t switch_index, const net::Packet& packet) {
   }
   if (workers_.empty()) {
     // Inline batch path: materialize straight into a reusable tuple slot
-    // (no packet copy), run the pipelines at chunk granularity while the
-    // tuples are hot (there is no handoff to amortize without workers).
+    // (no packet copy) and run the pipelines once a batch has gathered.
     if (shard.tuples_pending == shard.tuple_scratch.size()) shard.tuple_scratch.emplace_back();
     query::materialize_tuple_into(packet, shard.tuple_scratch[shard.tuples_pending++]);
-    if (shard.tuples_pending >= std::min(batch_size_, kProcessChunk)) {
-      flush_shard(switch_index);
-    }
+    if (shard.tuples_pending >= batch_size_) flush_shard(switch_index);
     return;
   }
   // Threaded batch path: stage straight into the ring slot (one copy, no

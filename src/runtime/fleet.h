@@ -84,6 +84,9 @@ class Fleet final : public TelemetryEngine {
   // `pin_workers` pins worker i to allowed core i % cores (NUMA-local by
   // construction: a worker allocates its working set from the core it runs
   // on, and first-touch places the pages on that core's node).
+  // Throws std::invalid_argument (with switch_count_error's reason) for
+  // more than kMaxSwitches switches; EngineBuilder::build reports the same
+  // case as a kTopology diagnostic instead.
   Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_threads = 0,
         std::size_t batch_size = 1, fault::FaultSpec faults = {}, bool pin_workers = false);
   ~Fleet() override;
@@ -126,14 +129,6 @@ class Fleet final : public TelemetryEngine {
   // Ring sized for a healthy window burst; the driver spins (yield + wake)
   // when a shard falls this far behind.
   static constexpr std::size_t kQueueCapacity = 1024;
-
-  // Compute granularity inside a handed-off batch: materialize-then-process
-  // runs of this many tuples so the working set stays L1-resident (a full
-  // 256-packet batch of ~16-value tuples is ~64 KB — materializing it all
-  // before processing evicts every tuple before the pipelines read it).
-  // Purely an internal locality knob: per-packet order, and therefore
-  // output, is unchanged.
-  static constexpr std::size_t kProcessChunk = 16;
 
   struct Shard {
     std::size_t index = 0;  // switch index (stall schedules key on it)

@@ -123,16 +123,9 @@ void Runtime::flush_pending() {
   const std::span<Tuple> batch{pending_tuples_.data(), pending_used_};
   sink_.clear();
   {
-    // One timed span for the whole buffered batch — per-chunk clock reads
-    // would cost more than the obs overhead budget at kProcessChunk
-    // granularity. Inside it, the pipelines still consume the buffer in
-    // cache-sized runs (the sequential re-read is prefetch-friendly), and
-    // records accumulate in sink_ across chunks exactly as one call would.
+    // One timed span and one switch call for the whole buffered batch.
     obs::PhaseTimer t{phase_accum_, obs::Phase::kCompute};
-    for (std::size_t off = 0; off < pending_used_; off += kProcessChunk) {
-      switch_->process_batch(batch.subspan(off, std::min(kProcessChunk, pending_used_ - off)),
-                             sink_);
-    }
+    switch_->process_batch(batch, sink_);
   }
   obs::PhaseTimer merge_timer{phase_accum_, obs::Phase::kMerge};
   if (pending_first_ns_ != 0) {

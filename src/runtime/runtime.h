@@ -126,13 +126,6 @@ class Runtime final : public TelemetryEngine {
   void apply_plan(planner::Plan plan) override;
 
  private:
-  // Compute granularity inside a buffered flush (same locality knob as
-  // Fleet::kProcessChunk): the pipelines consume the batch in runs small
-  // enough to stay cache-resident. The flush itself triggers at
-  // batch_size_ so the per-flush phase-timer clock reads amortize over the
-  // whole batch. Output order is unchanged for any value.
-  static constexpr std::size_t kProcessChunk = 16;
-
   // Run the buffered tuples through the switch pipelines and route the
   // resulting records (and the raw mirror) into the stream processor.
   void flush_pending();

@@ -129,8 +129,8 @@ struct WindowStats {
 
   // -- graceful degradation (DESIGN.md "Fault model & degradation") -----
   // Bit i is set when switch i's full contribution made this window's
-  // merge (meaningful for the first 64 switches; every fleet here is far
-  // smaller). A healthy window has every bit set and partial == false; a
+  // merge; every driver refuses more than 64 switches (runtime/limits.h),
+  // so each switch has its bit. A healthy window has every bit set and partial == false; a
   // window that lost a quarantined shard reports partial == true, the
   // missing switch's bit cleared, and its packets in late_packets.
   std::uint64_t contribution_mask = 0;

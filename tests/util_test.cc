@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "util/hash.h"
 #include "util/ip.h"
@@ -50,6 +51,23 @@ TEST(Hash, IndexWithinBounds) {
   HashFamily fam(2);
   for (std::uint64_t k = 0; k < 1000; ++k) {
     EXPECT_LT(fam.index(0, k, 7), 7u);
+  }
+}
+
+TEST(Hash, FastModMatchesDivision) {
+  Rng rng(99);
+  std::vector<std::uint64_t> divisors = {1, 2, 3, 7, 64, 1000, 65536, 98765, 1ULL << 32,
+                                         (1ULL << 32) + 1, ~std::uint64_t{0}, (1ULL << 63) + 5};
+  for (int i = 0; i < 200; ++i) divisors.push_back(1 + rng() % (1ULL << (1 + i % 63)));
+  for (const std::uint64_t d : divisors) {
+    const FastMod mod(d);
+    const std::uint64_t edges[] = {0, 1, d - 1, d, d + 1, ~std::uint64_t{0}, ~std::uint64_t{0} - 1};
+    for (const std::uint64_t x : edges) ASSERT_EQ(mod(x), x % d) << x << " % " << d;
+    for (int j = 0; j < 2000; ++j) {
+      const std::uint64_t x = rng();
+      ASSERT_EQ(mod(x), x % d) << x << " % " << d;
+      ASSERT_EQ(mod(x >> (j % 64)), (x >> (j % 64)) % d) << d;
+    }
   }
 }
 

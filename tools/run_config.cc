@@ -6,6 +6,8 @@
 #include <optional>
 #include <sstream>
 
+#include "runtime/limits.h"
+
 namespace sonata::tools {
 
 namespace {
@@ -99,6 +101,9 @@ util::Expected<RunConfig, std::string> parse_run_config(int argc, const char* co
       if (!v) return "missing value for " + arg;
       cfg.switches = std::strtoull(v, nullptr, 10);
       if (cfg.switches == 0) return std::string("--switches must be >= 1");
+      if (std::string err = runtime::switch_count_error(cfg.switches); !err.empty()) {
+        return "--switches: " + err;
+      }
     } else if (arg == "--threads") {
       const char* v = value();
       if (!v) return "missing value for " + arg;
