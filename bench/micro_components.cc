@@ -7,12 +7,14 @@
 
 #include "common.h"
 #include "net/wire.h"
+#include "util/hash.h"
 #include "util/ip.h"
 #include "pisa/switch.h"
 #include "planner/planner.h"
 #include "queries/catalog.h"
 #include "runtime/plan_install.h"
 #include "runtime/stream_processor.h"
+#include "runtime/window_merge.h"
 #include "stream/executor.h"
 #include "trace/trace.h"
 
@@ -125,6 +127,93 @@ void BM_SwitchBatchEvalPlan(benchmark::State& state) {
   state.SetItemsProcessed(items);
 }
 BENCHMARK(BM_SwitchBatchEvalPlan);
+
+// The window close's poll + merge + SP ingest (runtime/window_merge.h) on
+// the eval-8 Sonata plan over 4 switches, in ns per polled register entry.
+// The switches hold a window of traffic routed like the Fleet's and carry
+// the winners installed after two warm-up windows; each iteration polls
+// every stateful tail into packed blocks, folds them and ingests the merged
+// keys at the SP's reduces. The SP state is cleared (untimed) in between.
+void BM_WindowPollMerge(benchmark::State& state) {
+  constexpr std::size_t kShards = 4;
+  bench::Options opts;
+  opts.scale = 0.25;
+  const bench::Workload w = bench::make_eval_workload(opts);
+  const auto qs = queries::evaluation_queries(w.thresholds, w.window);
+  planner::PlannerConfig cfg;
+  cfg.window = w.window;
+  cfg.search_node_cap = 10000;
+  const planner::Plan plan = planner::Planner(cfg).plan(qs, w.trace);
+  std::vector<std::unique_ptr<pisa::Switch>> switches;
+  std::vector<pisa::Switch*> raw_switches;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    switches.push_back(std::make_unique<pisa::Switch>(plan.switch_config));
+    runtime::PipelineBuild build = runtime::build_pipelines(plan, {});
+    if (!switches.back()->install(std::move(build.pipelines), build.resources).empty()) {
+      std::abort();
+    }
+    raw_switches.push_back(switches.back().get());
+  }
+  runtime::StreamProcessor sp(plan);
+  runtime::WindowMerge merge;
+  std::vector<std::vector<pisa::PolledBlock>> polls(kShards);
+  std::vector<std::vector<pisa::PolledBlock>*> shards;
+  for (auto& p : polls) shards.push_back(&p);
+  const auto poll_all = [&] {
+    std::uint64_t keys = 0;
+    for (std::size_t i = 0; i < kShards; ++i) {
+      const auto& pipelines = switches[i]->pipelines();
+      polls[i].resize(pipelines.size());
+      for (std::size_t p = 0; p < pipelines.size(); ++p) {
+        pipelines[p]->poll_block(polls[i][p]);
+        keys += polls[i][p].size();
+      }
+    }
+    merge.merge(sp, switches[0]->pipelines(), shards);
+    return keys;
+  };
+
+  const auto windows = trace::split_windows(w.trace, w.window);
+  if (windows.size() < 3) std::abort();
+  for (std::size_t win = 0; win < 3; ++win) {
+    std::vector<std::vector<query::Tuple>> tuples(kShards);
+    for (const auto& p : windows[win]) {
+      const std::uint64_t flow = util::hash_combine(
+          util::hash_combine(p.src_ip, p.dst_ip),
+          (static_cast<std::uint64_t>(p.src_port) << 24) ^
+              (static_cast<std::uint64_t>(p.dst_port) << 8) ^ p.proto);
+      tuples[flow % kShards].push_back(query::materialize_tuple(p));
+    }
+    for (std::size_t i = 0; i < kShards; ++i) {
+      pisa::EmitSink sink;
+      switches[i]->process_batch(tuples[i], sink);
+      sp.deliver_batch(sink.records());
+    }
+    if (win == 2) break;  // keep the last window's registers to poll
+    poll_all();
+    runtime::WindowStats stats;
+    sp.close_levels(stats, raw_switches);
+    for (auto& sw : switches) sw->reset_all_registers();
+  }
+  {
+    runtime::WindowStats stats;
+    sp.close_levels(stats, {});
+  }
+
+  std::uint64_t keys = 0;
+  for (auto _ : state) {
+    keys += poll_all();
+    state.PauseTiming();
+    runtime::WindowStats stats;
+    sp.close_levels(stats, {});
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(keys));
+  // Seconds per key, printed with its SI prefix (e.g. "89ns").
+  state.counters["per_key"] = benchmark::Counter(
+      static_cast<double>(keys), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WindowPollMerge)->Unit(benchmark::kMicrosecond);
 
 void BM_StreamExecutorQuery1(benchmark::State& state) {
   const auto pkts = small_trace();

@@ -155,15 +155,44 @@ bool RegisterChain::mark_reported(const query::Tuple& key) {
   return first;
 }
 
-query::Tuple RegisterChain::key_tuple(std::size_t s) const {
-  const std::uint64_t* w = slot(s);
-  const std::size_t ns = string_cols_.size();
+void PolledBlock::configure(std::span<const query::ValueKind> kinds) {
+  clear();
+  string_col_.resize(kinds.size());
+  string_count_ = 0;
+  for (std::size_t c = 0; c < kinds.size(); ++c) {
+    string_col_[c] = kinds[c] == query::ValueKind::kString ? 1 : 0;
+    string_count_ += string_col_[c];
+  }
+}
+
+bool PolledBlock::append(const query::Tuple& key, std::uint64_t value) {
+  const std::size_t width = this->width();
+  if (key.size() != width) return false;
+  for (std::size_t c = 0; c < width; ++c) {
+    if (key.values[c].is_string() != is_string(c)) return false;
+  }
+  for (std::size_t c = 0; c < width; ++c) {
+    const query::Value& v = key.values[c];
+    if (is_string(c)) {
+      words_.push_back(v.hash());
+      strings_.push_back(v);
+    } else {
+      words_.push_back(v.as_uint());
+    }
+  }
+  hashes_.push_back(key.hash());
+  values_.push_back(value);
+  return true;
+}
+
+query::Tuple PolledBlock::key_tuple(std::size_t i) const {
+  const std::uint64_t* w = key(i);
+  const query::Value* s = strings(i);
   query::Tuple t;
-  t.values.reserve(key_words_);
-  std::size_t j = 0;
-  for (std::size_t c = 0; c < key_words_; ++c) {
-    if (j < ns && string_cols_[j] == c) {
-      t.values.push_back(strings_[s * ns + j++]);
+  t.values.reserve(width());
+  for (std::size_t c = 0; c < width(); ++c) {
+    if (is_string(c)) {
+      t.values.push_back(*s++);
     } else {
       t.values.emplace_back(w[c]);
     }
@@ -171,12 +200,53 @@ query::Tuple RegisterChain::key_tuple(std::size_t s) const {
   return t;
 }
 
+void RegisterChain::poll_into(PolledBlock& out) const {
+  out.configure(cfg_.key_kinds);
+  if (hp_) {
+    for (const auto& [key, value] : hp_->entries()) {
+      [[maybe_unused]] const bool packed = out.append(key, value);
+      assert(packed && "HashPipe key does not match the chain's key kinds");
+    }
+    return;
+  }
+  // Walk the occupancy bitmap into a slot list first, then copy the slots
+  // with the next few in flight: the copy loop no longer waits on each
+  // slot's cache miss in turn.
+  std::vector<std::uint32_t>& polled = out.polled_;
+  polled.clear();
+  for_each_occupied([&](std::size_t s) { polled.push_back(static_cast<std::uint32_t>(s)); });
+  const std::size_t n = polled.size();
+  const std::size_t width = key_words_;
+  const std::size_t ns = string_cols_.size();
+  out.words_.resize(n * width);
+  out.hashes_.resize(n);
+  out.values_.resize(n);
+  out.strings_.resize(n * ns);
+  constexpr std::size_t kAhead = 8;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) __builtin_prefetch(slot(polled[i + kAhead]));
+    const std::size_t s = polled[i];
+    const std::uint64_t* w = slot(s);
+    std::uint64_t* key = out.words_.data() + i * width;
+    // Tuple::hash() folded from the words, as the switch kernel folds it:
+    // Value::hash() is hash_u64(w, 0) for a number, the word for a string.
+    std::uint64_t h = query::kTupleHashSeed;
+    for (std::size_t c = 0; c < width; ++c) {
+      key[c] = w[c];
+      h = util::hash_combine(h, out.is_string(c) ? w[c] : util::hash_u64(w[c], 0));
+    }
+    out.hashes_[i] = h;
+    out.values_[i] = w[width];
+    for (std::size_t j = 0; j < ns; ++j) out.strings_[i * ns + j] = strings_[s * ns + j];
+  }
+}
+
 std::vector<std::pair<query::Tuple, std::uint64_t>> RegisterChain::entries() const {
+  PolledBlock block;
+  poll_into(block);
   std::vector<std::pair<query::Tuple, std::uint64_t>> out;
-  out.reserve(keys_stored());
-  for_each_entry([&](query::Tuple key, std::uint64_t value) {
-    out.emplace_back(std::move(key), value);
-  });
+  out.reserve(block.size());
+  for (std::size_t i = 0; i < block.size(); ++i) out.emplace_back(block.key_tuple(i), block.value(i));
   return out;
 }
 

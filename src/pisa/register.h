@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "query/ops.h"
@@ -57,6 +58,62 @@ struct RegisterChainConfig {
   bool hashpipe = false;
   // Kind of each key column, in key order; fixes the packed slot layout.
   std::vector<query::ValueKind> key_kinds = {query::ValueKind::kUint};
+};
+
+// One register chain's end-of-window poll, packed the way its slots are:
+// per entry the key's words (one per key column; a string column holds
+// its Value::hash()), the key's Tuple::hash() folded from those words,
+// and the aggregate, with the string columns' Values in a side array. The
+// window merge folds blocks word-keyed and hands each merged key to the
+// stream processor's reduce together with its hash, so a polled key
+// becomes a Tuple once, at the reduce, and is never hashed again.
+class PolledBlock {
+ public:
+  // Fix the key layout, one kind per key column; empties the block.
+  void configure(std::span<const query::ValueKind> kinds);
+  // Drop the entries, keep the layout and the capacity.
+  void clear() noexcept {
+    words_.clear();
+    hashes_.clear();
+    values_.clear();
+    strings_.clear();
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
+  [[nodiscard]] std::size_t width() const noexcept { return string_col_.size(); }
+  [[nodiscard]] bool is_string(std::size_t c) const noexcept { return string_col_[c] != 0; }
+
+  [[nodiscard]] const std::uint64_t* key(std::size_t i) const noexcept {
+    return words_.data() + i * width();
+  }
+  [[nodiscard]] std::uint64_t hash(std::size_t i) const noexcept { return hashes_[i]; }
+  [[nodiscard]] std::uint64_t value(std::size_t i) const noexcept { return values_[i]; }
+  // Entry i's string column Values, in column order.
+  [[nodiscard]] query::Value* strings(std::size_t i) noexcept {
+    return strings_.data() + i * string_count_;
+  }
+  [[nodiscard]] const query::Value* strings(std::size_t i) const noexcept {
+    return strings_.data() + i * string_count_;
+  }
+
+  // Append a key given as a Tuple. Returns false, appending nothing, when
+  // the tuple does not have the block's layout (column count and kinds).
+  bool append(const query::Tuple& key, std::uint64_t value);
+
+  // Entry i's key as a Tuple.
+  [[nodiscard]] query::Tuple key_tuple(std::size_t i) const;
+
+ private:
+  friend class RegisterChain;
+
+  std::vector<std::uint8_t> string_col_;  // per key column: 1 = string
+  std::size_t string_count_ = 0;
+  std::vector<std::uint64_t> words_;   // [entry][key column]
+  std::vector<std::uint64_t> hashes_;  // Tuple::hash() of each key
+  std::vector<std::uint64_t> values_;  // aggregates
+  std::vector<query::Value> strings_;  // [entry][string column]
+  std::vector<std::uint32_t> polled_;  // poll scratch: occupied slot indices
 };
 
 class RegisterChain {
@@ -113,12 +170,13 @@ class RegisterChain {
   // (paper §3.1.3). Returns false if the key is not stored.
   bool mark_reported(const query::Tuple& key);
 
-  // End-of-window poll: every stored (key, aggregate) pair, register by
-  // register (deterministic order), passed to `fn(key, value)`.
-  template <typename Fn>
-  void for_each_entry(Fn&& fn) const;
+  // End-of-window poll: every stored (key, aggregate) pair into `out`
+  // (configured with this chain's key kinds), register by register in
+  // slot order — deterministic. HashPipe stages pack their entries the
+  // same way, stage by stage.
+  void poll_into(PolledBlock& out) const;
 
-  // entries() as a vector.
+  // poll_into() as (key, aggregate) pairs.
   [[nodiscard]] std::vector<std::pair<query::Tuple, std::uint64_t>> entries() const;
 
   // Clear all slots (the driver resets registers between windows).
@@ -161,10 +219,9 @@ class RegisterChain {
                               const query::Value* const* strings) const noexcept;
   // Slot holding `key`, or npos.
   [[nodiscard]] std::size_t find(const query::Tuple& key) const;
-  [[nodiscard]] query::Tuple key_tuple(std::size_t s) const;
 
   // Bitmap helpers over occ_ (one bit per slot, registers concatenated in
-  // depth order). The bitmap makes reset() and entries() O(stored keys)
+  // depth order). The bitmap makes reset() and poll_into() O(stored keys)
   // instead of O(capacity): both walk only set bits, in the same
   // register-by-register slot-ascending order a full scan would produce.
   [[nodiscard]] std::size_t occ_words_per_register() const noexcept {
@@ -256,15 +313,6 @@ void RegisterChain::for_each_occupied(Fn&& fn) const {
       }
     }
   }
-}
-
-template <typename Fn>
-void RegisterChain::for_each_entry(Fn&& fn) const {
-  if (hp_) {
-    for (auto& [key, value] : hp_->entries()) fn(std::move(key), value);
-    return;
-  }
-  for_each_occupied([&](std::size_t s) { fn(key_tuple(s), slot(s)[key_words_]); });
 }
 
 }  // namespace sonata::pisa

@@ -438,23 +438,26 @@ std::optional<EmitRecord> CompiledSwitchQuery::process(const Tuple& source) {
 std::vector<Tuple> CompiledSwitchQuery::poll_aggregates() const {
   std::vector<Tuple> out;
   if (!tail_reduce_) return out;
-  out.reserve(tail_reduce_->chain->keys_stored());
-  tail_reduce_->chain->for_each_entry(
-      [&](const Tuple& key, std::uint64_t value) { out.push_back(shape_polled(key, value)); });
+  PolledBlock block;
+  poll_block(block);
+  out.reserve(block.size());
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    out.push_back(shape_polled(block.key_tuple(i), block.value(i)));
+  }
   return out;
 }
 
-CompiledSwitchQuery::PolledPartial CompiledSwitchQuery::poll_partial() const {
-  PolledPartial out;
-  if (!tail_reduce_) return out;
-  const std::uint64_t stored = tail_reduce_->chain->keys_stored();
-  out.keys.reserve(stored);
-  out.values.reserve(stored);
-  tail_reduce_->chain->for_each_entry([&](Tuple key, std::uint64_t value) {
-    out.keys.push_back(std::move(key));
-    out.values.push_back(value);
-  });
-  return out;
+void CompiledSwitchQuery::poll_block(PolledBlock& out) const {
+  if (!tail_reduce_) {
+    out.configure({});
+    return;
+  }
+  tail_reduce_->chain->poll_into(out);
+}
+
+std::span<const query::ValueKind> CompiledSwitchQuery::tail_key_kinds() const {
+  assert(tail_reduce_);
+  return tail_reduce_->chain->config().key_kinds;
 }
 
 Tuple CompiledSwitchQuery::shape_polled(const Tuple& key, std::uint64_t value) const {

@@ -159,18 +159,15 @@ class CompiledSwitchQuery {
   // polling is control-plane.
   [[nodiscard]] std::vector<query::Tuple> poll_aggregates() const;
 
-  // Raw end-of-window poll for the parallel window merge: the stateful
-  // tail's keys and aggregates in the registers' deterministic entries()
-  // order, unshaped, split into parallel columns so the driver can batch-
-  // hash the contiguous keys (query::hash_tuples). Shards return these from
-  // their local close phase; the driver pre-folds repeated keys across
-  // shards with tail_reduce_fn() and shapes each merged key once via
-  // shape_polled(). Empty when !has_stateful_tail().
-  struct PolledPartial {
-    std::vector<query::Tuple> keys;
-    std::vector<std::uint64_t> values;  // parallel to keys
-  };
-  [[nodiscard]] PolledPartial poll_partial() const;
+  // Raw end-of-window poll for the window merge (runtime/window_merge.h):
+  // the stateful tail's keys and aggregates packed into `out` in the
+  // registers' deterministic slot order, unshaped. Empties `out` when
+  // !has_stateful_tail().
+  void poll_block(PolledBlock& out) const;
+
+  // Key kinds of the stateful tail's register, in key order (the layout of
+  // poll_block()'s blocks). Requires has_stateful_tail().
+  [[nodiscard]] std::span<const query::ValueKind> tail_key_kinds() const;
 
   // Shape one (key, aggregate) pair exactly like poll_aggregates() shapes
   // each register entry. Requires has_stateful_tail().

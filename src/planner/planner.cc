@@ -5,6 +5,7 @@
 #include <deque>
 
 #include "planner/install.h"
+#include "util/hash.h"
 #include "util/log.h"
 #include "util/stats.h"
 
@@ -193,6 +194,23 @@ std::string Plan::summary() const {
     }
   }
   return out;
+}
+
+std::uint64_t Plan::fingerprint() const {
+  std::string text = summary();
+  text += "window=" + std::to_string(window) + "\n" + switch_config.to_string() + "\n";
+  for (const auto& pq : queries) {
+    text += pq.base->to_string();
+    for (const auto& p : pq.pipelines) {
+      text += "table=" + p.filter_table;
+      for (const auto& [op, rs] : p.sizing) {
+        text += " op" + std::to_string(op) + "=" + std::to_string(rs.entries) + "x" +
+                std::to_string(rs.depth) + (rs.sketch ? "s" : "");
+      }
+      text += "\n";
+    }
+  }
+  return util::fnv1a64(text);
 }
 
 std::uint64_t median_window_packets(const std::vector<TupleWindow>& windows) {

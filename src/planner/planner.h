@@ -106,6 +106,13 @@ struct Plan {
   std::uint64_t version = 0;
 
   [[nodiscard]] std::string summary() const;
+
+  // 64-bit fingerprint of everything the roles of a distributed deployment
+  // must agree on for their windows to equal the in-process ones: the
+  // serialized plan (mode, levels, partitions, register sizing, filter
+  // tables, window), the query set and the switch config. The collector
+  // rejects a switch node whose fingerprint differs at the handshake.
+  [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
 // Shared, lazily-filled cost estimators: plans for different modes / switch

@@ -260,14 +260,6 @@ struct Tuple {
 // keys and join keys.
 [[nodiscard]] Tuple project(const Tuple& t, std::span<const std::size_t> idxs);
 
-// Batched Tuple::hash: out[i] = tuples[i].hash(). Runs of consecutive
-// all-uint tuples with equal arity are hashed 8 per lane-pass — the
-// hash_combine chain runs column-major with each column's mix vectorized
-// (util::hash_u64_batch / hash_combine_batch) — and any tuple carrying a
-// string value falls back to the scalar hash. Bit-identical to calling
-// hash() per tuple for every input, under both dispatch levels.
-void hash_tuples(std::span<const Tuple> tuples, std::uint64_t* out) noexcept;
-
 struct TupleHasher {
   std::size_t operator()(const Tuple& t) const noexcept { return t.hash(); }
 };

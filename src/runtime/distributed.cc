@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <string_view>
 
@@ -10,10 +11,8 @@
 #include "obs/tracing.h"
 #include "query/field.h"
 #include "query/tuple.h"
-#include "pisa/register.h"
 #include "runtime/limits.h"
 #include "runtime/report.h"
-#include "util/flat_table.h"
 #include "util/hash.h"
 #include "util/log.h"
 #include "util/time.h"
@@ -120,6 +119,12 @@ int ms_until(steady_clock::time_point when) {
   return static_cast<int>(std::clamp<long long>(ms, 1, 1u << 30));
 }
 
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 void counter_add(const char* name, std::uint64_t current, std::uint64_t& published) {
   obs::Registry::global().counter(name).add(current - published);
   published = current;
@@ -134,6 +139,7 @@ void counter_add(const char* name, std::uint64_t current, std::uint64_t& publish
 SwitchNode::SwitchNode(const planner::Plan& plan, DistributedConfig cfg,
                        std::unique_ptr<nt::ReportTransport> transport)
     : plan_(plan),
+      fingerprint_(plan.fingerprint()),
       cfg_(std::move(cfg)),
       transport_(std::move(transport)),
       rng_(cfg_.faults.seed * 0x9e3779b97f4a7c15ull + cfg_.node_index + 1) {
@@ -206,6 +212,7 @@ std::string SwitchNode::handshake() {
   put_u16(hello.payload, cfg_.nodes);
   put_u16(hello.payload, static_cast<std::uint16_t>(cfg_.switches));
   put_u16(hello.payload, kDistributedProto);
+  put_u64(hello.payload, fingerprint_);
   const auto deadline = steady_clock::now() + milliseconds(kConnectTimeoutMs);
   for (;;) {
     if (!raw_send(hello)) return "transport send failed during handshake";
@@ -214,8 +221,16 @@ std::string SwitchNode::handshake() {
       PayloadReader r(in.payload);
       const std::uint16_t node = r.u16();
       const std::uint16_t proto = r.u16();
-      if (r.ok() && node == cfg_.node_index && proto == kDistributedProto) return "";
-      return "handshake rejected: node/protocol mismatch in hello-ack";
+      const std::uint64_t fingerprint = r.u64();
+      if (!r.ok() || node != cfg_.node_index || proto != kDistributedProto) {
+        return "handshake rejected: node/protocol mismatch in hello-ack";
+      }
+      if (fingerprint != fingerprint_) {
+        return "handshake rejected: plan fingerprint mismatch (collector " +
+               hex64(fingerprint) + ", node " + hex64(fingerprint_) +
+               "): the roles run different queries, plans or switch configs";
+      }
+      return "";
     }
     if (steady_clock::now() >= deadline) {
       return "handshake timed out waiting for the collector";
@@ -405,9 +420,9 @@ void SwitchNode::send_partials(OwnedShard& shard) {
   const auto& pipelines = shard.sw->pipelines();
   for (std::size_t p = 0; p < pipelines.size(); ++p) {
     if (!pipelines[p]->has_stateful_tail()) continue;
-    const pisa::CompiledSwitchQuery::PolledPartial part = pipelines[p]->poll_partial();
+    pipelines[p]->poll_block(poll_);
     std::size_t i = 0;
-    while (i < part.keys.size()) {
+    while (i < poll_.size()) {
       nt::Frame f;
       f.type = nt::FrameType::kPartial;
       f.source = cfg_.node_index;
@@ -415,15 +430,15 @@ void SwitchNode::send_partials(OwnedShard& shard) {
       put_u32(f.payload, static_cast<std::uint32_t>(p));
       put_u32(f.payload, 0);
       std::uint32_t count = 0;
-      while (i < part.keys.size()) {
+      while (i < poll_.size()) {
         record_scratch_.clear();
-        encode_tuple(part.keys[i], record_scratch_);
+        encode_polled_key(poll_, i, record_scratch_);
         if (f.payload.size() + 12 + record_scratch_.size() > max_payload) {
           if (count > 0) break;
           send_err_ = "encoded partial entry exceeds the transport's max frame payload";
           return;
         }
-        put_u64(f.payload, part.values[i]);
+        put_u64(f.payload, poll_.value(i));
         put_u32(f.payload, static_cast<std::uint32_t>(record_scratch_.size()));
         f.payload.insert(f.payload.end(), record_scratch_.begin(), record_scratch_.end());
         ++count;
@@ -569,6 +584,7 @@ void SwitchNode::publish_obs() {
 Collector::Collector(const planner::Plan& plan, DistributedConfig cfg,
                      std::unique_ptr<nt::CollectorEndpoint> endpoint)
     : plan_(plan),
+      fingerprint_(plan.fingerprint()),
       cfg_(std::move(cfg)),
       endpoint_(std::move(endpoint)),
       sp_(std::make_unique<StreamProcessor>(plan_)) {
@@ -577,7 +593,16 @@ Collector::Collector(const planner::Plan& plan, DistributedConfig cfg,
   ref_pipelines_ = std::move(build.pipelines);
   nodes_.resize(cfg_.nodes);
   shards_.resize(cfg_.switches);
-  for (auto& s : shards_) s.partials.resize(ref_pipelines_.size());
+  for (auto& s : shards_) {
+    s.polls.resize(ref_pipelines_.size());
+    for (std::size_t p = 0; p < ref_pipelines_.size(); ++p) {
+      if (ref_pipelines_[p]->has_stateful_tail()) {
+        s.polls[p].configure(ref_pipelines_[p]->tail_key_kinds());
+      }
+    }
+  }
+  contributing_.reserve(shards_.size());
+  for (auto& s : shards_) contributing_.push_back(&s.polls);
   sp_->set_winner_sink([this](const std::string& table, std::span<const Tuple> keys) {
     winner_installs_.emplace_back(table, std::vector<Tuple>(keys.begin(), keys.end()));
   });
@@ -655,17 +680,27 @@ std::string Collector::handle(nt::Frame& f) {
                std::to_string(cfg_.nodes) + " switches=" + std::to_string(cfg_.switches) +
                " proto=" + std::to_string(kDistributedProto);
       }
-      node.hello = true;
+      const std::uint64_t fingerprint = r.u64();
+      if (!r.ok()) return "malformed hello frame";
+      // The ack carries the collector's fingerprint either way, so a
+      // mismatched node fails its handshake at once instead of timing out.
       nt::Frame ack;
       ack.type = nt::FrameType::kHelloAck;
       ack.source = f.source;
       put_u16(ack.payload, f.source);
       put_u16(ack.payload, kDistributedProto);
+      put_u64(ack.payload, fingerprint_);
       if (!endpoint_->send_to(f.source, ack)) {
         // Idempotent: the node retransmits its hello until acked.
         SONATA_WARN("collector", "hello ack to node %u failed",
                     static_cast<unsigned>(f.source));
       }
+      if (fingerprint != fingerprint_) {
+        return "handshake mismatch: node " + std::to_string(n) + " runs plan fingerprint " +
+               hex64(fingerprint) + ", collector runs " + hex64(fingerprint_) +
+               " (different queries, plan or switch config)";
+      }
+      node.hello = true;
       return "";
     }
     case nt::FrameType::kRecords: {
@@ -721,15 +756,15 @@ std::string Collector::handle(nt::Frame& f) {
           pipeline >= ref_pipelines_.size()) {
         return "malformed partial frame";
       }
-      auto& part = shards_[shard].partials[pipeline];
+      pisa::PolledBlock& block = shards_[shard].polls[pipeline];
       for (std::uint32_t i = 0; i < count; ++i) {
         const std::uint64_t value = r.u64();
         const std::uint32_t len = r.u32();
         const auto bytes = r.bytes(len);
         if (!r.ok()) return "malformed partial frame";
-        if (auto t = decode_tuple(bytes)) {
-          part.keys.push_back(std::move(*t));
-          part.values.push_back(value);
+        // A key that does not decode, or not to the pipeline's key layout,
+        // is counted and dropped like a corrupted record.
+        if (auto t = decode_tuple(bytes); t && block.append(*t, value)) {
           ++stats_.partial_entries;
         } else {
           ++stats_.decode_failures;
@@ -763,47 +798,6 @@ std::string Collector::handle(nt::Frame& f) {
     }
     default:
       return "";  // kWinners/kWindowAck/kHelloAck never arrive at the collector
-  }
-}
-
-void Collector::combine_partials(WindowStats& /*window*/) {
-  // The Fleet's combine_partials, verbatim, over the collector's per-shard
-  // buffers: fold key-wise across ascending shard index per pipeline, so
-  // executor-table insertion order — and therefore every downstream result
-  // — matches the in-process close bit for bit.
-  util::FlatMap<std::uint64_t> merged;
-  std::vector<std::uint64_t> hashes;
-  std::vector<Tuple> aggregates;
-  for (std::size_t p = 0; p < ref_pipelines_.size(); ++p) {
-    if (!ref_pipelines_[p]->has_stateful_tail()) continue;
-    const pisa::CompiledSwitchQuery& pipe = *ref_pipelines_[p];
-    const query::ReduceFn fn = pipe.tail_reduce_fn();
-    std::uint64_t logical = 0;
-    merged.clear();
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      auto& part = shards_[i].partials[p];
-      const std::size_t n = part.keys.size();
-      logical += n;
-      hashes.resize(n);
-      query::hash_tuples({part.keys.data(), n}, hashes.data());
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j + 4 < n) merged.prefetch(hashes[j + 4]);
-        auto [slot, inserted] =
-            merged.try_emplace(std::move(part.keys[j]), hashes[j], part.values[j]);
-        if (!inserted) *slot = pisa::apply_reduce(fn, *slot, part.values[j]);
-      }
-      part.keys.clear();
-      part.values.clear();
-    }
-    if (logical == 0) continue;
-    aggregates.clear();
-    aggregates.reserve(merged.size());
-    for (const auto& e : merged.entries()) {
-      aggregates.push_back(pipe.shape_polled(e.key, e.value));
-    }
-    const auto& o = pipe.options();
-    sp_->ingest_polled(o.qid, o.level, o.source_index, pipe.poll_entry_op(), logical,
-                       aggregates);
   }
 }
 
@@ -842,8 +836,9 @@ std::string Collector::close_current(const WindowFn& on_window) {
   }
   ws.contribution_mask = mask;
   ws.partial = mask != full_mask();
-  // 2. Fold polled register partials and feed the SP (poll phase).
-  combine_partials(ws);
+  // 2. Fold the polled register blocks in ascending shard order and feed
+  //    the SP (poll phase) — the Fleet's merge, through the same code.
+  merge_.merge(*sp_, ref_pipelines_, contributing_);
   // 3. Coarse-to-fine close. No local switches — the winner sink captures
   //    every install, and the nodes replay them before their next window.
   //    control_update_millis stays 0: the modelled install latency is paid

@@ -57,12 +57,14 @@
 #include "planner/planner.h"
 #include "runtime/plan_install.h"
 #include "runtime/stream_processor.h"
+#include "runtime/window_merge.h"
 #include "util/rng.h"
 
 namespace sonata::runtime {
 
 // Bumped on any incompatible payload-codec change; checked at handshake.
-inline constexpr std::uint16_t kDistributedProto = 1;
+// 2: kHello and kHelloAck carry Plan::fingerprint().
+inline constexpr std::uint16_t kDistributedProto = 2;
 
 struct DistributedConfig {
   std::size_t switches = 2;      // total data-plane shards across all nodes (<= kMaxSwitches)
@@ -148,9 +150,11 @@ class SwitchNode {
   void publish_obs();
 
   const planner::Plan& plan_;
+  std::uint64_t fingerprint_ = 0;  // plan_.fingerprint()
   DistributedConfig cfg_;
   std::unique_ptr<net::transport::ReportTransport> transport_;
   std::vector<std::unique_ptr<OwnedShard>> shards_;  // ascending global index
+  pisa::PolledBlock poll_;  // send_partials' block, reused
   bool raw_mirror_ = false;
   std::uint64_t data_seq_ = 0;
   std::optional<net::transport::Frame> held_;  // reorder-injected frame
@@ -218,12 +222,11 @@ class Collector {
   struct ShardBuffer {
     std::vector<pisa::EmitRecord> records;
     std::vector<query::Tuple> raws;
-    std::vector<pisa::CompiledSwitchQuery::PolledPartial> partials;  // per pipeline
+    std::vector<pisa::PolledBlock> polls;  // per pipeline, decoded kPartial keys
   };
 
   [[nodiscard]] std::string handle(net::transport::Frame& f);
   [[nodiscard]] std::string close_current(const WindowFn& on_window);
-  void combine_partials(WindowStats& ws);
   void send_feedback(NodeState& node, std::uint16_t index);
   [[nodiscard]] bool all_ended() const;
   [[nodiscard]] bool all_done() const;
@@ -231,15 +234,18 @@ class Collector {
   void publish_obs();
 
   const planner::Plan& plan_;
+  std::uint64_t fingerprint_ = 0;  // plan_.fingerprint()
   DistributedConfig cfg_;
   std::unique_ptr<net::transport::CollectorEndpoint> endpoint_;
   std::unique_ptr<StreamProcessor> sp_;
-  // Compiled once for pipeline metadata only (tail reduce fn, polled-key
-  // shaping, SP entry op) — never processes a packet. Built without the
+  // Compiled once for pipeline metadata only (tail reduce fn and key
+  // kinds, SP entry op) — never processes a packet. Built without the
   // register-pressure fault options: sizing never affects metadata.
   std::vector<std::unique_ptr<pisa::CompiledSwitchQuery>> ref_pipelines_;
   std::vector<NodeState> nodes_;
   std::vector<ShardBuffer> shards_;  // indexed by global shard
+  WindowMerge merge_;
+  std::vector<std::vector<pisa::PolledBlock>*> contributing_;  // merge_'s input, reused
   std::vector<std::pair<std::string, std::vector<query::Tuple>>> winner_installs_;
   std::uint64_t window_counter_ = 0;
   Stats stats_;

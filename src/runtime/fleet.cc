@@ -1,6 +1,7 @@
 #include "runtime/fleet.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <span>
@@ -13,7 +14,6 @@
 #include "runtime/limits.h"
 #include "runtime/plan_install.h"
 #include "util/cpu.h"
-#include "util/flat_table.h"
 #include "util/hash.h"
 #include "util/log.h"
 
@@ -47,7 +47,7 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
 
   // One identical switch program per ingress point.
   for (std::size_t i = 0; i < switch_count; ++i) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(ring_capacity_for(batch_size_));
     shard->index = i;
     shard->sw = std::make_unique<pisa::Switch>(plan_.switch_config);
     shard->sw->set_obs_label(std::to_string(i));
@@ -96,6 +96,10 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
       worker_loop(*worker);
     });
   }
+}
+
+std::size_t Fleet::ring_capacity_for(std::size_t batch_size) noexcept {
+  return std::bit_ceil(std::max<std::size_t>(1024, 4 * batch_size));
 }
 
 Fleet::~Fleet() {
@@ -605,12 +609,11 @@ WindowStats Fleet::do_close_window() {
   }
 
   // 2. Parallel poll + reset. Each healthy shard's worker polls its own
-  //    stateful tails into shard.partials (registers already hold the
+  //    stateful tails into packed blocks (registers already hold the
   //    shard-locally merged aggregates) and resets its registers; the
-  //    driver folds the published partials key-wise and ingests each
-  //    pipeline's merged aggregates once — a two-level combining tree
-  //    (shard-local fold in parallel, driver fold once) replacing the old
-  //    serial poll+shape+ingest+reset sweep through one thread.
+  //    driver's WindowMerge folds the published blocks key-wise and
+  //    ingests each pipeline's merged aggregates once — a two-level
+  //    combining tree (shard-local fold in parallel, driver fold once).
   //    Quarantined switches are skipped: their registers hold a torn
   //    mid-window state and are reset by the worker's resync. Stalled-but-
   //    healthy shards (deterministic per window, so driver and worker
@@ -646,7 +649,18 @@ WindowStats Fleet::do_close_window() {
         driver_backoff_.reset();
       }
     }
-    combine_partials();
+    // Fold the healthy shards' polls in ascending shard order and ingest
+    // each pipeline's merged aggregates once (runtime/window_merge.h).
+    // A quarantined switch is worker-owned, so the program comes from the
+    // first healthy one (every switch runs the identical program).
+    contributing_.clear();
+    const pisa::Switch* program = nullptr;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (quarantined_[i]) continue;
+      if (program == nullptr) program = shards_[i]->sw.get();
+      contributing_.push_back(&shards_[i]->polls);
+    }
+    if (program != nullptr) merge_.merge(*sp_, program->pipelines(), contributing_);
   }
 
   obs::PhaseTimer close_timer{driver_phases_, obs::Phase::kClose};
@@ -704,76 +718,12 @@ WindowStats Fleet::do_close_window() {
 
 void Fleet::do_shard_close(Shard& shard) {
   const auto& pipelines = shard.sw->pipelines();
-  shard.partials.resize(pipelines.size());
-  for (std::size_t p = 0; p < pipelines.size(); ++p) {
-    shard.partials[p].keys.clear();
-    shard.partials[p].values.clear();
-    if (!pipelines[p]->has_stateful_tail()) continue;
-    shard.partials[p] = pipelines[p]->poll_partial();
-  }
+  shard.polls.resize(pipelines.size());
+  for (std::size_t p = 0; p < pipelines.size(); ++p) pipelines[p]->poll_block(shard.polls[p]);
   // publish_obs inside sees the pre-reset occupancy, exactly like the
   // serial driver-side reset did; the registry handles are atomic and
   // per-switch, so concurrent shard closes never contend on a cell.
   shard.sw->reset_all_registers();
-}
-
-void Fleet::combine_partials() {
-  // Fold the participating shards' partials key-wise, per pipeline index
-  // (every switch runs the identical program). First-appearance order
-  // across ascending shard index reproduces exactly the executor-table
-  // insertion order the serial shard-by-shard poll produced, and every
-  // tail reduce fn (sum/max/min/bit-or) is associative and commutative, so
-  // pre-folding repeated keys and ingesting the merged aggregates once is
-  // bit-identical to ingesting each shard's aggregates in sequence.
-  // `logical` preserves the pre-merge tuple count so SP ingress metrics
-  // match the serial close to the tuple.
-  std::size_t first = shards_.size();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!quarantined_[i]) {
-      first = i;
-      break;
-    }
-  }
-  if (first == shards_.size()) return;  // every shard lost this window
-  const auto& ref = shards_[first]->sw->pipelines();
-  util::FlatMap<std::uint64_t> merged;
-  std::vector<std::uint64_t> hashes;
-  std::vector<Tuple> aggregates;
-  for (std::size_t p = 0; p < ref.size(); ++p) {
-    if (!ref[p]->has_stateful_tail()) continue;
-    const pisa::CompiledSwitchQuery& pipe = *ref[p];
-    const query::ReduceFn fn = pipe.tail_reduce_fn();
-    std::uint64_t logical = 0;
-    merged.clear();
-    for (std::size_t i = first; i < shards_.size(); ++i) {
-      if (quarantined_[i]) continue;
-      auto& part = shards_[i]->partials[p];
-      const std::size_t n = part.keys.size();
-      logical += n;
-      // Batch-hash the shard's keys (8 per AVX2 lane-pass), then probe with
-      // the table's first chunk prefetched a few keys ahead — the fold
-      // walks the index without stalling on its cache misses.
-      hashes.resize(n);
-      query::hash_tuples({part.keys.data(), n}, hashes.data());
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j + 4 < n) merged.prefetch(hashes[j + 4]);
-        auto [slot, inserted] =
-            merged.try_emplace(std::move(part.keys[j]), hashes[j], part.values[j]);
-        if (!inserted) *slot = pisa::apply_reduce(fn, *slot, part.values[j]);
-      }
-      part.keys.clear();
-      part.values.clear();
-    }
-    if (logical == 0) continue;
-    aggregates.clear();
-    aggregates.reserve(merged.size());
-    for (const auto& e : merged.entries()) {
-      aggregates.push_back(pipe.shape_polled(e.key, e.value));
-    }
-    const auto& o = pipe.options();
-    sp_->ingest_polled(o.qid, o.level, o.source_index, pipe.poll_entry_op(), logical,
-                       aggregates);
-  }
 }
 
 void Fleet::apply_plan(planner::Plan plan) {

@@ -67,6 +67,7 @@
 #include "runtime/engine.h"
 #include "runtime/spsc_queue.h"
 #include "runtime/stream_processor.h"
+#include "runtime/window_merge.h"
 #include "runtime/wire_channel.h"
 
 namespace sonata::runtime {
@@ -98,6 +99,12 @@ class Fleet final : public TelemetryEngine {
     return pinned_workers_.load(std::memory_order_relaxed);
   }
 
+  // Per-shard ring capacity for a handoff batch of `batch_size` packets:
+  // room for four batches in flight (at least 1024 slots), a power of two.
+  // A ring of exactly one batch would make the driver and the worker take
+  // turns instead of overlapping.
+  [[nodiscard]] static std::size_t ring_capacity_for(std::size_t batch_size) noexcept;
+
   // Ingest a packet at a specific ingress switch.
   void ingest_at(std::size_t switch_index, const net::Packet& packet);
 
@@ -126,14 +133,12 @@ class Fleet final : public TelemetryEngine {
   void apply_plan(planner::Plan plan) override;
 
  private:
-  // Ring sized for a healthy window burst; the driver spins (yield + wake)
-  // when a shard falls this far behind.
-  static constexpr std::size_t kQueueCapacity = 1024;
-
   struct Shard {
+    explicit Shard(std::size_t ring_capacity) : queue(ring_capacity) {}
+
     std::size_t index = 0;  // switch index (stall schedules key on it)
     std::unique_ptr<pisa::Switch> sw;
-    SpscQueue<net::Packet> queue{kQueueCapacity};
+    SpscQueue<net::Packet> queue;
 
     // Driver-side batch state. Inline mode (no workers) materializes into
     // the first `tuples_pending` tuple_scratch slots; threaded mode stages
@@ -174,11 +179,11 @@ class Fleet final : public TelemetryEngine {
 
     // Parallel window close (DESIGN.md "Parallel window merge"). The driver
     // raises close_req at the barrier; the shard's worker polls its stateful
-    // tails into `partials` (one slot per pipeline, registers' deterministic
-    // entries() order), resets its registers, and raises close_done. The
-    // driver's acquire load of close_done publishes `partials` and the
-    // switch stats the same way `drained` publishes the emit arena.
-    std::vector<pisa::CompiledSwitchQuery::PolledPartial> partials;
+    // tails into `polls` (one packed block per pipeline, in the registers'
+    // deterministic slot order), resets its registers, and raises
+    // close_done. The driver's acquire load of close_done publishes `polls`
+    // and the switch stats the same way `drained` publishes the emit arena.
+    std::vector<pisa::PolledBlock> polls;
     std::atomic<std::uint8_t> close_req{0};
     std::atomic<std::uint8_t> close_done{0};
 
@@ -224,16 +229,11 @@ class Fleet final : public TelemetryEngine {
   void wake(Worker& w);
   void drain_barrier();
 
-  // Shard-local close phase: poll every stateful tail into shard.partials
+  // Shard-local close phase: poll every stateful tail into shard.polls
   // and reset the switch registers. Runs on the shard's worker in threaded
   // mode, on the driver for inline/stalled shards — one code path, so
   // outputs are trivially identical.
   void do_shard_close(Shard& shard);
-  // Driver-side combine: fold all participating shards' partials key-wise
-  // (first-appearance order across ascending shard index — exactly the
-  // order serial per-shard polling fed the executors) and ingest the merged
-  // aggregates once per pipeline.
-  void combine_partials();
 
   // Worker-side quarantine recovery: if the driver condemned this shard,
   // discard the condemned ring prefix, wipe the emit arena, reset the
@@ -263,6 +263,8 @@ class Fleet final : public TelemetryEngine {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  WindowMerge merge_;                                 // driver-only
+  std::vector<std::vector<pisa::PolledBlock>*> contributing_;  // merge_'s input, reused
   std::atomic<bool> stop_{false};
 
   bool pin_workers_ = false;

@@ -136,6 +136,23 @@ void encode_tuple(const query::Tuple& tuple, std::vector<std::byte>& out) {
   }
 }
 
+void encode_polled_key(const pisa::PolledBlock& block, std::size_t i,
+                       std::vector<std::byte>& out) {
+  const std::size_t ncols = checked_columns(block.width(), "polled key");
+  const std::uint64_t* words = block.key(i);
+  const query::Value* strings = block.strings(i);
+  put_u8(out, static_cast<std::uint8_t>(ncols));
+  for (std::size_t c = 0; c < ncols; ++c) {
+    if (block.is_string(c)) {
+      put_u8(out, 1);
+      put_string(out, (strings++)->as_string(), "polled key");
+    } else {
+      put_u8(out, 0);
+      put_u64(out, words[c]);
+    }
+  }
+}
+
 std::optional<query::Tuple> decode_tuple(std::span<const std::byte> data) {
   Reader r(data);
   const std::uint8_t ncols = r.u8();

@@ -46,4 +46,9 @@ void encode_report_into(const pisa::EmitRecord& record, std::vector<std::byte>& 
 void encode_tuple(const query::Tuple& tuple, std::vector<std::byte>& out);
 [[nodiscard]] std::optional<query::Tuple> decode_tuple(std::span<const std::byte> data);
 
+// encode_tuple() of entry i's key in a polled register block, byte for
+// byte, written straight from the block's words and strings.
+void encode_polled_key(const pisa::PolledBlock& block, std::size_t i,
+                       std::vector<std::byte>& out);
+
 }  // namespace sonata::runtime

@@ -186,26 +186,22 @@ void StreamProcessor::deliver_raw_batch(std::span<Tuple> sources) {
 }
 
 void StreamProcessor::poll_switch(const pisa::Switch& sw) {
-  for (const auto& p : sw.pipelines()) {
-    if (!p->has_stateful_tail()) continue;
-    const int src_idx =
-        remap_source(p->options().qid, p->options().level, p->options().source_index);
-    if (src_idx < 0) continue;
-    LevelExec& le = *level_exec(p->options().qid, p->options().level);
-    std::vector<Tuple> aggregates = p->poll_aggregates();
-    le.tuples_in += aggregates.size();
-    le.exec->ingest_batch(src_idx, aggregates, p->poll_entry_op());
-  }
+  const auto& pipelines = sw.pipelines();
+  polls_.resize(pipelines.size());
+  for (std::size_t p = 0; p < pipelines.size(); ++p) pipelines[p]->poll_block(polls_[p]);
+  std::vector<pisa::PolledBlock>* const shards[] = {&polls_};
+  merge_.merge(*this, pipelines, shards);
 }
 
-void StreamProcessor::ingest_polled(query::QueryId qid, int level, int source_index,
-                                    std::size_t entry_op, std::uint64_t logical_tuples,
-                                    std::span<Tuple> aggregates) {
-  const int src_idx = remap_source(qid, level, source_index);
+void StreamProcessor::ingest_merged(const pisa::CompiledSwitchQuery& pipe, std::uint64_t logical,
+                                    WindowMerge& merged) {
+  const auto& o = pipe.options();
+  const int src_idx = remap_source(o.qid, o.level, o.source_index);
   if (src_idx < 0) return;
-  LevelExec& le = *level_exec(qid, level);
-  le.tuples_in += logical_tuples;
-  le.exec->ingest_batch(src_idx, aggregates, entry_op);
+  LevelExec& le = *level_exec(o.qid, o.level);
+  le.tuples_in += logical;
+  le.exec->ingest_reduce(src_idx, pipe.poll_entry_op(), merged.size(), merged.hashes(),
+                         merged.values(), [&](std::size_t e) { return merged.take_key(e); });
 }
 
 void StreamProcessor::close_levels(WindowStats& window,

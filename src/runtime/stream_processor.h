@@ -22,6 +22,7 @@
 #include "obs/tracing.h"
 #include "pisa/switch.h"
 #include "planner/planner.h"
+#include "runtime/window_merge.h"
 #include "stream/executor.h"
 
 namespace sonata::runtime {
@@ -202,17 +203,16 @@ class StreamProcessor {
   void set_winner_sink(WinnerSink sink) { winner_sink_ = std::move(sink); }
 
   // End-of-window register poll for one switch's stateful tails (control
-  // channel); polled aggregates merge at the shared reduce.
+  // channel), through the same WindowMerge the multi-switch drivers use;
+  // polled aggregates merge at the shared reduce.
   void poll_switch(const pisa::Switch& sw);
 
-  // Ingest already-polled (and possibly pre-merged) aggregates for one
-  // pipeline — the parallel window close's replacement for poll_switch.
-  // `logical_tuples` is the pre-merge aggregate count (what poll_switch
-  // would have fed tuples_in across all shards), so per-window SP metrics
-  // are identical whether the close ran serial or parallel.
-  void ingest_polled(query::QueryId qid, int level, int source_index,
-                     std::size_t entry_op, std::uint64_t logical_tuples,
-                     std::span<query::Tuple> aggregates);
+  // Feed one pipeline's merged polls (`merged`, the WindowMerge's last
+  // fold) into its executor's reduce at pipe.poll_entry_op(). `logical` is
+  // the pre-merge entry count, which is what tuples_in counts, so SP
+  // ingress metrics do not depend on how many shards the merge folded.
+  void ingest_merged(const pisa::CompiledSwitchQuery& pipe, std::uint64_t logical,
+                     WindowMerge& merged);
 
   // Close every level coarse-to-fine: finest outputs land in
   // `window.results`; coarse winners install into the next level's dynamic
@@ -298,6 +298,8 @@ class StreamProcessor {
   std::vector<QueryState> queries_;
   std::vector<RawFeed> raw_feeds_;
   Emitter emitter_;
+  WindowMerge merge_;                      // poll_switch's merge
+  std::vector<pisa::PolledBlock> polls_;   // poll_switch's blocks, per pipeline
   std::uint64_t delivery_now_ = 0;  // see begin_delivery()
   WinnerSink winner_sink_;          // see set_winner_sink()
 };

@@ -167,6 +167,13 @@ class ReduceEngine {
     sketch_->update(key, hash, delta);
   }
 
+  // Software-prefetch the exact table's first probe chunk for `hash` (a
+  // no-op for sketches): batched callers that know their hashes ahead of
+  // time overlap the index miss with the current update.
+  void prefetch(std::uint64_t hash) const noexcept {
+    if (!sketch_) exact_.prefetch(hash);
+  }
+
   // Drain (key, value) pairs in the engine's canonical order. Exact mode
   // preserves PR 4's first-insertion order bit-for-bit; keys are moved out
   // and the table is left cleared either way.

@@ -14,6 +14,7 @@
 // (paper §3.1.2).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -46,6 +47,16 @@ class ChainExecutor {
   // the batched data path hands whole shard buffers over without copying
   // a tuple. Callers must treat `ts` as consumed.
   void ingest_batch(std::span<query::Tuple> ts, std::size_t entry);
+
+  // Fold `n` keyed aggregates straight into the reduce at ops[entry]: the
+  // i-th has key key_at(i) (a Tuple in the reduce's key order), Tuple hash
+  // hashes[i] and aggregate values[i]. Equivalent to ingesting reduce-input
+  // tuples carrying those keys and values at `entry`, without building,
+  // projecting or re-hashing them — the window merge's entry for polled
+  // register aggregates. Counts n ingested tuples.
+  template <typename KeyAt>
+  void ingest_reduce(std::size_t entry, std::size_t n, const std::uint64_t* hashes,
+                     const std::uint64_t* values, KeyAt&& key_at);
 
   // Flush stateful operators (ascending), collect outputs, clear state.
   [[nodiscard]] std::vector<query::Tuple> end_window();
@@ -93,6 +104,19 @@ class ChainExecutor {
   std::uint64_t ingested_pub_ = 0;  // last value published to the registry
 };
 
+template <typename KeyAt>
+void ChainExecutor::ingest_reduce(std::size_t entry, std::size_t n, const std::uint64_t* hashes,
+                                  const std::uint64_t* values, KeyAt&& key_at) {
+  BoundOp& op = ops_.at(entry);
+  assert(op.kind == query::OpKind::kReduce);
+  ingested_ += n;
+  constexpr std::size_t kAhead = 8;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) op.agg.prefetch(hashes[i + kAhead]);
+    op.agg.update(key_at(i), hashes[i], values[i]);
+  }
+}
+
 // Executes a whole (sub)tree: join children recursively, then this node's
 // chain.
 class NodeExecutor {
@@ -131,6 +155,15 @@ class QueryExecutor {
 
   // Batched ingest; tuples in `ts` are moved (see ChainExecutor).
   void ingest_batch(int source_index, std::span<query::Tuple> ts, std::size_t entry);
+
+  // ChainExecutor::ingest_reduce on source `source_index`.
+  template <typename KeyAt>
+  void ingest_reduce(int source_index, std::size_t entry, std::size_t n,
+                     const std::uint64_t* hashes, const std::uint64_t* values, KeyAt&& key_at) {
+    sources_.at(static_cast<std::size_t>(source_index))
+        ->chain()
+        .ingest_reduce(entry, n, hashes, values, key_at);
+  }
 
   // Convenience for unpartitioned (All-SP) execution: materialize the
   // packet once and feed every source at entry 0.

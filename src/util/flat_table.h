@@ -409,12 +409,13 @@ class FlatSet {
 
 // Set of fixed-arity keys of 64-bit words: the switch's dynamic-filter
 // (filter_in) tables, whose entries the data path matches against word
-// columns. Entries live densely in insertion order; the index is a
-// power-of-two linear-probe array of dense positions, kept at most half
-// full. The caller supplies each key's hash, and a `same(dense index)`
-// predicate that decides equality once the words match, so keys that are
-// equal as words but not as values (a string column stores only its hash)
-// are kept apart.
+// columns, and the window merge's fold of polled register keys. Entries
+// live densely in insertion order; the index is a power-of-two
+// linear-probe array of dense positions, kept at most half full. The
+// caller supplies each key's hash, and a `same(dense index)` predicate
+// that decides equality once the words match, so keys that are equal as
+// words but not as values (a string column stores only its hash) are kept
+// apart.
 class FlatWordSet {
  public:
   static constexpr std::size_t npos = ~std::size_t{0};
@@ -424,10 +425,40 @@ class FlatWordSet {
   [[nodiscard]] std::size_t size() const noexcept { return hashes_.size(); }
   [[nodiscard]] bool empty() const noexcept { return hashes_.empty(); }
 
+  // Forget every entry, keeping the capacity. A set far below its index
+  // size (one reused for differently sized key sets) unlinks its entries
+  // one by one instead of wiping the whole index.
   void clear() noexcept {
+    if (hashes_.size() * 8 < index_.size()) {
+      const std::size_t mask = index_.size() - 1;
+      for (std::size_t e = 0; e < hashes_.size(); ++e) {
+        std::size_t i = hashes_[e] & mask;
+        while (index_[i] != e + 1) i = (i + 1) & mask;
+        index_[i] = 0;
+      }
+    } else {
+      std::fill(index_.begin(), index_.end(), 0);
+    }
     words_.clear();
     hashes_.clear();
-    std::fill(index_.begin(), index_.end(), 0);
+  }
+
+  // clear() and switch to keys of `arity` words.
+  void reset(std::size_t arity) noexcept {
+    clear();
+    arity_ = arity;
+  }
+
+  // Words of the entry at dense position `e` (arity words).
+  [[nodiscard]] const std::uint64_t* key(std::size_t e) const noexcept {
+    return words_.data() + e * arity_;
+  }
+  // Hashes of every entry, by dense position.
+  [[nodiscard]] std::span<const std::uint64_t> hashes() const noexcept { return hashes_; }
+
+  // Software-prefetch the index slot a probe for `hash` starts at.
+  void prefetch(std::uint64_t hash) const noexcept {
+    if (!index_.empty()) __builtin_prefetch(index_.data() + (hash & (index_.size() - 1)));
   }
 
   // Dense position of the entry equal to `key`, or npos.
@@ -443,17 +474,24 @@ class FlatWordSet {
     }
   }
 
-  // Insert unless present; returns {dense position, inserted}.
+  // Insert unless present; returns {dense position, inserted}. One probe:
+  // a new key takes the empty slot that ended its search.
   template <typename Same>
   std::pair<std::size_t, bool> insert(const std::uint64_t* key, std::uint64_t hash,
                                       Same&& same) {
-    if (const std::size_t at = find(key, hash, same); at != npos) return {at, false};
     if ((hashes_.size() + 1) * 2 > index_.size()) grow();
-    const std::size_t at = hashes_.size();
-    hashes_.push_back(hash);
-    words_.insert(words_.end(), key, key + arity_);
-    place(at);
-    return {at, true};
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const std::uint32_t e = index_[i];
+      if (e == 0) {
+        const std::size_t at = hashes_.size();
+        hashes_.push_back(hash);
+        words_.insert(words_.end(), key, key + arity_);
+        index_[i] = static_cast<std::uint32_t>(at + 1);
+        return {at, true};
+      }
+      if (hashes_[e - 1] == hash && equal_words(e - 1, key) && same(e - 1)) return {e - 1, false};
+    }
   }
 
  private:

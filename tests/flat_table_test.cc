@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "query/tuple.h"
+#include "util/hash.h"
 
 // ---------------------------------------------------------------------------
 // Instrumented global allocator: counts every operator-new call so the
@@ -45,6 +46,7 @@ namespace {
 using query::Tuple;
 using util::FlatMap;
 using util::FlatSet;
+using util::FlatWordSet;
 
 Tuple key2(std::uint64_t a, std::uint64_t b) {
   Tuple t;
@@ -350,6 +352,43 @@ TEST(FlatSetTest, StringKeys) {
   EXPECT_TRUE(s.insert(Tuple(b)));
   EXPECT_TRUE(s.contains(a2));
   EXPECT_EQ(s.size(), 2u);
+}
+
+TEST(FlatWordSetTest, InsertFindClearAndReset) {
+  // Keys of two words; `same` vetoes position 1, standing in for a string
+  // column whose words match but whose bytes do not.
+  FlatWordSet s(2);
+  const auto any = [](std::size_t) { return true; };
+  const std::uint64_t a[] = {1, 2};
+  const std::uint64_t b[] = {3, 4};
+  EXPECT_EQ(s.insert(a, 7, any), std::make_pair(std::size_t{0}, true));
+  EXPECT_EQ(s.insert(b, 7, any), std::make_pair(std::size_t{1}, true));  // same hash
+  EXPECT_EQ(s.insert(a, 7, any), std::make_pair(std::size_t{0}, false));
+  EXPECT_EQ(s.insert(b, 7, [](std::size_t e) { return e != 1; }),
+            std::make_pair(std::size_t{2}, true));
+  EXPECT_EQ(s.key(2)[0], 3u);
+  EXPECT_EQ(s.hashes()[2], 7u);
+  // Grow past many rehashes, then clear a large set (index wipe) and a
+  // small one in a large index (per-entry unlink): both leave no entry.
+  for (std::uint64_t k = 0; k < 5000; ++k) {
+    const std::uint64_t key[] = {k, k};
+    s.insert(key, util::hash_u64(k, 0), any);
+  }
+  for (const std::size_t keep : {5003u, 3u, 3u}) {
+    s.clear();
+    EXPECT_TRUE(s.empty());
+    for (std::uint64_t k = 0; k < keep; ++k) {
+      const std::uint64_t key[] = {k, k};
+      EXPECT_EQ(s.find(key, util::hash_u64(k, 0), any), FlatWordSet::npos);
+      EXPECT_TRUE(s.insert(key, util::hash_u64(k, 0), any).second);
+    }
+    EXPECT_EQ(s.size(), keep);
+  }
+  s.reset(1);
+  EXPECT_TRUE(s.empty());
+  const std::uint64_t one[] = {9};
+  EXPECT_TRUE(s.insert(one, 9, any).second);
+  EXPECT_EQ(s.find(one, 9, any), 0u);
 }
 
 }  // namespace

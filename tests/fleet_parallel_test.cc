@@ -173,6 +173,25 @@ TEST(FleetParallel, BatchSizeIsBitIdenticalOnFlatPlan) {
   }
 }
 
+TEST(FleetParallel, BatchOf1024IsBitIdenticalToBatchOf256Threaded) {
+  // The shard rings hold four batches (at least 1024 slots), so a 1024-packet
+  // handoff no longer fills a ring by itself; the windows must not change.
+  EXPECT_EQ(Fleet::ring_capacity_for(1), 1024u);
+  EXPECT_EQ(Fleet::ring_capacity_for(256), 1024u);
+  EXPECT_EQ(Fleet::ring_capacity_for(1024), 4096u);
+  EXPECT_EQ(Fleet::ring_capacity_for(1000), 4096u);
+  const auto qs = queries::evaluation_queries(scenario().thresholds, util::seconds(3));
+  PlannerConfig cfg;
+  cfg.mode = PlanMode::kSonata;
+  const Plan plan = Planner(cfg).plan(qs, scenario().trace);
+
+  Fleet reference(plan, 4, 2, 256);
+  const auto want = reference.run_trace(scenario().trace);
+  ASSERT_FALSE(want.empty());
+  Fleet fleet(plan, 4, 2, 1024);
+  expect_identical_windows(want, fleet.run_trace(scenario().trace), "batch 1024 threads 2");
+}
+
 TEST(FleetParallel, BatchSizeIsBitIdenticalOnRefinedPlan) {
   // Same property under dynamic refinement: winner keys computed from
   // batched windows must install the same filter entries, so later windows

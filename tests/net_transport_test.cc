@@ -541,6 +541,48 @@ TEST(DistributedE2E, ShmDeploymentIsBitIdenticalToFleet) {
   }
 }
 
+// A node that planned a different query set must be turned away at kHello
+// with a named error on both sides, not run windows the collector would
+// merge wrongly or fail to decode.
+TEST(DistributedE2E, NodeWithDifferentQuerySetIsRejectedAtHello) {
+  const testing::Scenario sc = testing::make_scenario(11, 120.0);
+  const auto qs = queries::evaluation_queries(sc.thresholds, util::seconds(3));
+  planner::PlannerConfig pcfg;
+  pcfg.mode = planner::PlanMode::kSonata;
+  pcfg.window = util::seconds(3);
+  const planner::Plan plan = planner::Planner(pcfg).plan(qs, sc.trace);
+  const std::vector<query::Query> fewer(qs.begin(), qs.begin() + 2);
+  const planner::Plan other = planner::Planner(pcfg).plan(fewer, sc.trace);
+  ASSERT_NE(plan.fingerprint(), other.fingerprint());
+  EXPECT_EQ(plan.fingerprint(), planner::Planner(pcfg).plan(qs, sc.trace).fingerprint());
+
+  const std::string prefix = "/tmp/sonata_nt_fp." + std::to_string(::getpid());
+  const auto spec = nt::parse_endpoint("shm:" + prefix);
+  ASSERT_TRUE(spec.has_value());
+  DistributedConfig dcfg;
+  dcfg.switches = 2;
+  dcfg.nodes = 1;
+  auto ep = nt::make_collector_endpoint(*spec, 1);
+  ASSERT_TRUE(ep.has_value()) << ep.error();
+  Collector collector(plan, dcfg, std::move(*ep));
+  ASSERT_EQ(collector.listen(), "");
+  std::size_t windows = 0;
+  std::string collector_err;
+  std::thread collector_thread(
+      [&] { collector_err = collector.run([&](const WindowStats&) { ++windows; }); });
+  auto transport = nt::make_switch_transport(*spec, 0);
+  ASSERT_TRUE(transport.has_value()) << transport.error();
+  SwitchNode node(other, dcfg, std::move(*transport));
+  const std::string node_err = node.run(sc.trace);
+  collector_thread.join();
+  ::unlink((prefix + ".n0.up").c_str());
+  ::unlink((prefix + ".n0.down").c_str());
+
+  EXPECT_NE(collector_err.find("plan fingerprint"), std::string::npos) << collector_err;
+  EXPECT_NE(node_err.find("plan fingerprint mismatch"), std::string::npos) << node_err;
+  EXPECT_EQ(windows, 0u);
+}
+
 // UDP loopback with injected frame drops: the run must complete (partial
 // windows, never a hang) and the loss accounting must be exact — every
 // frame the sender dropped is counted lost by the receiver, once.

@@ -158,5 +158,33 @@ TEST(Report, RandomGarbageNeverCrashes) {
   }
 }
 
+TEST(Report, PolledKeyEncodesLikeItsTuple) {
+  // The switch node encodes kPartial keys straight from a polled block;
+  // the bytes must be encode_tuple's, so the wire format is unchanged.
+  using query::Value;
+  using query::ValueKind;
+  pisa::PolledBlock block;
+  const ValueKind kinds[] = {ValueKind::kUint, ValueKind::kString, ValueKind::kUint};
+  block.configure(kinds);
+  const query::Tuple a{{Value{std::uint64_t{7}}, Value{std::string("a.example.com")},
+                        Value{~std::uint64_t{0}}}};
+  const query::Tuple b{{Value{std::uint64_t{0}}, Value{std::string()}, Value{std::uint64_t{1}}}};
+  ASSERT_TRUE(block.append(a, 3));
+  ASSERT_TRUE(block.append(b, 4));
+  EXPECT_FALSE(block.append(query::Tuple{{Value{std::uint64_t{1}}}}, 5));  // wrong layout
+  ASSERT_EQ(block.size(), 2u);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    std::vector<std::byte> got;
+    std::vector<std::byte> want;
+    runtime::encode_polled_key(block, i, got);
+    runtime::encode_tuple(block.key_tuple(i), want);
+    EXPECT_EQ(got, want) << "entry " << i;
+    const auto decoded = runtime::decode_tuple(got);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, i == 0 ? a : b);
+    EXPECT_EQ(block.hash(i), decoded->hash());
+  }
+}
+
 }  // namespace
 }  // namespace sonata

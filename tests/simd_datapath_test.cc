@@ -102,31 +102,6 @@ TEST(SimdHash, HashAllMatchesPerMemberAcrossFamilySizes) {
   }
 }
 
-TEST(SimdHash, HashTuplesMatchesTupleHashIncludingStrings) {
-  std::mt19937_64 rng(42);
-  std::vector<query::Tuple> tuples;
-  for (const std::size_t n : shape_sizes()) {
-    tuples.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      query::Tuple t;
-      const std::size_t arity = 1 + i % 4;
-      for (std::size_t c = 0; c < arity; ++c) t.values.emplace_back(rng());
-      // Sprinkle strings so uint runs break mid-batch and the scalar
-      // per-tuple fallback interleaves with the vector passes.
-      if (i % 7 == 3) t.values.emplace_back(query::Value(std::string("qname") + std::to_string(i)));
-      tuples.push_back(std::move(t));
-    }
-    for (const bool scalar : {true, false}) {
-      ScopedSimd guard(scalar);
-      std::vector<std::uint64_t> out(n, 0);
-      query::hash_tuples(tuples, out.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], tuples[i].hash()) << "scalar=" << scalar << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 // A packet mix that exercises every extraction column: plain TCP/UDP
 // headers, telnet payloads, DNS tunnel queries (qname strings + parsed DNS
 // numerics), and DNS reflection responses.

@@ -7,7 +7,7 @@
 // real Switch and the oracle with the same packets and compares them
 // record for record — kind, qid, level, source, op_index, tuple and order
 // — plus packets_with_records, the switch counters, and the end-of-window
-// poll_aggregates / poll_partial contents and order.
+// poll_aggregates / poll_block contents and order.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -528,12 +528,14 @@ class KernelVsOracle {
       const CompiledSwitchQuery& g = *sw_.pipelines()[i];
       const OraclePipeline& w = *oracle_.pipelines[i];
       EXPECT_EQ(g.poll_aggregates(), w.poll_aggregates()) << "pipeline " << i;
-      const auto partial = g.poll_partial();
+      PolledBlock block;
+      g.poll_block(block);
       const auto want = w.poll_partial();
-      ASSERT_EQ(partial.keys.size(), want.size()) << "pipeline " << i;
+      ASSERT_EQ(block.size(), want.size()) << "pipeline " << i;
       for (std::size_t k = 0; k < want.size(); ++k) {
-        EXPECT_EQ(partial.keys[k], want[k].first) << "pipeline " << i << " entry " << k;
-        EXPECT_EQ(partial.values[k], want[k].second) << "pipeline " << i << " entry " << k;
+        EXPECT_EQ(block.key_tuple(k), want[k].first) << "pipeline " << i << " entry " << k;
+        EXPECT_EQ(block.hash(k), want[k].first.hash()) << "pipeline " << i << " entry " << k;
+        EXPECT_EQ(block.value(k), want[k].second) << "pipeline " << i << " entry " << k;
       }
     }
   }
