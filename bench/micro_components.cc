@@ -5,11 +5,14 @@
 // figure benchmarks crawl.
 #include <benchmark/benchmark.h>
 
+#include <deque>
+
 #include "common.h"
 #include "net/wire.h"
 #include "util/hash.h"
 #include "util/ip.h"
 #include "pisa/switch.h"
+#include "planner/install.h"
 #include "planner/planner.h"
 #include "queries/catalog.h"
 #include "runtime/plan_install.h"
@@ -270,6 +273,34 @@ void BM_PlannerSingleQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlannerSingleQuery)->Unit(benchmark::kMillisecond);
+
+// The planner's branch-and-bound alone: warm plan_joint over the eval-8
+// queries' installers at a 10,000-node cap. One plan first fills the
+// estimators and the installers' pipeline memos, so each iteration times
+// only the search. Two 3-s training windows with every attack on.
+void BM_PlanSearch(benchmark::State& state) {
+  const bench::Workload w = bench::make_eval_workload({});
+  const auto qs = queries::evaluation_queries(w.thresholds, w.window);
+  const auto all = planner::materialize_windows(w.trace, w.window);
+  const std::vector<planner::TupleWindow> windows(all.begin() + 1, all.begin() + 3);
+  planner::PlannerConfig cfg;
+  cfg.window = w.window;
+  cfg.search_node_cap = 10000;
+  const std::uint64_t packets = planner::median_window_packets(windows);
+  std::deque<planner::ChainInstaller> installers;
+  std::vector<planner::ChainInstaller*> installer_ptrs;
+  std::vector<const query::Query*> query_ptrs;
+  for (const auto& q : qs) {
+    installers.emplace_back(cfg, q, windows, packets);
+    installer_ptrs.push_back(&installers.back());
+    query_ptrs.push_back(&q);
+  }
+  benchmark::DoNotOptimize(planner::plan_joint(cfg, query_ptrs, installer_ptrs, packets));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(planner::plan_joint(cfg, query_ptrs, installer_ptrs, packets));
+  }
+}
+BENCHMARK(BM_PlanSearch)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -42,7 +42,7 @@ std::string AdmissionDiagnostic::to_string() const {
 }
 
 IncrementalPlanner::IncrementalPlanner(PlannerConfig cfg, std::vector<TupleWindow> training)
-    : cfg_(std::move(cfg)), windows_(std::move(training)) {
+    : cfg_(std::move(cfg)), windows_(std::move(training)), packer_(cfg_.switch_config) {
   window_packets_ = median_window_packets(windows_);
   tenants_.emplace("", TenantBudget{});  // the unlimited default tenant
 }
@@ -84,27 +84,23 @@ bool IncrementalPlanner::budget_constrained() const {
   });
 }
 
-Footprint IncrementalPlanner::footprint_of(const PlannedQuery& pq) {
+Footprint IncrementalPlanner::place(const Entry& e) {
   Footprint fp;
-  for (const auto& p : pq.pipelines) {
+  for (const auto& p : e.pq.pipelines) {
     if (p.partition == 0) continue;
-    const pisa::ProgramResources pr =
-        pisa::build_resources(*p.node, p.partition, p.sizing, p.qid, p.source_index, p.level);
+    const pisa::ProgramResources& pr = e.installer->program(p);
     fp.tables += pr.tables.size();
     fp.register_bits += pr.total_register_bits();
+    const bool fits = packer_.push(pr);
+    assert(fits);
+    (void)fits;
   }
   return fp;
 }
 
-void IncrementalPlanner::rebuild_resources() {
-  res_.clear();
-  for (const auto& e : entries_) {
-    for (const auto& p : e.pq.pipelines) {
-      if (p.partition == 0) continue;
-      res_.push_back(
-          pisa::build_resources(*p.node, p.partition, p.sizing, p.qid, p.source_index, p.level));
-    }
-  }
+void IncrementalPlanner::repack() {
+  packer_.truncate(0);
+  for (auto& e : entries_) e.footprint = place(e);
 }
 
 void IncrementalPlanner::recompute(bool allow_full_solve) {
@@ -166,9 +162,8 @@ void IncrementalPlanner::full_resolve() {
     e.n = e.pq.est_tuples;
     e.raw = std::any_of(e.pq.pipelines.begin(), e.pq.pipelines.end(),
                         [](const PlannedPipeline& p) { return p.partition == 0; });
-    e.footprint = footprint_of(e.pq);
   }
-  res_ = std::move(plan.resources);
+  repack();
   objective_ = plan.est_total_tuples;
   ++full_solves_;
 }
@@ -235,9 +230,10 @@ util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Que
   const bool raw_before = raw_active();
   for (const std::size_t ci : order) {
     if (best && optimistic[ci] >= best_cost) break;  // sorted: no later chain can win
-    const std::size_t mark = res_.size();
-    auto inst = installer->install(chains[ci], res_, raw_before, /*force_all_sp=*/false, limits);
-    res_.resize(mark);
+    const std::size_t mark = packer_.size();
+    auto inst =
+        installer->install(chains[ci], packer_, raw_before, /*force_all_sp=*/false, limits);
+    packer_.truncate(mark);
     if (!inst) continue;
     const std::uint64_t cost = inst->n + ((inst->raw && !raw_before) ? window_packets_ : 0);
     if (cost < best_cost) {
@@ -252,10 +248,10 @@ util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Que
     InstallLimits probe;
     probe.allow_mirror = false;
     probe.minimize_footprint = true;
-    const std::size_t mark = res_.size();
-    auto minimal = installer->install({installer->estimator().finest_level()}, res_, raw_before,
-                                      /*force_all_sp=*/false, probe);
-    res_.resize(mark);
+    const std::size_t mark = packer_.size();
+    auto minimal = installer->install({installer->estimator().finest_level()}, packer_,
+                                      raw_before, /*force_all_sp=*/false, probe);
+    packer_.truncate(mark);
     AdmissionDiagnostic d;
     d.tenant = std::string(tenant);
     if (!minimal) {
@@ -300,12 +296,7 @@ util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Que
     return d;
   }
 
-  // Commit: append the winning placement's resources and record the entry.
-  for (const auto& p : best->pq.pipelines) {
-    if (p.partition == 0) continue;
-    res_.push_back(
-        pisa::build_resources(*p.node, p.partition, p.sizing, p.qid, p.source_index, p.level));
-  }
+  // Commit: record the entry and pack the winning placement's programs.
   Entry e;
   e.id = next_id_++;
   e.q = &q;
@@ -318,6 +309,7 @@ util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Que
   e.min_cost = min_cost;
   const AdmitId id = e.id;
   entries_.push_back(std::move(e));
+  place(entries_.back());
   recompute(/*allow_full_solve=*/true);
   SONATA_INFO("planner", "admitted \"%s\" (handle %llu, tenant \"%s\"): objective=%llu",
               q.name().c_str(), static_cast<unsigned long long>(id),
@@ -337,9 +329,9 @@ util::Expected<util::Ok, AdmissionDiagnostic> IncrementalPlanner::withdraw(Admit
   SONATA_INFO("planner", "withdrawing \"%s\" (handle %llu)", it->q->name().c_str(),
               static_cast<unsigned long long>(id));
   entries_.erase(it);
-  // Reclaim: earliest-fit layout is monotone, so the remaining placements
-  // stay feasible with the withdrawn segments gone.
-  rebuild_resources();
+  // Reclaim: re-pack the remaining placements with the withdrawn ones gone
+  // (assumed to stay feasible; place() asserts it).
+  repack();
   recompute(/*allow_full_solve=*/true);
   return util::Ok{};
 }
@@ -349,23 +341,23 @@ Plan IncrementalPlanner::snapshot_plan() {
   if (all_sp_cap_) {
     // The certified fallback layout: everything at the SP behind one raw
     // mirror (what from-scratch planning would emit).
-    std::vector<pisa::ProgramResources> res;
+    pisa::StagePacker packer(cfg_.switch_config);
     std::vector<PlannedQuery> pqs;
     bool raw = false;
     for (auto& e : entries_) {
-      auto inst = e.installer->install({e.installer->estimator().finest_level()}, res, raw,
+      auto inst = e.installer->install({e.installer->estimator().finest_level()}, packer, raw,
                                        /*force_all_sp=*/true);
       assert(inst.has_value());
       raw = raw || inst->raw;
       pqs.push_back(std::move(inst->pq));
     }
-    plan = assemble_plan(cfg_, std::move(pqs), std::move(res), raw, window_packets_,
+    plan = assemble_plan(cfg_, std::move(pqs), raw, window_packets_,
                          entries_.empty() ? 0 : window_packets_);
   } else {
     std::vector<PlannedQuery> pqs;
     pqs.reserve(entries_.size());
     for (const auto& e : entries_) pqs.push_back(e.pq);
-    plan = assemble_plan(cfg_, std::move(pqs), res_, raw_active(), window_packets_, objective_);
+    plan = assemble_plan(cfg_, std::move(pqs), raw_active(), window_packets_, objective_);
   }
   plan.version = ++version_;
   return plan;

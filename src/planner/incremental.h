@@ -4,9 +4,9 @@
 // on a production control plane queries arrive and leave continuously, and
 // estimator construction — replaying every training window per query —
 // dominates that cost. The IncrementalPlanner keeps the B&B's search state
-// alive across mutations: per-query ChainInstallers (estimators, refined
-// node caches, overflow models), chosen placements, and the shared stage
-// layout. Admission places only the new query (greedy over the existing
+// alive across mutations: per-query ChainInstallers (estimators and
+// priced pipelines), chosen placements, and the shared stage layout (a
+// pisa::StagePacker). Admission places only the new query (greedy over the existing
 // layout); withdrawal reclaims only its resources.
 //
 // Cost optimality is preserved by certification, not hope: a mutation's
@@ -144,19 +144,20 @@ class IncrementalPlanner {
 
   [[nodiscard]] bool raw_active() const noexcept;
   [[nodiscard]] bool budget_constrained() const;  // any active limited-tenant entry
-  void rebuild_resources();
+  // Push `e`'s switch programs onto the packed layout; returns its footprint.
+  Footprint place(const Entry& e);
+  void repack();  // every entry's programs, from an empty packer
   // Re-derive objective / certification after placements changed; falls
   // back to a joint re-solve when the greedy state cannot be certified.
   void recompute(bool allow_full_solve);
   void full_resolve();
-  static Footprint footprint_of(const PlannedQuery& pq);
 
   PlannerConfig cfg_;
   std::vector<TupleWindow> windows_;
   std::uint64_t window_packets_ = 0;
   std::map<std::string, TenantBudget, std::less<>> tenants_;
   std::vector<Entry> entries_;  // admission order (fairness + solve order)
-  std::vector<pisa::ProgramResources> res_;  // entries' resources, entry order
+  pisa::StagePacker packer_;     // entries' switch programs, entry order
   std::uint64_t objective_ = 0;
   // From-scratch planning would hit the all-raw fallback (sum of per-query
   // minima >= one window of packets): snapshots emit the All-SP layout and

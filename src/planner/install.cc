@@ -91,7 +91,7 @@ std::uint64_t ChainInstaller::optimistic_cost(const std::vector<int>& chain) {
         continue;
       }
       const TransitionCost& cost = est_->transition(static_cast<int>(s), prev, level);
-      const std::size_t max_p = max_partition(static_cast<int>(s), prev, level);
+      const std::size_t max_p = candidate(static_cast<int>(s), prev, level).max_partition;
       total += max_p > 0 ? cost.n_after[max_p] : 0;
       prev = level;
     }
@@ -99,36 +99,94 @@ std::uint64_t ChainInstaller::optimistic_cost(const std::vector<int>& chain) {
   return total;
 }
 
-std::size_t ChainInstaller::max_partition(int source, int prev, int level) {
-  const auto key = std::make_tuple(source, prev, level);
-  auto it = max_partition_cache_.find(key);
-  if (it != max_partition_cache_.end()) return it->second;
-  const auto node = refined_node(source, prev, level);
-  const std::size_t p = pisa::max_switch_prefix(*node);
-  max_partition_cache_.emplace(key, p);
-  return p;
+std::shared_ptr<StreamNode> ChainInstaller::refined_node(int source, int prev, int level) {
+  const auto sources = q_->sources();
+  if (!est_->refinable()) {
+    // Unrefined: share a validated copy of the original source chain.
+    return std::make_shared<StreamNode>(*sources.at(static_cast<std::size_t>(source)));
+  }
+  RefineOptions opts;
+  opts.level = level;
+  opts.prev_level = prev;
+  opts.filter_table_name = filter_table_name(q_->id(), source, level);
+  opts.relaxed_threshold = est_->relaxed_threshold(source, level);
+  return make_refined_node(*sources.at(static_cast<std::size_t>(source)),
+                           est_->keys().at(static_cast<std::size_t>(source)), opts);
 }
 
-std::shared_ptr<StreamNode> ChainInstaller::refined_node(int source, int prev, int level) {
+ChainInstaller::Candidate& ChainInstaller::candidate(int source, int prev, int level) {
   const auto key = std::make_tuple(source, prev, level);
-  auto it = node_cache_.find(key);
-  if (it != node_cache_.end()) return it->second;
-  const auto sources = q_->sources();
-  std::shared_ptr<StreamNode> node;
-  if (est_->refinable()) {
-    RefineOptions opts;
-    opts.level = level;
-    opts.prev_level = prev;
-    opts.filter_table_name = filter_table_name(q_->id(), source, level);
-    opts.relaxed_threshold = est_->relaxed_threshold(source, level);
-    node = make_refined_node(*sources.at(static_cast<std::size_t>(source)),
-                             est_->keys().at(static_cast<std::size_t>(source)), opts);
-  } else {
-    // Unrefined: share a validated copy of the original source chain.
-    node = std::make_shared<StreamNode>(*sources.at(static_cast<std::size_t>(source)));
+  const auto it = candidates_.find(key);
+  if (it != candidates_.end()) return it->second;
+
+  Candidate c;
+  c.node = refined_node(source, prev, level);
+  c.max_partition = pisa::max_switch_prefix(*c.node);
+  if (prev != kNoPrevLevel) c.filter_table = filter_table_name(q_->id(), source, level);
+  c.programs.resize(c.max_partition + 1);
+
+  // Register sizing for every stateful op in the (potential) prefix:
+  // target headroom * training keys, capped by the per-register memory
+  // limit. A capped register overflows some keys; those keys' packets are
+  // priced into the partition cost (overflow_extra).
+  const Query& q = *q_;
+  const StreamNode& node = *c.node;
+  const TransitionCost& cost = est_->transition(source, prev, level);
+  for (const auto& [op_idx, keys] : cost.stateful_keys) {
+    const int entry_bits = pisa::stateful_key_bits(node, op_idx) +
+                           (node.ops[op_idx].kind == query::OpKind::kDistinct ? 1 : 32);
+    RegisterSizing rs;
+    rs.depth = cfg_->register_depth;
+    std::size_t cap = 1;
+    while (cap * 2 * static_cast<std::uint64_t>(entry_bits) <=
+           cfg_->switch_config.max_bits_per_register) {
+      cap *= 2;
+    }
+    if (q.state_spec().sketch() && node.ops[op_idx].kind == query::OpKind::kReduce) {
+      // Sketched reduce: HashPipe-backed registers are sized from the
+      // accuracy target, not the training cardinality — O(1/eps) slots
+      // catch every key heavier than eps * total weight regardless of
+      // how many distinct keys the window carries. HashPipe never
+      // overflows to the SP (evictions surface as a reported error
+      // bound), so no overflow_extra is priced in.
+      rs.sketch = true;
+      rs.depth = std::max(cfg_->register_depth, 2);  // d-stage pipeline
+      const double eps = std::max(q.state_spec().eps, 1e-6);
+      const std::size_t want = pow2_at_least(
+          std::max(cfg_->min_register_entries, static_cast<std::size_t>(2.0 / eps)));
+      rs.entries = std::min(want, cap);
+      c.sizing[op_idx] = rs;
+      continue;
+    }
+    const std::size_t want = pow2_at_least(std::max(
+        cfg_->min_register_entries,
+        static_cast<std::size_t>(cfg_->register_headroom * static_cast<double>(keys))));
+    rs.entries = std::min(want, cap);
+    c.sizing[op_idx] = rs;
+    if (rs.entries < want && keys > 0) {
+      const std::uint64_t lost = estimate_overflow_keys(keys, rs.entries, rs.depth);
+      // Every packet of an overflowed key reaches the SP; assume the
+      // average packets-per-key of the operator's input.
+      const std::uint64_t pkts_in = op_idx < cost.n_after.size() ? cost.n_after[op_idx] : 0;
+      c.overflow_extra[op_idx] = lost * (pkts_in / keys);
+    }
   }
-  node_cache_.emplace(key, node);
-  return node;
+  return candidates_.emplace(key, std::move(c)).first->second;
+}
+
+const ProgramResources& ChainInstaller::program(Candidate& c, std::size_t partition, int source,
+                                                int level) {
+  auto& slot = c.programs.at(partition);
+  if (!slot) {
+    slot = pisa::build_resources(*c.node, partition, c.sizing, q_->id(), source, level);
+  }
+  return *slot;
+}
+
+const ProgramResources& ChainInstaller::program(const PlannedPipeline& p) {
+  assert(p.partition > 0);
+  return program(candidate(p.source_index, p.prev_level, p.level), p.partition, p.source_index,
+                 p.level);
 }
 
 // Partition choices to try, best (deepest) first, honoring mode limits.
@@ -158,17 +216,14 @@ std::vector<std::size_t> ChainInstaller::partition_choices(const StreamNode& nod
   }
 }
 
-// Expected number of keys (out of `k` random keys) that fail to find a
-// slot in a d-deep chain of n-entry registers — the collision-overflow
-// model used when a register must be sized below the planner's target
-// (paper §3.3 "Monitoring traffic dynamics": n and d are chosen to keep
-// collision rates low; overflow packets are corrected at the SP and
-// therefore priced into the objective). Monte-Carlo, memoized.
-std::uint64_t ChainInstaller::estimate_overflow_keys(std::uint64_t k, std::size_t n, int d) {
+// The collision-overflow model used when a register must be sized below
+// the planner's target (paper §3.3 "Monitoring traffic dynamics": n and d
+// are chosen to keep collision rates low; overflow packets are corrected at
+// the SP and therefore priced into the objective). The RNG is seeded by the
+// exact `k`, so the estimate never depends on which key counts were priced
+// before; callers memoize it per pipeline (ChainInstaller::Candidate).
+std::uint64_t estimate_overflow_keys(std::uint64_t k, std::size_t n, int d) {
   if (k == 0) return 0;
-  const auto cache_key = std::make_tuple(k / 512, n, d);
-  const auto it = overflow_cache_.find(cache_key);
-  if (it != overflow_cache_.end()) return it->second;
   const util::HashFamily hashes(static_cast<std::size_t>(d));
   std::vector<std::vector<bool>> occupied(static_cast<std::size_t>(d),
                                           std::vector<bool>(n, false));
@@ -188,17 +243,15 @@ std::uint64_t ChainInstaller::estimate_overflow_keys(std::uint64_t k, std::size_
     }
     overflowed += stored ? 0 : 1;
   }
-  overflow_cache_.emplace(cache_key, overflowed);
   return overflowed;
 }
 
 std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
-                                                 std::vector<ProgramResources>& res,
-                                                 bool raw_already, bool force_all_sp,
-                                                 const InstallLimits& limits) {
+                                                 pisa::StagePacker& packer, bool raw_already,
+                                                 bool force_all_sp, const InstallLimits& limits) {
   const Query& q = *q_;
   const auto sources = q.sources();
-  const std::size_t res_mark = res.size();
+  const std::size_t mark = packer.size();
 
   Installed inst;
   inst.pq.base = &q;
@@ -207,6 +260,7 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
   if (est_->refinable()) inst.pq.keys = est_->keys();
 
   for (std::size_t s = 0; s < sources.size(); ++s) {
+    const int source = static_cast<int>(s);
     const bool stateful_src = has_stateful_op(*sources[s]);
     int prev = kNoPrevLevel;
     for (const int level : chain) {
@@ -214,68 +268,8 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
         prev = level;  // raw sources join in at the finest level only
         continue;
       }
-      const auto node = refined_node(static_cast<int>(s), prev, level);
-      const TransitionCost& cost = est_->transition(static_cast<int>(s), prev, level);
-      const std::size_t max_p = max_partition(static_cast<int>(s), prev, level);
-
-      PlannedPipeline pipeline;
-      pipeline.qid = q.id();
-      pipeline.source_index = static_cast<int>(s);
-      pipeline.level = level;
-      pipeline.prev_level = prev;
-      pipeline.node = node;
-      if (prev != kNoPrevLevel) {
-        pipeline.filter_table = filter_table_name(q.id(), static_cast<int>(s), level);
-      }
-
-      // Register sizing for every stateful op in the (potential) prefix:
-      // target headroom * training keys, capped by the per-register
-      // memory limit. A capped register overflows some keys; those keys'
-      // packets are priced into the partition cost below.
-      std::map<std::size_t, RegisterSizing> sizing;
-      std::map<std::size_t, std::uint64_t> overflow_extra;  // op -> extra N
-      for (const auto& [op_idx, keys] : cost.stateful_keys) {
-        const int entry_bits =
-            pisa::stateful_key_bits(*node, op_idx) +
-            (node->ops[op_idx].kind == query::OpKind::kDistinct ? 1 : 32);
-        RegisterSizing rs;
-        rs.depth = cfg_->register_depth;
-        std::size_t cap = 1;
-        while (cap * 2 * static_cast<std::uint64_t>(entry_bits) <=
-               cfg_->switch_config.max_bits_per_register) {
-          cap *= 2;
-        }
-        if (q.state_spec().sketch() && node->ops[op_idx].kind == query::OpKind::kReduce) {
-          // Sketched reduce: HashPipe-backed registers are sized from the
-          // accuracy target, not the training cardinality — O(1/eps) slots
-          // catch every key heavier than eps * total weight regardless of
-          // how many distinct keys the window carries. HashPipe never
-          // overflows to the SP (evictions surface as a reported error
-          // bound), so no overflow_extra is priced in.
-          rs.sketch = true;
-          rs.depth = std::max(cfg_->register_depth, 2);  // d-stage pipeline
-          const double eps = std::max(q.state_spec().eps, 1e-6);
-          const std::size_t want = pow2_at_least(std::max(
-              cfg_->min_register_entries, static_cast<std::size_t>(2.0 / eps)));
-          rs.entries = std::min(want, cap);
-          sizing[op_idx] = rs;
-          continue;
-        }
-        const std::size_t want = pow2_at_least(std::max(
-            cfg_->min_register_entries,
-            static_cast<std::size_t>(cfg_->register_headroom * static_cast<double>(keys))));
-        rs.entries = std::min(want, cap);
-        sizing[op_idx] = rs;
-        if (rs.entries < want && keys > 0) {
-          const std::uint64_t lost = estimate_overflow_keys(keys, rs.entries, rs.depth);
-          // Every packet of an overflowed key reaches the SP; assume the
-          // average packets-per-key of the operator's input.
-          const std::uint64_t pkts_in = op_idx < cost.n_after.size() ? cost.n_after[op_idx] : 0;
-          overflow_extra[op_idx] =
-              keys == 0 ? 0 : lost * (pkts_in / std::max<std::uint64_t>(keys, 1));
-        }
-      }
-      pipeline.sizing = sizing;
+      Candidate& c = candidate(source, prev, level);
+      const TransitionCost& cost = est_->transition(source, prev, level);
 
       // Cheapest feasible partition (cost = reported tuples + overflow
       // penalty of on-switch stateful ops; partition 0 costs the shared
@@ -286,7 +280,7 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
       bool placed = false;
       std::uint64_t best_cost = ~std::uint64_t{0};
       std::size_t best_p = 0;
-      auto choices = partition_choices(*node, max_p, force_all_sp);
+      auto choices = partition_choices(*c.node, c.max_partition, force_all_sp);
       if (limits.minimize_footprint) std::reverse(choices.begin(), choices.end());
       for (const std::size_t p : choices) {
         std::uint64_t contribution;
@@ -294,20 +288,16 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
           if (!limits.allow_mirror) continue;
           contribution = (raw_already || inst.raw) ? 0 : window_packets_;
         } else {
-          ProgramResources pr =
-              pisa::build_resources(*node, p, sizing, q.id(), static_cast<int>(s), level);
-          const std::uint64_t tables = pr.tables.size();
-          const std::uint64_t bits = pr.total_register_bits();
-          if (inst.footprint.tables + tables > limits.max_tables ||
-              inst.footprint.register_bits + bits > limits.max_register_bits) {
+          const ProgramResources& pr = program(c, p, source, level);
+          if (inst.footprint.tables + pr.tables.size() > limits.max_tables ||
+              inst.footprint.register_bits + pr.total_register_bits() >
+                  limits.max_register_bits) {
             continue;
           }
-          res.push_back(pr);
-          const bool fits = pisa::assign_stages(cfg_->switch_config, res).feasible;
-          res.pop_back();
-          if (!fits) continue;
+          if (!packer.push(pr)) continue;
+          packer.truncate(packer.size() - 1);
           contribution = p < cost.n_after.size() ? cost.n_after[p] : 0;
-          for (const auto& [op_idx, extra] : overflow_extra) {
+          for (const auto& [op_idx, extra] : c.overflow_extra) {
             if (op_idx < p) contribution += extra;
           }
         }
@@ -324,21 +314,31 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
         }
       }
       if (!placed) {
-        res.resize(res_mark);
+        packer.truncate(mark);
         return std::nullopt;
       }
+
+      PlannedPipeline pipeline;
+      pipeline.qid = q.id();
+      pipeline.source_index = source;
+      pipeline.level = level;
+      pipeline.prev_level = prev;
+      pipeline.node = c.node;
       pipeline.partition = best_p;
+      pipeline.sizing = c.sizing;
+      pipeline.filter_table = c.filter_table;
       if (best_p == 0) {
         pipeline.est_tuples = 0;  // covered by the shared raw mirror
         inst.raw = true;
       } else {
         pipeline.est_tuples = best_cost;
         inst.n += best_cost;
-        ProgramResources pr = pisa::build_resources(*node, best_p, sizing, q.id(),
-                                                    static_cast<int>(s), level);
+        const ProgramResources& pr = program(c, best_p, source, level);
         inst.footprint.tables += pr.tables.size();
         inst.footprint.register_bits += pr.total_register_bits();
-        res.push_back(std::move(pr));
+        const bool fits = packer.push(pr);
+        assert(fits);
+        (void)fits;
       }
       inst.pq.pipelines.push_back(std::move(pipeline));
       prev = level;
@@ -349,14 +349,19 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
 }
 
 Plan assemble_plan(const PlannerConfig& cfg, std::vector<PlannedQuery> queries,
-                   std::vector<ProgramResources> resources, bool raw_mirror,
-                   std::uint64_t window_packets, std::uint64_t objective) {
+                   bool raw_mirror, std::uint64_t window_packets, std::uint64_t objective) {
   Plan plan;
   plan.switch_config = cfg.switch_config;
   plan.mode = cfg.mode;
   plan.window = cfg.window;
   plan.queries = std::move(queries);
-  plan.resources = std::move(resources);
+  for (const auto& pq : plan.queries) {
+    for (const auto& p : pq.pipelines) {
+      if (p.partition == 0) continue;
+      plan.resources.push_back(pisa::build_resources(*p.node, p.partition, p.sizing, p.qid,
+                                                     p.source_index, p.level));
+    }
+  }
   plan.raw_mirror = raw_mirror;
   plan.est_window_packets = window_packets;
   plan.est_total_tuples = objective;

@@ -3,11 +3,18 @@
 // A ChainInstaller places one query's refinement chain on top of a partial
 // switch layout: greedy max-partition-with-backoff per pipeline, register
 // sizing with the collision-overflow model, exact stage layout (C1-C5) as
-// the feasibility oracle. It owns the per-query caches the search re-visits
-// (refined nodes, semantic max partitions, the Monte-Carlo overflow model),
-// so both the joint branch-and-bound (planner.cc) and the incremental
-// planner (incremental.cc) reuse identical state — and produce identical
-// installs for identical inputs.
+// the feasibility oracle. Both the joint branch-and-bound (planner.cc) and
+// the incremental planner (incremental.cc) go through it, so identical
+// inputs give identical installs.
+//
+// One search node must cost one pipeline, not the whole layout, so:
+//  * every (source, prev level, level) pipeline is priced once and
+//    memoized: its refined node, register sizing and overflow penalty are
+//    functions of that key alone, and so is the switch program
+//    (ProgramResources) of each of its partitions, built on first use;
+//  * the partial layout is a pisa::StagePacker. Trying a partition pushes
+//    one program onto the packed prefix and truncates it again; nothing
+//    already placed is re-packed.
 //
 // Installs can be constrained by per-tenant resource limits (InstallLimits):
 // a budget caps the match-action tables and register bits one install may
@@ -19,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -72,21 +80,35 @@ class ChainInstaller {
   // (the admissible per-query bound of the branch-and-bound).
   [[nodiscard]] std::uint64_t optimistic_cost(const std::vector<int>& chain);
 
-  // Install `chain` on top of `res`, appending the resources of every
-  // partition >= 1 pipeline. Returns nullopt — with `res` restored — when
-  // no placement satisfies `limits` (cannot happen with default limits:
-  // partition 0 always fits). `force_all_sp` pins every pipeline to
+  // Install `chain` on top of `packer`, pushing the program of every
+  // partition >= 1 pipeline. Returns nullopt — with `packer` truncated back
+  // — when no placement satisfies `limits` (cannot happen with default
+  // limits: partition 0 always fits). `force_all_sp` pins every pipeline to
   // partition 0 (the all-raw fallback layout).
-  std::optional<Installed> install(const std::vector<int>& chain,
-                                   std::vector<pisa::ProgramResources>& res, bool raw_already,
-                                   bool force_all_sp, const InstallLimits& limits = {});
+  std::optional<Installed> install(const std::vector<int>& chain, pisa::StagePacker& packer,
+                                   bool raw_already, bool force_all_sp,
+                                   const InstallLimits& limits = {});
+
+  // The switch program of a pipeline this installer placed (partition >= 1).
+  [[nodiscard]] const pisa::ProgramResources& program(const PlannedPipeline& p);
 
  private:
-  std::size_t max_partition(int source, int prev, int level);
+  // One (source, prev level, level) pipeline, priced once.
+  struct Candidate {
+    std::shared_ptr<query::StreamNode> node;
+    std::size_t max_partition = 0;  // semantic limit (max_switch_prefix)
+    std::string filter_table;       // "" at chain heads
+    std::map<std::size_t, pisa::RegisterSizing> sizing;
+    std::map<std::size_t, std::uint64_t> overflow_extra;  // op -> extra N when on the switch
+    std::vector<std::optional<pisa::ProgramResources>> programs;  // [partition], lazily
+  };
+
+  Candidate& candidate(int source, int prev, int level);
+  const pisa::ProgramResources& program(Candidate& c, std::size_t partition, int source,
+                                        int level);
   std::shared_ptr<query::StreamNode> refined_node(int source, int prev, int level);
   std::vector<std::size_t> partition_choices(const query::StreamNode& node, std::size_t max_p,
                                              bool force_all_sp) const;
-  std::uint64_t estimate_overflow_keys(std::uint64_t k, std::size_t n, int d);
 
   const PlannerConfig* cfg_;
   const query::Query* q_;
@@ -94,17 +116,20 @@ class ChainInstaller {
   CostEstimator* est_;
   std::uint64_t window_packets_ = 0;
 
-  std::map<std::tuple<int, int, int>, std::shared_ptr<query::StreamNode>> node_cache_;
-  std::map<std::tuple<int, int, int>, std::size_t> max_partition_cache_;
-  std::map<std::tuple<std::uint64_t, std::size_t, int>, std::uint64_t> overflow_cache_;
+  std::map<std::tuple<int, int, int>, Candidate> candidates_;
 };
 
-// Build the executable plan from chosen installs: stage layout, per-level
-// exec queries (winner queries at coarse levels, the full tree at the
-// finest) and source remaps. Clears any stale exec state first, so a stored
-// PlannedQuery can be re-assembled after plan mutations.
+// Expected number of keys, out of `k` random keys, that find no slot in a
+// `d`-deep chain of `n`-entry registers. Monte-Carlo with a fixed seed per
+// `k`: a pure function of (k, n, d).
+[[nodiscard]] std::uint64_t estimate_overflow_keys(std::uint64_t k, std::size_t n, int d);
+
+// Build the executable plan from chosen installs: switch programs and stage
+// layout, per-level exec queries (winner queries at coarse levels, the full
+// tree at the finest) and source remaps. Clears any stale exec state first,
+// so a stored PlannedQuery can be re-assembled after plan mutations.
 [[nodiscard]] Plan assemble_plan(const PlannerConfig& cfg, std::vector<PlannedQuery> queries,
-                                 std::vector<pisa::ProgramResources> resources, bool raw_mirror,
-                                 std::uint64_t window_packets, std::uint64_t objective);
+                                 bool raw_mirror, std::uint64_t window_packets,
+                                 std::uint64_t objective);
 
 }  // namespace sonata::planner

@@ -11,7 +11,6 @@
 
 namespace sonata::planner {
 
-using pisa::ProgramResources;
 using query::Query;
 
 std::string_view to_string(PlanMode mode) noexcept {
@@ -98,10 +97,10 @@ class PlanBuilder {
 
     // Branch and bound.
     best_objective_ = ~std::uint64_t{0};
-    std::vector<ProgramResources> res;
+    pisa::StagePacker packer(cfg_.switch_config);
     std::vector<PlannedQuery> chosen;
     nodes_ = 0;
-    dfs(0, candidates, suffix_min, res, chosen, 0, false);
+    dfs(0, candidates, suffix_min, packer, chosen, 0, false);
     assert(!best_.empty() || queries_.empty());
 
     // The all-raw plan (mirror every packet once, all queries at the SP) is
@@ -111,13 +110,13 @@ class PlanBuilder {
     // result with this fallback, as the ILP would (All-SP mode *is* this
     // plan, so it is unaffected).
     if (cfg_.mode != PlanMode::kAllSP && window_packets_ < best_objective_) {
-      res.clear();
+      packer.truncate(0);
       std::vector<PlannedQuery> fallback;
       std::uint64_t n = 0;
       bool raw = false;
       for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
-        auto inst = installers_[qi]->install({installers_[qi]->estimator().finest_level()}, res,
-                                            raw, /*force_all_sp=*/true);
+        auto inst = installers_[qi]->install({installers_[qi]->estimator().finest_level()},
+                                             packer, raw, /*force_all_sp=*/true);
         assert(inst.has_value());
         n += inst->n;
         raw = raw || inst->raw;
@@ -125,18 +124,16 @@ class PlanBuilder {
       }
       best_objective_ = n + (raw ? window_packets_ : 0);
       best_ = std::move(fallback);
-      best_resources_ = std::move(res);
       best_raw_ = raw;
       SONATA_INFO("planner", "greedy plan beaten by the all-raw fallback; using All-SP layout");
     }
 
-    return assemble_plan(cfg_, std::move(best_), std::move(best_resources_), best_raw_,
-                         window_packets_, best_objective_);
+    return assemble_plan(cfg_, std::move(best_), best_raw_, window_packets_, best_objective_);
   }
 
  private:
   void dfs(std::size_t qi, const std::vector<std::vector<std::vector<int>>>& candidates,
-           const std::vector<std::uint64_t>& suffix_min, std::vector<ProgramResources>& res,
+           const std::vector<std::uint64_t>& suffix_min, pisa::StagePacker& packer,
            std::vector<PlannedQuery>& chosen, std::uint64_t n, bool raw) {
     if (nodes_ > cfg_.search_node_cap && !best_.empty()) return;
     ++nodes_;
@@ -145,18 +142,17 @@ class PlanBuilder {
     if (qi == queries_.size()) {
       best_objective_ = objective_so_far;
       best_ = chosen;
-      best_resources_ = res;
       best_raw_ = raw;
       return;
     }
     for (const auto& chain : candidates[qi]) {
-      const std::size_t res_mark = res.size();
-      auto inst = installers_[qi]->install(chain, res, raw, /*force_all_sp=*/false);
+      const std::size_t mark = packer.size();
+      auto inst = installers_[qi]->install(chain, packer, raw, /*force_all_sp=*/false);
       assert(inst.has_value());  // unlimited installs always place (partition 0 fits)
       chosen.push_back(std::move(inst->pq));
-      dfs(qi + 1, candidates, suffix_min, res, chosen, n + inst->n, raw || inst->raw);
+      dfs(qi + 1, candidates, suffix_min, packer, chosen, n + inst->n, raw || inst->raw);
       chosen.pop_back();
-      res.resize(res_mark);
+      packer.truncate(mark);
       if (nodes_ > cfg_.search_node_cap && !best_.empty()) return;
     }
   }
@@ -168,7 +164,6 @@ class PlanBuilder {
 
   std::uint64_t best_objective_ = ~std::uint64_t{0};
   std::vector<PlannedQuery> best_;
-  std::vector<ProgramResources> best_resources_;
   bool best_raw_ = false;
   std::uint64_t nodes_ = 0;
 };

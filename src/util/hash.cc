@@ -2,12 +2,6 @@
 
 #include <cassert>
 
-#include "util/cpu.h"
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 namespace sonata::util {
 
 std::uint64_t fnv1a64(std::string_view s, std::uint64_t seed) noexcept {
@@ -21,127 +15,6 @@ HashFamily::HashFamily(std::size_t count, std::uint64_t base_seed) : seeds_size_
     s = mix64(s + 0x9e3779b97f4a7c15ULL);
     seeds_[i] = s;
   }
-}
-
-#if defined(__x86_64__)
-
-namespace {
-
-// 64x64 -> low 64 multiply per lane. AVX2 has no 64-bit vector multiply;
-// decompose into 32x32 partial products: lo*lo + ((lo*hi + hi*lo) << 32).
-__attribute__((target("avx2"))) inline __m256i mullo64(__m256i a, __m256i b) noexcept {
-  const __m256i ahi = _mm256_srli_epi64(a, 32);
-  const __m256i bhi = _mm256_srli_epi64(b, 32);
-  const __m256i lolo = _mm256_mul_epu32(a, b);
-  const __m256i hilo = _mm256_mul_epu32(ahi, b);
-  const __m256i lohi = _mm256_mul_epu32(a, bhi);
-  const __m256i cross = _mm256_add_epi64(hilo, lohi);
-  return _mm256_add_epi64(lolo, _mm256_slli_epi64(cross, 32));
-}
-
-// Vector mix64 — identical word-for-word to the scalar finalizer.
-__attribute__((target("avx2"))) inline __m256i mix64v(__m256i x) noexcept {
-  const __m256i c1 = _mm256_set1_epi64x(static_cast<long long>(0xbf58476d1ce4e5b9ULL));
-  const __m256i c2 = _mm256_set1_epi64x(static_cast<long long>(0x94d049bb133111ebULL));
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 30));
-  x = mullo64(x, c1);
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 27));
-  x = mullo64(x, c2);
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-  return x;
-}
-
-__attribute__((target("avx2"))) void hash_u64_batch_avx2(const std::uint64_t* keys,
-                                                         std::size_t n, std::uint64_t seed,
-                                                         std::uint64_t* out) noexcept {
-  const __m256i add = _mm256_set1_epi64x(
-      static_cast<long long>(0x9e3779b97f4a7c15ULL * (seed + 1)));
-  std::size_t i = 0;
-  // 8 keys per lane-pass: two 4-lane vectors in flight hide the multiply
-  // latency chain of mix64.
-  for (; i + 8 <= n; i += 8) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i + 4));
-    a = mix64v(_mm256_add_epi64(a, add));
-    b = mix64v(_mm256_add_epi64(b, add));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), a);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4), b);
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    a = mix64v(_mm256_add_epi64(a, add));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), a);
-  }
-  for (; i < n; ++i) out[i] = hash_u64(keys[i], seed);
-}
-
-__attribute__((target("avx2"))) void hash_combine_batch_avx2(std::uint64_t* acc,
-                                                             const std::uint64_t* b,
-                                                             std::size_t n) noexcept {
-  const __m256i gold = _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i bv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // a ^ (b + gold + (a << 6) + (a >> 2)), then mix64 — scalar formula.
-    __m256i t = _mm256_add_epi64(bv, gold);
-    t = _mm256_add_epi64(t, _mm256_slli_epi64(a, 6));
-    t = _mm256_add_epi64(t, _mm256_srli_epi64(a, 2));
-    const __m256i x = mix64v(_mm256_xor_si256(a, t));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), x);
-  }
-  for (; i < n; ++i) acc[i] = hash_combine(acc[i], b[i]);
-}
-
-// hash_all: d seeds, one key. key + C*(seed_i + 1) per lane, then mix.
-__attribute__((target("avx2"))) void hash_all_avx2(const std::uint64_t* seeds, std::size_t d,
-                                                   std::uint64_t key,
-                                                   std::uint64_t* out) noexcept {
-  const __m256i gold = _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL));
-  const __m256i keyv = _mm256_set1_epi64x(static_cast<long long>(key));
-  std::size_t i = 0;
-  for (; i + 4 <= d; i += 4) {
-    __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(seeds + i));
-    s = _mm256_add_epi64(s, _mm256_set1_epi64x(1));
-    const __m256i x = mix64v(_mm256_add_epi64(keyv, mullo64(gold, s)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
-  }
-  for (; i < d; ++i) out[i] = hash_u64(key, seeds[i]);
-}
-
-}  // namespace
-
-#endif  // __x86_64__
-
-void hash_u64_batch(const std::uint64_t* keys, std::size_t n, std::uint64_t seed,
-                    std::uint64_t* out) noexcept {
-#if defined(__x86_64__)
-  if (avx2_enabled()) {
-    hash_u64_batch_avx2(keys, n, seed, out);
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) out[i] = hash_u64(keys[i], seed);
-}
-
-void hash_combine_batch(std::uint64_t* acc, const std::uint64_t* b, std::size_t n) noexcept {
-#if defined(__x86_64__)
-  if (avx2_enabled()) {
-    hash_combine_batch_avx2(acc, b, n);
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) acc[i] = hash_combine(acc[i], b[i]);
-}
-
-void HashFamily::hash_all(std::uint64_t key, std::uint64_t* out) const noexcept {
-#if defined(__x86_64__)
-  if (seeds_size_ >= 4 && avx2_enabled()) {
-    hash_all_avx2(seeds_, seeds_size_, key, out);
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < seeds_size_; ++i) out[i] = hash_u64(key, seeds_[i]);
 }
 
 }  // namespace sonata::util

@@ -43,23 +43,6 @@ namespace sonata::util {
   return mix64(key + 0x9e3779b97f4a7c15ULL * (seed + 1));
 }
 
-// --- Batched lane-pass hashing (AVX2 with scalar fallback) --------------
-//
-// The vector kernels are bit-identical to the scalar functions above: the
-// mix is pure 64-bit integer arithmetic, so an 8-lane pass computes the
-// exact same words a scalar loop would. Dispatch is runtime (util::
-// avx2_enabled() — one cached relaxed load), so `SONATA_NO_AVX2=1` or the
-// test override flips every caller to the scalar loop without rebuild.
-
-// out[i] = hash_u64(keys[i], seed) for i in [0, n). Hashes 8 keys per
-// lane-pass under AVX2; any tail (n % 8) runs scalar.
-void hash_u64_batch(const std::uint64_t* keys, std::size_t n, std::uint64_t seed,
-                    std::uint64_t* out) noexcept;
-
-// acc[i] = hash_combine(acc[i], b[i]) for i in [0, n), vectorized the same
-// way. This is the per-column step of batched tuple hashing.
-void hash_combine_batch(std::uint64_t* acc, const std::uint64_t* b, std::size_t n) noexcept;
-
 // A family of `size()` hash functions over 64-bit keys, as required by the
 // d-register collision-mitigation chain.
 class HashFamily {
@@ -78,17 +61,10 @@ class HashFamily {
     return static_cast<std::size_t>((*this)(i, key) % buckets);
   }
 
-  // All `size()` member hashes of one key in one call — the d-way register
-  // probe starts from precomputed lane hashes instead of hashing once per
-  // depth. `out` must hold size() words. Vectorized for depth >= 4.
-  void hash_all(std::uint64_t key, std::uint64_t* out) const noexcept;
-
-  // Seed of the i-th member: (*this)(i, key) == hash_u64(key, seed(i)), so
-  // a batch of keys hashes with one hash_u64_batch call per member.
+  // Seed of the i-th member: (*this)(i, key) == hash_u64(key, seed(i)).
   [[nodiscard]] std::uint64_t seed(std::size_t i) const noexcept { return seeds_[i]; }
 
-  // Upper bound on size(); lets callers keep hash_all lane buffers on the
-  // stack.
+  // Upper bound on size().
   static constexpr std::size_t kMaxFamily = 16;
 
  private:

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "planner/estimator.h"
+#include "planner/install.h"
 #include "planner/planner.h"
 #include "planner/refine.h"
 #include "queries/catalog.h"
@@ -399,6 +400,51 @@ TEST_F(PlannerTest, ExecQueriesValidatePerLevel) {
     EXPECT_EQ(pq.exec_queries.size(), pq.chain.size());
     for (const auto& [level, q] : pq.exec_queries) {
       EXPECT_TRUE(q.root()->output_schema().index_of("dIP")) << level;
+    }
+  }
+}
+
+// --- install order independence -------------------------------------------
+
+TEST(OverflowModel, EstimateDoesNotDependOnCallOrder) {
+  // Key counts that share one 512-wide bucket must each get their own
+  // estimate, whichever was priced first.
+  const std::vector<std::uint64_t> ks = {12288, 12346, 12354, 12799};
+  std::vector<std::uint64_t> forward;
+  for (const std::uint64_t k : ks) forward.push_back(estimate_overflow_keys(k, 4096, 2));
+  std::vector<std::uint64_t> backward(ks.size());
+  for (std::size_t i = ks.size(); i-- > 0;) backward[i] = estimate_overflow_keys(ks[i], 4096, 2);
+  EXPECT_EQ(forward, backward);
+  EXPECT_NE(forward[1], forward[2]);  // 12346 and 12354 differ
+  EXPECT_GT(forward[0], 12288u - 2u * 4096u);  // more keys than slots: some overflow
+}
+
+TEST_F(PlannerTest, InstallsDoNotDependOnInstallHistory) {
+  // Scarce register memory caps the registers, so installs price overflow.
+  PlannerConfig cfg;
+  cfg.switch_config.max_bits_per_register = 48 * 1024;
+  cfg.switch_config.register_bits_per_stage = 48 * 1024;
+  const auto qs = queries();
+  const std::uint64_t packets = median_window_packets(windows());
+  for (const auto& q : qs) {
+    ChainInstaller forward(cfg, q, windows(), packets);
+    ChainInstaller backward(cfg, q, windows(), packets);
+    const auto chains = forward.chains();
+    std::vector<std::optional<Installed>> got(chains.size());
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+      pisa::StagePacker packer(cfg.switch_config);
+      got[i] = forward.install(chains[i], packer, false, false);
+    }
+    for (std::size_t i = chains.size(); i-- > 0;) {
+      pisa::StagePacker packer(cfg.switch_config);
+      const auto inst = backward.install(chains[i], packer, false, false);
+      ASSERT_TRUE(inst && got[i]) << q.name();
+      EXPECT_EQ(inst->n, got[i]->n) << q.name() << " chain " << i;
+      ASSERT_EQ(inst->pq.pipelines.size(), got[i]->pq.pipelines.size());
+      for (std::size_t p = 0; p < inst->pq.pipelines.size(); ++p) {
+        EXPECT_EQ(inst->pq.pipelines[p].partition, got[i]->pq.pipelines[p].partition);
+        EXPECT_EQ(inst->pq.pipelines[p].est_tuples, got[i]->pq.pipelines[p].est_tuples);
+      }
     }
   }
 }

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "test_trace.h"
 #include "trace/trace.h"
 #include "util/cpu.h"
-#include "util/hash.h"
 #include "util/ip.h"
 
 namespace sonata {
@@ -38,68 +36,11 @@ class ScopedSimd {
   ScopedSimd& operator=(const ScopedSimd&) = delete;
 };
 
-// Sizes that cover every tail class of the 8-wide hash kernels and the
-// 16-packet extract chunks: empty, sub-lane, exact lanes, lane+tail.
+// Sizes that cover every tail class of the 16-packet extract chunks:
+// empty, sub-chunk, exact chunks, chunk+tail.
 const std::vector<std::size_t>& shape_sizes() {
   static const std::vector<std::size_t> sizes = {0, 1, 2, 3, 5, 7, 8, 9, 13, 15, 16, 17, 31, 64, 250};
   return sizes;
-}
-
-std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& k : keys) k = rng();
-  return keys;
-}
-
-TEST(SimdHash, BatchMatchesScalarForAllTails) {
-  for (const bool scalar : {true, false}) {
-    ScopedSimd guard(scalar);
-    for (const std::size_t n : shape_sizes()) {
-      const auto keys = random_keys(n, 0xA11CE + n);
-      for (const std::uint64_t seed : {0ULL, 1ULL, 0xDEADBEEFULL}) {
-        std::vector<std::uint64_t> out(n, 0);
-        util::hash_u64_batch(keys.data(), n, seed, out.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(out[i], util::hash_u64(keys[i], seed))
-              << "scalar=" << scalar << " n=" << n << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdHash, CombineBatchMatchesScalarForAllTails) {
-  for (const bool scalar : {true, false}) {
-    ScopedSimd guard(scalar);
-    for (const std::size_t n : shape_sizes()) {
-      const auto a = random_keys(n, 0xB0B + n);
-      const auto b = random_keys(n, 0xC0DE + n);
-      std::vector<std::uint64_t> acc = a;
-      util::hash_combine_batch(acc.data(), b.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(acc[i], util::hash_combine(a[i], b[i]))
-            << "scalar=" << scalar << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(SimdHash, HashAllMatchesPerMemberAcrossFamilySizes) {
-  for (const bool scalar : {true, false}) {
-    ScopedSimd guard(scalar);
-    for (const std::size_t d : {1u, 2u, 3u, 4u, 6u, 8u, 16u}) {
-      const util::HashFamily family(d);
-      ASSERT_EQ(family.size(), d);
-      for (const std::uint64_t key : random_keys(32, 0xFACE + d)) {
-        std::uint64_t lanes[util::HashFamily::kMaxFamily];
-        family.hash_all(key, lanes);
-        for (std::size_t i = 0; i < d; ++i) {
-          ASSERT_EQ(lanes[i], family(i, key)) << "scalar=" << scalar << " d=" << d << " i=" << i;
-        }
-      }
-    }
-  }
 }
 
 // A packet mix that exercises every extraction column: plain TCP/UDP
