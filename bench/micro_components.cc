@@ -5,7 +5,9 @@
 // figure benchmarks crawl.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <deque>
+#include <thread>
 
 #include "common.h"
 #include "net/wire.h"
@@ -131,13 +133,69 @@ void BM_SwitchBatchEvalPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchBatchEvalPlan);
 
-// The window close's poll + merge + SP ingest (runtime/window_merge.h) on
-// the eval-8 Sonata plan over 4 switches, in ns per polled register entry.
-// The switches hold a window of traffic routed like the Fleet's and carry
-// the winners installed after two warm-up windows; each iteration polls
-// every stateful tail into packed blocks, folds them and ingests the merged
-// keys at the SP's reduces. The SP state is cleared (untimed) in between.
-void BM_WindowPollMerge(benchmark::State& state) {
+// Runs the shared close's tasks on the calling thread plus `threads - 1`
+// spinning helpers (a stand-in for the Fleet's idle workers).
+class ClosePool {
+ public:
+  explicit ClosePool(std::size_t threads) {
+    for (std::size_t slot = 1; slot < threads; ++slot) {
+      helpers_.emplace_back([this, slot] {
+        std::uint64_t seen = 0;
+        while (!stop_.load(std::memory_order_acquire)) {
+          if (generation_.load(std::memory_order_acquire) == seen) {
+            std::this_thread::yield();
+            continue;
+          }
+          ++seen;
+          work(slot);
+          idle_.fetch_add(1, std::memory_order_release);
+        }
+      });
+    }
+  }
+  ~ClosePool() {
+    stop_.store(true, std::memory_order_release);
+    for (auto& h : helpers_) h.join();
+  }
+  ClosePool(const ClosePool&) = delete;
+  ClosePool& operator=(const ClosePool&) = delete;
+
+  // Returns once every helper has left this round.
+  void run(std::size_t count, const runtime::CloseTask& task) {
+    task_ = &task;
+    count_ = count;
+    next_.store(0, std::memory_order_relaxed);
+    idle_.store(0, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    work(0);
+    while (idle_.load(std::memory_order_acquire) != helpers_.size()) {
+    }
+  }
+
+ private:
+  void work(std::size_t slot) {
+    for (std::size_t i; (i = next_.fetch_add(1, std::memory_order_relaxed)) < count_;) {
+      (*task_)(i, slot);
+    }
+  }
+
+  std::vector<std::thread> helpers_;
+  std::atomic<bool> stop_{false};
+  std::atomic<std::uint64_t> generation_{0};
+  std::atomic<std::size_t> next_{0};
+  std::atomic<std::size_t> idle_{0};
+  const runtime::CloseTask* task_ = nullptr;
+  std::size_t count_ = 0;
+};
+
+// The shared window close (StreamProcessor::close_window) on the eval-8
+// Sonata plan over 4 switches, at range(0) threads: each query's record
+// delivery, poll fold + SP ingest and level close, then the serial
+// install epilogue. The switches hold a window of traffic routed like the
+// Fleet's and carry the winners installed after two warm-up windows; each
+// iteration re-polls their registers and copies their records (untimed),
+// then closes. Reported per polled register entry and per record.
+void BM_WindowClose(benchmark::State& state) {
   constexpr std::size_t kShards = 4;
   bench::Options opts;
   opts.scale = 0.25;
@@ -158,21 +216,23 @@ void BM_WindowPollMerge(benchmark::State& state) {
     raw_switches.push_back(switches.back().get());
   }
   runtime::StreamProcessor sp(plan);
-  runtime::WindowMerge merge;
+  const auto& pipelines = switches[0]->pipelines();
+  std::vector<pisa::EmitSink> sinks(kShards);
+  std::vector<std::vector<pisa::EmitRecord>> records(kShards);
   std::vector<std::vector<pisa::PolledBlock>> polls(kShards);
-  std::vector<std::vector<pisa::PolledBlock>*> shards;
-  for (auto& p : polls) shards.push_back(&p);
-  const auto poll_all = [&] {
+  std::vector<runtime::ShardOutput> outputs(kShards);
+  // Fresh close input: this window's records and the switches' polls.
+  const auto stage = [&] {
     std::uint64_t keys = 0;
     for (std::size_t i = 0; i < kShards; ++i) {
-      const auto& pipelines = switches[i]->pipelines();
+      records[i].assign(sinks[i].records().begin(), sinks[i].records().end());
       polls[i].resize(pipelines.size());
       for (std::size_t p = 0; p < pipelines.size(); ++p) {
-        pipelines[p]->poll_block(polls[i][p]);
+        switches[i]->pipelines()[p]->poll_block(polls[i][p]);
         keys += polls[i][p].size();
       }
+      outputs[i] = {records[i], {}, &polls[i]};
     }
-    merge.merge(sp, switches[0]->pipelines(), shards);
     return keys;
   };
 
@@ -188,35 +248,40 @@ void BM_WindowPollMerge(benchmark::State& state) {
       tuples[flow % kShards].push_back(query::materialize_tuple(p));
     }
     for (std::size_t i = 0; i < kShards; ++i) {
-      pisa::EmitSink sink;
-      switches[i]->process_batch(tuples[i], sink);
-      sp.deliver_batch(sink.records());
+      sinks[i].clear();
+      switches[i]->process_batch(tuples[i], sinks[i]);
     }
-    if (win == 2) break;  // keep the last window's registers to poll
-    poll_all();
+    if (win == 2) break;  // keep the last window's registers and records
+    stage();
     runtime::WindowStats stats;
-    sp.close_levels(stats, raw_switches);
+    sp.close_window(stats, outputs, pipelines, raw_switches);
     for (auto& sw : switches) sw->reset_all_registers();
   }
-  {
-    runtime::WindowStats stats;
-    sp.close_levels(stats, {});
-  }
 
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  ClosePool pool(threads);
+  const runtime::TaskRunner runner = [&](std::size_t count, const runtime::CloseTask& task) {
+    pool.run(count, task);
+  };
   std::uint64_t keys = 0;
+  std::uint64_t recs = 0;
   for (auto _ : state) {
-    keys += poll_all();
     state.PauseTiming();
+    keys += stage();
+    for (const auto& r : records) recs += r.size();
     runtime::WindowStats stats;
-    sp.close_levels(stats, {});
     state.ResumeTiming();
+    sp.close_window(stats, outputs, pipelines, raw_switches, threads, runner);
+    benchmark::DoNotOptimize(stats.results.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(keys));
-  // Seconds per key, printed with its SI prefix (e.g. "89ns").
+  // Seconds per key and per record, printed with their SI prefix.
   state.counters["per_key"] = benchmark::Counter(
       static_cast<double>(keys), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["per_record"] = benchmark::Counter(
+      static_cast<double>(recs), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_WindowPollMerge)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WindowClose)->Arg(1)->Arg(3)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_StreamExecutorQuery1(benchmark::State& state) {
   const auto pkts = small_trace();

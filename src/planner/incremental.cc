@@ -84,23 +84,23 @@ bool IncrementalPlanner::budget_constrained() const {
   });
 }
 
-Footprint IncrementalPlanner::place(const Entry& e) {
+Footprint IncrementalPlanner::place(const Entry& e, bool* fits) {
   Footprint fp;
   for (const auto& p : e.pq.pipelines) {
     if (p.partition == 0) continue;
     const pisa::ProgramResources& pr = e.installer->program(p);
     fp.tables += pr.tables.size();
     fp.register_bits += pr.total_register_bits();
-    const bool fits = packer_.push(pr);
-    assert(fits);
-    (void)fits;
+    if (!packer_.push(pr) && fits != nullptr) *fits = false;
   }
   return fp;
 }
 
-void IncrementalPlanner::repack() {
+bool IncrementalPlanner::repack() {
   packer_.truncate(0);
-  for (auto& e : entries_) e.footprint = place(e);
+  bool fits = true;
+  for (auto& e : entries_) e.footprint = place(e, &fits);
+  return fits;
 }
 
 void IncrementalPlanner::recompute(bool allow_full_solve) {
@@ -163,7 +163,10 @@ void IncrementalPlanner::full_resolve() {
     e.raw = std::any_of(e.pq.pipelines.begin(), e.pq.pipelines.end(),
                         [](const PlannedPipeline& p) { return p.partition == 0; });
   }
-  repack();
+  // plan_joint packed these programs in this order, so they fit again.
+  const bool fits = repack();
+  assert(fits);
+  (void)fits;
   objective_ = plan.est_total_tuples;
   ++full_solves_;
 }
@@ -309,7 +312,10 @@ util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Que
   e.min_cost = min_cost;
   const AdmitId id = e.id;
   entries_.push_back(std::move(e));
-  place(entries_.back());
+  bool fits = true;
+  place(entries_.back(), &fits);
+  assert(fits && "the admission search placed it on this packer");
+  (void)fits;
   recompute(/*allow_full_solve=*/true);
   SONATA_INFO("planner", "admitted \"%s\" (handle %llu, tenant \"%s\"): objective=%llu",
               q.name().c_str(), static_cast<unsigned long long>(id),
@@ -329,9 +335,12 @@ util::Expected<util::Ok, AdmissionDiagnostic> IncrementalPlanner::withdraw(Admit
   SONATA_INFO("planner", "withdrawing \"%s\" (handle %llu)", it->q->name().c_str(),
               static_cast<unsigned long long>(id));
   entries_.erase(it);
-  // Reclaim: re-pack the remaining placements with the withdrawn ones gone
-  // (assumed to stay feasible; place() asserts it).
-  repack();
+  // Reclaim: re-pack the remaining placements with the withdrawn ones gone.
+  // First-fit is not monotone: without the withdrawn program a later one
+  // can move into earlier stages and push the next one out. Then the
+  // remaining queries are re-solved jointly, which yields placements that
+  // pack (tenant budgets are not re-checked on this path).
+  if (!repack()) full_resolve();
   recompute(/*allow_full_solve=*/true);
   return util::Ok{};
 }

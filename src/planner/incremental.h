@@ -145,8 +145,10 @@ class IncrementalPlanner {
   [[nodiscard]] bool raw_active() const noexcept;
   [[nodiscard]] bool budget_constrained() const;  // any active limited-tenant entry
   // Push `e`'s switch programs onto the packed layout; returns its footprint.
-  Footprint place(const Entry& e);
-  void repack();  // every entry's programs, from an empty packer
+  // `*fits` is cleared when a program does not fit (and is left out).
+  Footprint place(const Entry& e, bool* fits);
+  // Every entry's programs, from an empty packer; false when one no longer fits.
+  [[nodiscard]] bool repack();
   // Re-derive objective / certification after placements changed; falls
   // back to a joint re-solve when the greedy state cannot be certified.
   void recompute(bool allow_full_solve);

@@ -601,8 +601,6 @@ Collector::Collector(const planner::Plan& plan, DistributedConfig cfg,
       }
     }
   }
-  contributing_.reserve(shards_.size());
-  for (auto& s : shards_) contributing_.push_back(&s.polls);
   sp_->set_winner_sink([this](const std::string& table, std::span<const Tuple> keys) {
     winner_installs_.emplace_back(table, std::vector<Tuple>(keys.begin(), keys.end()));
   });
@@ -805,18 +803,6 @@ std::string Collector::close_current(const WindowFn& on_window) {
   WindowStats ws;
   ws.window_index = window_counter_;
   ws.plan_version = plan_.version;
-  // 1. Merge in ascending global shard order — the Fleet's merge order,
-  //    independent of frame arrival interleaving across nodes.
-  sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
-  for (auto& sb : shards_) {
-    for (pisa::EmitRecord& rec : sb.records) {
-      const bool overflow = rec.kind == pisa::EmitRecord::Kind::kOverflow;
-      if (sp_->deliver(std::move(rec)) && overflow) ++ws.overflow_records;
-    }
-    sp_->deliver_raw_batch(sb.raws);
-    sb.records.clear();
-    sb.raws.clear();
-  }
   std::uint64_t mask = full_mask();
   std::uint64_t peer_dropped = 0;
   for (std::uint16_t i = 0; i < cfg_.nodes; ++i) {
@@ -836,16 +822,22 @@ std::string Collector::close_current(const WindowFn& on_window) {
   }
   ws.contribution_mask = mask;
   ws.partial = mask != full_mask();
-  // 2. Fold the polled register blocks in ascending shard order and feed
-  //    the SP (poll phase) — the Fleet's merge, through the same code.
-  merge_.merge(*sp_, ref_pipelines_, contributing_);
-  // 3. Coarse-to-fine close. No local switches — the winner sink captures
-  //    every install, and the nodes replay them before their next window.
-  //    control_update_millis stays 0: the modelled install latency is paid
-  //    on the switch nodes, inside the next window's barrier wait.
+  // 1. The Fleet's shared close, tasks inline, over every shard in
+  //    ascending global shard order — independent of frame arrival
+  //    interleaving across nodes. No local switches — the winner sink
+  //    captures every install, and the nodes replay them before their next
+  //    window. control_update_millis stays 0: the modelled install latency
+  //    is paid on the switch nodes, inside the next window's barrier wait.
+  outputs_.clear();
+  for (auto& sb : shards_) outputs_.push_back({sb.records, sb.raws, &sb.polls});
   winner_installs_.clear();
-  sp_->close_levels(ws, {});
-  // 4. Feedback: winners + ack per node (cached for retransmission).
+  sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
+  sp_->close_window(ws, outputs_, ref_pipelines_, {});
+  for (auto& sb : shards_) {
+    sb.records.clear();
+    sb.raws.clear();
+  }
+  // 2. Feedback: winners + ack per node (cached for retransmission).
   const bool was_partial = ws.partial;
   for (std::uint16_t i = 0; i < cfg_.nodes; ++i) {
     NodeState& node = nodes_[i];

@@ -244,8 +244,7 @@ class Collector {
   std::vector<std::unique_ptr<pisa::CompiledSwitchQuery>> ref_pipelines_;
   std::vector<NodeState> nodes_;
   std::vector<ShardBuffer> shards_;  // indexed by global shard
-  WindowMerge merge_;
-  std::vector<std::vector<pisa::PolledBlock>*> contributing_;  // merge_'s input, reused
+  std::vector<ShardOutput> outputs_;  // the close's input, reused
   std::vector<std::pair<std::string, std::vector<query::Tuple>>> winner_installs_;
   std::uint64_t window_counter_ = 0;
   Stats stats_;

@@ -76,6 +76,7 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
   const std::size_t threads = std::min(worker_threads, switch_count);
   for (std::size_t w = 0; w < threads; ++w) {
     auto worker = std::make_unique<Worker>();
+    worker->slot = w + 1;
     for (std::size_t i = w; i < shards_.size(); i += threads) {
       worker->shards.push_back(shards_[i].get());
     }
@@ -223,17 +224,8 @@ void Fleet::worker_loop(Worker& w) {
   const std::uint64_t slow_ns = injector_ ? injector_->spec().slow_ns : 0;
   std::uint64_t flushed_yields = 0, flushed_sleeps = 0;
   for (;;) {
-    bool did_work = false;
+    bool did_work = run_close_tasks(w.slot);
     for (Shard* shard : w.shards) {
-      // Parallel window close: the driver only raises close_req after the
-      // barrier saw this shard drained, so the ring is empty and the
-      // request can be served before (or instead of) any packet work.
-      if (shard->close_req.load(std::memory_order_acquire) != 0) {
-        do_shard_close(*shard);
-        shard->close_req.store(0, std::memory_order_relaxed);
-        shard->close_done.store(1, std::memory_order_release);
-        did_work = true;
-      }
       if (batch_size_ == 1) {
         // Legacy per-packet drain (the equivalence baseline).
         net::Packet p;
@@ -541,6 +533,38 @@ void Fleet::drain_barrier() {
   current_.partial = mask != full_contribution_mask();
 }
 
+void Fleet::run_tasks(std::size_t count, const CloseTask& task) {
+  if (workers_.empty()) {
+    for (std::size_t i = 0; i < count; ++i) task(i, 0);
+    return;
+  }
+  assert(count <= 0xffff);
+  close_task_ = &task;
+  close_finished_.store(0, std::memory_order_relaxed);
+  const std::uint64_t generation = (close_cursor_.load(std::memory_order_relaxed) >> 32) + 1;
+  close_cursor_.store(generation << 32 | count << 16, std::memory_order_release);
+  for (auto& w : workers_) wake(*w);
+  run_close_tasks(0);
+  // Every task is claimed: wait out the ones still running on workers.
+  while (close_finished_.load(std::memory_order_acquire) != count) std::this_thread::yield();
+}
+
+bool Fleet::run_close_tasks(std::size_t slot) {
+  bool ran = false;
+  std::uint64_t cur = close_cursor_.load(std::memory_order_acquire);
+  while ((cur & 0xffff) < (cur >> 16 & 0xffff)) {
+    if (!close_cursor_.compare_exchange_weak(cur, cur + 1, std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+      continue;
+    }
+    (*close_task_)(cur & 0xffff, slot);
+    close_finished_.fetch_add(1, std::memory_order_release);
+    ran = true;
+    cur = close_cursor_.load(std::memory_order_acquire);
+  }
+  return ran;
+}
+
 WindowStats Fleet::do_close_window() {
   // Fix the closing window's index up front so journal events emitted
   // during the barrier/close (quarantine, sketch bounds) carry it; the
@@ -556,39 +580,24 @@ WindowStats Fleet::do_close_window() {
     //    resync, never merged).
     drain_barrier();
 
-    // 1. Merge shard outputs into the shared stream executors in ascending
-    //    switch order — deterministic regardless of worker interleaving.
-    //    With wire faults configured every mirrored record round-trips the
-    //    report codec through the faulty channel on this (merge) thread,
-    //    so wire decisions are drawn deterministically in delivery order.
-    const auto deliver = [&](pisa::EmitRecord&& rec) {
-      // Overflow counts only accepted records: a corrupted header the SP's
-      // routing boundary rejects counts as a wire decode failure instead.
-      const bool overflow = rec.kind == pisa::EmitRecord::Kind::kOverflow;
-      if (!sp_->deliver(std::move(rec))) return false;
-      if (overflow) ++current_.overflow_records;
-      return true;
-    };
-    // One delivery timestamp for the whole merge: every stamped record's
-    // (delivery - ingest) lands in the per-(query, level) latency tallies.
-    sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = *shards_[i];
-      if (quarantined_[i]) continue;  // lost window: worker resync wipes it
-      if (wire_) {
-        for (const pisa::EmitRecord& rec : s.sink.records()) wire_->transmit(rec, deliver);
-      } else {
-        for (pisa::EmitRecord& rec : s.sink.records()) deliver(std::move(rec));
+    // 1. With wire faults configured every mirrored record round-trips the
+    //    report codec through the faulty channel on this thread, in
+    //    delivery order (ascending switch, arrival order), so the wire's
+    //    decisions are drawn deterministically before any task runs; the
+    //    SP's route check answers each at once, as a serial delivery would.
+    if (wire_) {
+      const auto deliver = [&](pisa::EmitRecord&& rec) {
+        const bool routes = sp_->accepts(rec);
+        wired_.push_back(std::move(rec));
+        return routes;
+      };
+      wired_.clear();
+      for (std::size_t i = 0; i < shards_.size(); ++i) {
+        if (quarantined_[i]) continue;
+        for (const pisa::EmitRecord& rec : shards_[i]->sink.records()) wire_->transmit(rec, deliver);
       }
-      sp_->deliver_raw_batch(s.raw_sources);
-      current_.tuples_to_sp += s.tuples_to_sp;
-      current_.raw_mirror_packets += s.raw_mirror_packets;
-      s.sink.clear();
-      s.raw_sources.clear();
-      s.tuples_to_sp = 0;
-      s.raw_mirror_packets = 0;
+      wire_->flush(deliver);  // release a still-held (reordered) record
     }
-    if (wire_) wire_->flush(deliver);  // release a still-held (reordered) record
   }
   // The barrier made every worker's phase clock visible (the same
   // release/acquire pair that publishes the emit arenas); fold the
@@ -608,73 +617,53 @@ WindowStats Fleet::do_close_window() {
                                              : shards_[i]->sw->stats().control_update_millis);
   }
 
-  // 2. Parallel poll + reset. Each healthy shard's worker polls its own
+  // 2. Parallel poll + reset, one task per healthy shard: poll its
   //    stateful tails into packed blocks (registers already hold the
-  //    shard-locally merged aggregates) and resets its registers; the
-  //    driver's WindowMerge folds the published blocks key-wise and
-  //    ingests each pipeline's merged aggregates once — a two-level
-  //    combining tree (shard-local fold in parallel, driver fold once).
-  //    Quarantined switches are skipped: their registers hold a torn
-  //    mid-window state and are reset by the worker's resync. Stalled-but-
-  //    healthy shards (deterministic per window, so driver and worker
-  //    agree) close inline on the driver — their simulated-hung workers
-  //    never touch them. Inline mode runs the identical code path.
+  //    shard-locally merged aggregates) and reset its registers. After the
+  //    barrier no worker touches a healthy shard's switch, so any thread
+  //    may poll it. Quarantined switches are skipped: their registers hold
+  //    a torn mid-window state and are reset by the worker's resync.
+  healthy_.clear();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (!quarantined_[i]) healthy_.push_back(shards_[i].get());
+  }
   {
     obs::PhaseTimer t{driver_phases_, obs::Phase::kPoll};
-    if (workers_.empty()) {
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (quarantined_[i]) continue;
-        do_shard_close(*shards_[i]);
-      }
-    } else {
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& s = *shards_[i];
-        if (quarantined_[i]) continue;
-        if (stalled(s)) {
-          do_shard_close(s);
-          s.close_done.store(1, std::memory_order_relaxed);
-          continue;
-        }
-        s.close_done.store(0, std::memory_order_relaxed);
-        s.close_req.store(1, std::memory_order_release);
-        wake(*workers_[i % workers_.size()]);
-      }
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& s = *shards_[i];
-        if (quarantined_[i]) continue;
-        while (s.close_done.load(std::memory_order_acquire) == 0) {
-          wake(*workers_[i % workers_.size()]);
-          driver_backoff_.pause();
-        }
-        driver_backoff_.reset();
-      }
-    }
-    // Fold the healthy shards' polls in ascending shard order and ingest
-    // each pipeline's merged aggregates once (runtime/window_merge.h).
-    // A quarantined switch is worker-owned, so the program comes from the
-    // first healthy one (every switch runs the identical program).
-    contributing_.clear();
-    const pisa::Switch* program = nullptr;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (quarantined_[i]) continue;
-      if (program == nullptr) program = shards_[i]->sw.get();
-      contributing_.push_back(&shards_[i]->polls);
-    }
-    if (program != nullptr) merge_.merge(*sp_, program->pipelines(), contributing_);
+    run_tasks(healthy_.size(), [&](std::size_t i, std::size_t) { do_shard_close(*healthy_[i]); });
   }
 
   obs::PhaseTimer close_timer{driver_phases_, obs::Phase::kClose};
 
-  // 3. Close coarse-to-fine; winners install on every healthy switch (a
-  //    quarantined switch misses this window's winners — acceptable
-  //    degradation, its next window runs one refinement step behind).
+  // 3. The shared close over the healthy shards, one task per query, run
+  //    by the workers and the driver; winners install on every healthy
+  //    switch (a quarantined switch misses this window's winners —
+  //    acceptable degradation, its next window runs one refinement step
+  //    behind). A quarantined switch is worker-owned, so the program comes
+  //    from the first healthy one (every switch runs the identical program).
+  //    Off the faulty wire, the records arrive as one stream after the
+  //    shards' raw tuples: every executor source sees them in wire order.
+  outputs_.clear();
   std::vector<pisa::Switch*> switches;
-  switches.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (quarantined_[i]) continue;
-    switches.push_back(shards_[i]->sw.get());
+  for (Shard* s : healthy_) {
+    outputs_.push_back({wire_ ? std::span<pisa::EmitRecord>{} : s->sink.records(),
+                        s->raw_sources, &s->polls});
+    switches.push_back(s->sw.get());
+    current_.tuples_to_sp += s->tuples_to_sp;
+    current_.raw_mirror_packets += s->raw_mirror_packets;
   }
-  sp_->close_levels(current_, switches);
+  if (wire_) outputs_.push_back({wired_, {}, nullptr});
+  sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
+  sp_->close_window(current_, outputs_,
+                    healthy_.empty() ? std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>>{}
+                                     : healthy_.front()->sw->pipelines(),
+                    switches, workers_.size() + 1,
+                    [this](std::size_t count, const CloseTask& task) { run_tasks(count, task); });
+  for (Shard* s : healthy_) {  // a quarantined shard's worker resync wipes it
+    s->sink.clear();
+    s->raw_sources.clear();
+    s->tuples_to_sp = 0;
+    s->raw_mirror_packets = 0;
+  }
 
   // 4. Control latency = the slowest switch's update time this window
   //    (updates run in parallel across the fleet). The register reset
@@ -688,7 +677,6 @@ WindowStats Fleet::do_close_window() {
         std::max(control, shards_[i]->sw->stats().control_update_millis - control_before[i]);
   }
   current_.control_update_millis = control;
-
   // Quiet point: flush the driver's spin-wait escalation tallies.
   backoffs_ctr_->add(driver_backoff_.yields() - driver_flushed_yields_);
   sleeps_ctr_->add(driver_backoff_.sleeps() - driver_flushed_sleeps_);

@@ -21,9 +21,11 @@
 // shard i is pinned to worker i % worker_threads and the per-switch hot
 // path (parse -> match-action -> register updates -> emit) runs
 // concurrently during the window. close_window() is the barrier: the
-// driver waits until every queue is drained, then merges shard buffers in
-// ascending switch order — the same order the inline path produces — so
-// results and tuple counts are bit-identical for any thread count.
+// driver waits until every queue is drained, then the workers and the
+// driver poll the shards' registers and run the shared close's per-query
+// tasks (DESIGN.md "Parallel window close"). Each task reads the shard
+// buffers in ascending switch order — the order the inline path produces
+// — so results and tuple counts are bit-identical for any thread count.
 //
 // Batching (DESIGN.md "Data-path memory model"). The driver accumulates up
 // to `batch_size` packets per shard before handing them over; the handoff
@@ -177,15 +179,9 @@ class Fleet final : public TelemetryEngine {
     // pair as `drained`, merged and reset at the window barrier.
     obs::PhaseAccum phases;
 
-    // Parallel window close (DESIGN.md "Parallel window merge"). The driver
-    // raises close_req at the barrier; the shard's worker polls its stateful
-    // tails into `polls` (one packed block per pipeline, in the registers'
-    // deterministic slot order), resets its registers, and raises
-    // close_done. The driver's acquire load of close_done publishes `polls`
-    // and the switch stats the same way `drained` publishes the emit arena.
+    // Register polls (one packed block per pipeline, in the registers'
+    // deterministic slot order), filled by the shard's close-time poll task.
     std::vector<pisa::PolledBlock> polls;
-    std::atomic<std::uint8_t> close_req{0};
-    std::atomic<std::uint8_t> close_done{0};
 
     // Registry handles, resolved once at construction (self-gated on
     // obs::enabled, so they cost one branch when observability is off).
@@ -205,6 +201,7 @@ class Fleet final : public TelemetryEngine {
     std::atomic<bool> signal{false};
     std::atomic<bool> asleep{false};
     std::vector<Shard*> shards;
+    std::size_t slot = 0;  // close-task slot (the driver's is 0)
     Backoff backoff;  // worker-thread-owned idle backoff
     std::thread thread;
   };
@@ -228,11 +225,14 @@ class Fleet final : public TelemetryEngine {
   void worker_loop(Worker& w);
   void wake(Worker& w);
   void drain_barrier();
+  // The close's task runner (runtime::TaskRunner): the workers and the
+  // driver claim tasks; inline without workers.
+  void run_tasks(std::size_t count, const CloseTask& task);
+  // Claim and run open close tasks until none is left; true if any ran.
+  bool run_close_tasks(std::size_t slot);
 
   // Shard-local close phase: poll every stateful tail into shard.polls
-  // and reset the switch registers. Runs on the shard's worker in threaded
-  // mode, on the driver for inline/stalled shards — one code path, so
-  // outputs are trivially identical.
+  // and reset the switch registers — one close task per healthy shard.
   void do_shard_close(Shard& shard);
 
   // Worker-side quarantine recovery: if the driver condemned this shard,
@@ -263,9 +263,17 @@ class Fleet final : public TelemetryEngine {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  WindowMerge merge_;                                 // driver-only
-  std::vector<std::vector<pisa::PolledBlock>*> contributing_;  // merge_'s input, reused
-  std::atomic<bool> stop_{false};
+  std::vector<Shard*> healthy_;            // driver-only: this close's shards, reused
+  std::vector<ShardOutput> outputs_;       // driver-only: the close's input, reused
+  std::vector<pisa::EmitRecord> wired_;    // driver-only: records off the faulty wire
+  // Close tasks open to the workers: (generation << 32 | task count << 16 |
+  // next task). Claiming is one CAS on the whole word, so a thread holding
+  // an older window's value can never claim a newer window's task. Workers
+  // read it on every loop pass: it keeps a cache line to itself.
+  alignas(64) std::atomic<std::uint64_t> close_cursor_{0};
+  std::atomic<std::size_t> close_finished_{0};  // tasks of this generation done
+  const CloseTask* close_task_ = nullptr;        // published by close_cursor_
+  alignas(64) std::atomic<bool> stop_{false};
 
   bool pin_workers_ = false;
   std::atomic<std::size_t> pinned_workers_{0};

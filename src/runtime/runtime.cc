@@ -93,7 +93,7 @@ void Runtime::ingest(const net::Packet& packet) {
     // Legacy per-packet path (the equivalence baseline): fresh tuple, one
     // switch call, immediate delivery (ingest == delivery, so the latency
     // histogram records the floor bucket — delivery here is synchronous).
-    const Tuple source = query::materialize_tuple(packet);
+    Tuple source = query::materialize_tuple(packet);
     sink_.clear();
     switch_->process_one(source, sink_);
     const std::uint64_t now = obs::enabled() ? obs::now_ns() : 0;
@@ -107,7 +107,7 @@ void Runtime::ingest(const net::Packet& packet) {
     if (raw) {
       ++current_.raw_mirror_packets;
       ++total_records_;
-      sp_->deliver_raw(source);
+      sp_->deliver_raw_batch({&source, 1});
     }
     if (raw || !sink_.empty()) ++current_.tuples_to_sp;
     return;
@@ -194,8 +194,10 @@ WindowStats Runtime::do_close_window() {
 
   obs::PhaseTimer close_timer{phase_accum_, obs::Phase::kClose};
 
-  // 2. Close levels coarse-to-fine; winners install into the next level's
-  //    dynamic filter tables (they take effect for the next window).
+  // 2. The shared close with no shard to deliver (records reached the SP
+  //    as they were emitted), tasks inline: levels close coarse-to-fine;
+  //    winners install into the next level's dynamic filter tables (they
+  //    take effect for the next window).
   const double control_before = switch_->stats().control_update_millis;
   pisa::Switch* const switches[] = {switch_.get()};
   sp_->close_levels(current_, switches);

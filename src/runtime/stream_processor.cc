@@ -11,19 +11,10 @@ using planner::PlannedPipeline;
 using planner::PlannedQuery;
 using query::Tuple;
 
-void Emitter::register_query(query::QueryId qid) {
-  if (qid >= qid_to_index_.size()) qid_to_index_.resize(qid + 1U, kUnregistered);
-  if (qid_to_index_[qid] != kUnregistered) return;
-  qid_to_index_[qid] = static_cast<std::uint32_t>(stats_.size());
-  stats_.emplace_back(qid, PerQuery{});
-}
-
-void Emitter::record(const pisa::EmitRecord& rec) {
-  ++total_;
-  if (rec.qid >= qid_to_index_.size() || qid_to_index_[rec.qid] == kUnregistered) return;
-  auto& s = stats_[qid_to_index_[rec.qid]].second;
-  ++s.tuples;
-  if (rec.kind == pisa::EmitRecord::Kind::kOverflow) ++s.overflows;
+std::uint64_t Emitter::total_tuples() const noexcept {
+  std::uint64_t total = unplanned_;
+  for (const auto& [qid, s] : stats_) total += s.tuples;
+  return total;
 }
 
 PhaseBreakdown to_breakdown(const obs::PhaseAccum& accum) noexcept {
@@ -37,11 +28,16 @@ PhaseBreakdown to_breakdown(const obs::PhaseAccum& accum) noexcept {
 
 StreamProcessor::StreamProcessor(const planner::Plan& plan) : plan_(&plan) {
   auto& reg = obs::Registry::global();
+  std::size_t raw_queries = 0;
+  std::vector<std::uint64_t> cost;  // plan estimate: SP tuples + register slots polled
   for (const PlannedQuery& pq : plan_->queries) {
+    const query::QueryId qid = pq.base->id();
+    if (qid >= query_of_.size()) query_of_.resize(qid + 1U, kNoQuery);
+    if (query_of_[qid] == kNoQuery) query_of_[qid] = static_cast<std::uint32_t>(queries_.size());
     QueryState qs;
     qs.pq = &pq;
-    emitter_.register_query(pq.base->id());
-    const std::string qid_str = std::to_string(pq.base->id());
+    emitter_.register_query(qid);
+    const std::string qid_str = std::to_string(qid);
     {
       const std::pair<std::string_view, std::string> labels[] = {{"qid", qid_str}};
       qs.winners_counter = &reg.counter(obs::labeled("sonata_sp_winners_total", labels));
@@ -50,6 +46,17 @@ StreamProcessor::StreamProcessor(const planner::Plan& plan) : plan_(&plan) {
       LevelExec le;
       le.level = level;
       le.exec = std::make_unique<stream::QueryExecutor>(pq.exec_queries.at(level));
+      // Identity unless the level remaps; out-of-range targets route nowhere.
+      const auto remap = pq.source_remap.find(level);
+      const std::size_t n = le.exec->source_count();
+      le.sources.resize(remap == pq.source_remap.end() ? n : remap->second.size());
+      for (std::size_t s = 0; s < le.sources.size(); ++s) {
+        const int to = remap == pq.source_remap.end() ? static_cast<int>(s) : remap->second[s];
+        le.sources[s] = to >= 0 && static_cast<std::size_t>(to) < n ? to : -1;
+      }
+      const auto at = static_cast<std::size_t>(std::max(level, 0));
+      if (at >= qs.level_index.size()) qs.level_index.resize(at + 1, -1);
+      if (level >= 0) qs.level_index[at] = static_cast<int>(qs.levels.size());
       const std::pair<std::string_view, std::string> labels[] = {
           {"qid", qid_str}, {"level", std::to_string(level)}};
       le.in_counter = &reg.counter(obs::labeled("sonata_sp_tuples_in_total", labels));
@@ -61,11 +68,23 @@ StreamProcessor::StreamProcessor(const planner::Plan& plan) : plan_(&plan) {
                                        LatencyTally::kBounds);
       qs.levels.push_back(std::move(le));
     }
-    queries_.push_back(std::move(qs));
+    qs.winners.resize(qs.levels.empty() ? 0 : qs.levels.size() - 1);
+    cost.push_back(pq.est_tuples);
     for (const PlannedPipeline& p : pq.pipelines) {
-      if (p.partition == 0) raw_feeds_.push_back({p.qid, p.level, p.source_index});
+      for (const auto& [op, rs] : p.sizing) cost.back() += rs.entries * std::size_t(rs.depth);
+      if (p.partition != 0) continue;
+      ++raw_feeds_;
+      const LevelExec* le = find_level(qs, p.level);
+      const int src = le == nullptr ? -1 : source_of(*le, p.source_index);
+      if (src >= 0) qs.raw_feeds.emplace_back(le - qs.levels.data(), src);
     }
+    if (!qs.raw_feeds.empty() && raw_queries++ == 0) raw_owner_ = std::uint32_t(queries_.size());
+    close_order_.push_back(std::uint32_t(queries_.size()));
+    queries_.push_back(std::move(qs));
   }
+  if (raw_queries > 1) raw_owner_ = kNoQuery;
+  std::stable_sort(close_order_.begin(), close_order_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return cost[a] > cost[b]; });
 }
 
 bool StreamProcessor::plan_wants_raw_mirror(const planner::Plan& plan) noexcept {
@@ -81,71 +100,64 @@ bool StreamProcessor::plan_wants_raw_mirror(const planner::Plan& plan) noexcept 
 }
 
 const PlannedQuery* StreamProcessor::planned(query::QueryId qid) const noexcept {
-  for (const auto& qs : queries_) {
-    if (qs.pq->base->id() == qid) return qs.pq;
-  }
-  return nullptr;
+  const std::uint32_t qi = query_index(qid);
+  return qi == kNoQuery ? nullptr : queries_[qi].pq;
+}
+
+const StreamProcessor::LevelExec* StreamProcessor::find_level(const QueryState& qs,
+                                                              int level) noexcept {
+  const auto at = static_cast<std::size_t>(level);
+  const int li = level >= 0 && at < qs.level_index.size() ? qs.level_index[at] : -1;
+  return li < 0 ? nullptr : &qs.levels[static_cast<std::size_t>(li)];
+}
+
+int StreamProcessor::source_of(const LevelExec& le, int source_index) noexcept {
+  const auto at = static_cast<std::size_t>(source_index);
+  return source_index >= 0 && at < le.sources.size() ? le.sources[at] : -1;
+}
+
+const StreamProcessor::LevelExec* StreamProcessor::level_exec(query::QueryId qid,
+                                                              int level) const noexcept {
+  const std::uint32_t qi = query_index(qid);
+  return qi == kNoQuery ? nullptr : find_level(queries_[qi], level);
 }
 
 int StreamProcessor::remap_source(query::QueryId qid, int level, int source_index) const {
-  if (source_index < 0) return -1;
-  if (const PlannedQuery* pq = planned(qid)) {
-    const auto it = pq->source_remap.find(level);
-    if (it == pq->source_remap.end()) return source_index;
-    // Bounds-checked: a corrupted wire record can carry any source index.
-    if (static_cast<std::size_t>(source_index) >= it->second.size()) return -1;
-    return it->second[static_cast<std::size_t>(source_index)];
-  }
-  return source_index;
-}
-
-StreamProcessor::LevelExec* StreamProcessor::level_exec(query::QueryId qid, int level) noexcept {
-  for (auto& qs : queries_) {
-    if (qs.pq->base->id() != qid) continue;
-    for (auto& le : qs.levels) {
-      if (le.level == level) return &le;
-    }
-  }
-  return nullptr;
+  const LevelExec* le = level_exec(qid, level);
+  return le == nullptr ? -1 : source_of(*le, source_index);
 }
 
 stream::QueryExecutor& StreamProcessor::executor(query::QueryId qid, int level) {
-  LevelExec* le = level_exec(qid, level);
+  const LevelExec* le = level_exec(qid, level);
   assert(le && "no executor for (qid, level)");
   return *le->exec;
 }
 
-bool StreamProcessor::deliver(const pisa::EmitRecord& rec) {
-  emitter_.record(rec);
-  if (rec.kind == pisa::EmitRecord::Kind::kKeyReport) {
-    // Key reports only notify the SP which registers to poll; the polled
-    // aggregates are ingested at window end.
-    return true;
-  }
-  LevelExec* le = level_exec(rec.qid, rec.level);
-  if (!le) return false;
-  const int src_idx = remap_source(rec.qid, rec.level, rec.source_index);
-  if (src_idx < 0 || static_cast<std::size_t>(src_idx) >= le->exec->source_count()) return false;
-  ++le->tuples_in;
-  if (delivery_now_ != 0 && rec.ingest_ns != 0) {
-    le->latency.note(delivery_now_ >= rec.ingest_ns ? delivery_now_ - rec.ingest_ns : 0);
-  }
-  le->exec->ingest(src_idx, rec.tuple, rec.op_index);
-  return true;
+bool StreamProcessor::accepts(const pisa::EmitRecord& rec) const noexcept {
+  return rec.kind == pisa::EmitRecord::Kind::kKeyReport ||
+         remap_source(rec.qid, rec.level, rec.source_index) >= 0;
 }
 
 bool StreamProcessor::deliver(pisa::EmitRecord&& rec) {
-  emitter_.record(rec);
+  const std::uint32_t qi = query_index(rec.qid);
+  if (qi != kNoQuery) return deliver_to(qi, std::move(rec));
+  emitter_.record_unplanned(1);
+  return rec.kind == pisa::EmitRecord::Kind::kKeyReport;
+}
+
+bool StreamProcessor::deliver_to(std::size_t qi, pisa::EmitRecord&& rec) {
+  emitter_.record(qi, rec.kind);
+  // Key reports only notify the SP which registers to poll; the polled
+  // aggregates are ingested at window end.
   if (rec.kind == pisa::EmitRecord::Kind::kKeyReport) return true;
-  LevelExec* le = level_exec(rec.qid, rec.level);
-  if (!le) return false;
-  const int src_idx = remap_source(rec.qid, rec.level, rec.source_index);
-  if (src_idx < 0 || static_cast<std::size_t>(src_idx) >= le->exec->source_count()) return false;
+  auto* le = const_cast<LevelExec*>(find_level(queries_[qi], rec.level));
+  const int src = le == nullptr ? -1 : source_of(*le, rec.source_index);
+  if (src < 0) return false;
   ++le->tuples_in;
   if (delivery_now_ != 0 && rec.ingest_ns != 0) {
     le->latency.note(delivery_now_ >= rec.ingest_ns ? delivery_now_ - rec.ingest_ns : 0);
   }
-  le->exec->ingest(src_idx, std::move(rec.tuple), rec.op_index);
+  le->exec->ingest(src, std::move(rec.tuple), rec.op_index);
   return true;
 }
 
@@ -153,44 +165,37 @@ void StreamProcessor::deliver_batch(std::span<pisa::EmitRecord> recs) {
   for (pisa::EmitRecord& rec : recs) deliver(std::move(rec));
 }
 
-void StreamProcessor::deliver_raw(const Tuple& source) {
-  for (const auto& feed : raw_feeds_) {
-    const int src_idx = remap_source(feed.qid, feed.level, feed.source_index);
-    if (src_idx < 0) continue;
-    LevelExec& le = *level_exec(feed.qid, feed.level);  // raw feeds come from the plan
-    ++le.tuples_in;
-    le.exec->ingest(src_idx, source, 0);
+void StreamProcessor::deliver_raw_batch(std::span<Tuple> sources) {
+  // Every active feed but the last copies the batch; the last (in the
+  // common single-feed case, the only one) takes it by move.
+  QueryState* last = nullptr;
+  for (QueryState& qs : queries_) {
+    if (qs.raw_feeds.empty()) continue;
+    if (last != nullptr) feed_raw(*last, sources, false);
+    last = &qs;
   }
+  if (last != nullptr) feed_raw(*last, sources, true);
 }
 
-void StreamProcessor::deliver_raw_batch(std::span<Tuple> sources) {
-  // Resolve the active feeds once per batch; the common single-feed case
-  // then moves the whole buffer through the chain with zero tuple copies.
-  struct Active {
-    LevelExec* le;
-    int src_idx;
-  };
-  std::vector<Active> active;
-  active.reserve(raw_feeds_.size());
-  for (const auto& feed : raw_feeds_) {
-    const int src_idx = remap_source(feed.qid, feed.level, feed.source_index);
-    if (src_idx >= 0) active.push_back({level_exec(feed.qid, feed.level), src_idx});
+void StreamProcessor::feed_raw(QueryState& qs, std::span<Tuple> sources, bool move_last) {
+  for (std::size_t f = 0; f < qs.raw_feeds.size(); ++f) {
+    LevelExec& le = qs.levels[qs.raw_feeds[f].first];
+    const int src = qs.raw_feeds[f].second;
+    le.tuples_in += sources.size();
+    if (move_last && f + 1 == qs.raw_feeds.size()) {
+      le.exec->ingest_batch(src, sources, 0);
+    } else {
+      for (const Tuple& t : sources) le.exec->ingest(src, t, 0);
+    }
   }
-  if (active.empty()) return;
-  for (std::size_t f = 0; f + 1 < active.size(); ++f) {
-    active[f].le->tuples_in += sources.size();
-    for (const Tuple& t : sources) active[f].le->exec->ingest(active[f].src_idx, t, 0);
-  }
-  active.back().le->tuples_in += sources.size();
-  active.back().le->exec->ingest_batch(active.back().src_idx, sources, 0);
 }
 
 void StreamProcessor::poll_switch(const pisa::Switch& sw) {
   const auto& pipelines = sw.pipelines();
   polls_.resize(pipelines.size());
   for (std::size_t p = 0; p < pipelines.size(); ++p) pipelines[p]->poll_block(polls_[p]);
-  std::vector<pisa::PolledBlock>* const shards[] = {&polls_};
-  merge_.merge(*this, pipelines, shards);
+  const ShardOutput shard[] = {{{}, {}, &polls_}};
+  for (std::size_t p = 0; p < pipelines.size(); ++p) merge_.merge(*this, *pipelines[p], p, shard);
 }
 
 void StreamProcessor::ingest_merged(const pisa::CompiledSwitchQuery& pipe, std::uint64_t logical,
@@ -198,86 +203,147 @@ void StreamProcessor::ingest_merged(const pisa::CompiledSwitchQuery& pipe, std::
   const auto& o = pipe.options();
   const int src_idx = remap_source(o.qid, o.level, o.source_index);
   if (src_idx < 0) return;
-  LevelExec& le = *level_exec(o.qid, o.level);
-  le.tuples_in += logical;
-  le.exec->ingest_reduce(src_idx, pipe.poll_entry_op(), merged.size(), merged.hashes(),
-                         merged.values(), [&](std::size_t e) { return merged.take_key(e); });
+  auto* le = const_cast<LevelExec*>(level_exec(o.qid, o.level));
+  le->tuples_in += logical;
+  le->exec->ingest_reduce(src_idx, pipe.poll_entry_op(), merged.size(), merged.hashes(),
+                          merged.values(), [&](std::size_t e) { return merged.take_key(e); });
 }
 
-void StreamProcessor::close_levels(WindowStats& window,
-                                   std::span<pisa::Switch* const> switches) {
-  // Close coarse-to-fine; each level's winner keys go into the next level's
-  // dynamic filter tables on every switch and on the SP side.
-  const bool obs_on = obs::enabled();
-  // Dense winner table in plan order; every query gets a slot so two runs
-  // of the same plan compare equal window-by-window even when a query
-  // installs nothing.
-  window.winners.per_query.resize(queries_.size());
-  for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
-    window.winners.per_query[qi].qid = queries_[qi].pq->base->id();
+void StreamProcessor::close_window(
+    WindowStats& window, std::span<const ShardOutput> shards,
+    std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
+    std::span<pisa::Switch* const> switches, std::size_t slots, const TaskRunner& run) {
+  if (task_merges_.size() < slots) task_merges_.resize(slots);
+  if (routed_.size() < shards.size()) routed_.resize(shards.size());
+  // Two rounds of tasks: one routes each shard's records to their queries,
+  // the next closes each query, largest first.
+  const CloseTask route = [&](std::size_t s, std::size_t) {
+    auto& lists = routed_[s];
+    lists.resize(queries_.size());
+    for (auto& list : lists) list.clear();
+    const std::span<pisa::EmitRecord> recs = shards[s].records;
+    for (std::uint32_t r = 0; r < recs.size(); ++r) {
+      const std::uint32_t qi = query_index(recs[r].qid);
+      if (qi != kNoQuery) lists[qi].push_back(r);
+    }
+  };
+  const CloseTask close = [&](std::size_t i, std::size_t slot) {
+    close_query(close_order_[i], shards, pipelines, task_merges_[slot]);
+  };
+  if (run) {
+    run(shards.size(), route);
+    run(close_order_.size(), close);
+  } else {
+    for (std::size_t s = 0; s < shards.size(); ++s) route(s, 0);
+    for (std::size_t i = 0; i < close_order_.size(); ++i) close(i, 0);
   }
+
+  // The serial epilogue, in plan order. Dense winner table: every query
+  // gets a slot so two runs of the same plan compare equal window-by-window
+  // even when a query installs nothing.
+  std::uint64_t unplanned = 0;  // records no planned query takes (corrupted qid)
+  for (const ShardOutput& s : shards) unplanned += s.records.size();
+  const bool obs_on = obs::enabled();
+  window.winners.per_query.resize(queries_.size());
   for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
     QueryState& qs = queries_[qi];
     const PlannedQuery& pq = *qs.pq;
+    auto& installed = window.winners.per_query[qi];
+    installed.qid = pq.base->id();
+    unplanned -= qs.taken;
+    window.overflow_records += qs.overflows;
+    qs.taken = qs.overflows = 0;
     for (std::size_t li = 0; li < qs.levels.size(); ++li) {
-      LevelExec& le = qs.levels[li];
-      if (obs_on) {
-        // Reduce-state peak for the window: read before end_window clears it.
-        const state::StateUsage usage = le.exec->state_usage();
-        le.state_gauge->set(static_cast<std::int64_t>(usage.entries));
-        le.state_bytes_gauge->set(static_cast<std::int64_t>(usage.bytes));
-        le.state_error_gauge->set(static_cast<std::int64_t>(usage.error_bound));
-        le.in_counter->add(le.tuples_in);
-        if (usage.error_bound > 0) {
-          obs::Journal::global().emit(obs::EventType::kSketchBoundReport, window.window_index,
-                                      pq.base->id(), 0,
-                                      static_cast<std::int64_t>(usage.entries),
-                                      static_cast<std::int64_t>(usage.bytes),
-                                      static_cast<std::int64_t>(usage.error_bound),
-                                      pq.base->name());
-        }
-        if (le.latency.n > 0) {
-          // One merge per window per (query, level): the whole tally lands
-          // in the registry histogram with two shard-local loops.
-          le.latency_hist->merge_counts(le.latency.counts, le.latency.sum);
-        }
+      const state::StateUsage& usage = qs.levels[li].usage;
+      if (obs_on && usage.error_bound > 0) {
+        obs::Journal::global().emit(obs::EventType::kSketchBoundReport, window.window_index,
+                                    pq.base->id(), 0, static_cast<std::int64_t>(usage.entries),
+                                    static_cast<std::int64_t>(usage.bytes),
+                                    static_cast<std::int64_t>(usage.error_bound),
+                                    pq.base->name());
       }
-      le.latency.reset();
-      le.tuples_in = 0;
-      std::vector<Tuple> outputs = le.exec->end_window();
-      if (obs_on) le.out_counter->add(outputs.size());
-      const bool finest = li + 1 == qs.levels.size();
-      if (finest) {
-        window.results.push_back({pq.base->id(), pq.base->name(), std::move(outputs)});
-        continue;
+      if (li + 1 == qs.levels.size()) {
+        window.results.push_back({pq.base->id(), pq.base->name(), std::move(qs.outputs)});
+        break;
       }
-      // Winner keys: the refinement key column of this level's output.
-      const int level = qs.levels[li].level;
-      const int next = qs.levels[li + 1].level;
-      const auto& schema = pq.exec_queries.at(level).root()->output_schema();
-      const std::string& key_col =
-          pq.keys.empty() ? std::string{} : pq.keys.front().key_column;
-      const auto idx = schema.index_of(key_col);
-      std::vector<Tuple> winners;
-      if (idx) {
-        util::FlatSet dedup;
-        dedup.reserve(outputs.size());
-        for (const Tuple& out : outputs) {
-          Tuple key;
-          key.values.push_back(out.at(*idx));
-          if (dedup.insert(key)) winners.push_back(std::move(key));
-        }
-      }
-      // Install on both sides: every source's next-level pipeline.
+      // Install on the switches: every source's next-level pipeline.
+      const std::vector<Tuple>& winners = qs.winners[li];
       for (const auto& p : pq.pipelines) {
-        if (p.level != next || p.filter_table.empty()) continue;
+        if (p.level != qs.levels[li + 1].level || p.filter_table.empty()) continue;
         for (pisa::Switch* sw : switches) sw->update_filter_entries(p.filter_table, winners);
         if (winner_sink_) winner_sink_(p.filter_table, winners);
-        qs.levels[li + 1].exec->set_filter_entries(p.filter_table, winners);
       }
       if (obs_on) qs.winners_counter->add(winners.size());
-      auto& installed = window.winners.per_query[qi].keys;
-      installed.insert(installed.end(), winners.begin(), winners.end());
+      installed.keys.insert(installed.keys.end(), winners.begin(), winners.end());
+    }
+  }
+  emitter_.record_unplanned(unplanned);
+}
+
+void StreamProcessor::close_query(
+    std::size_t qi, std::span<const ShardOutput> shards,
+    std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines, WindowMerge& merge) {
+  QueryState& qs = queries_[qi];
+  // 1. This query's records and raw tuples, shard by shard in arrival
+  //    order: each executor sees the sequence a serial merge hands it.
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    for (const std::uint32_t r : routed_[s][qi]) {
+      pisa::EmitRecord& rec = shards[s].records[r];
+      const bool overflow = rec.kind == pisa::EmitRecord::Kind::kOverflow;
+      if (deliver_to(qi, std::move(rec)) && overflow) ++qs.overflows;
+    }
+    qs.taken += routed_[s][qi].size();
+    if (!shards[s].raws.empty()) feed_raw(qs, shards[s].raws, raw_owner_ == qi);
+  }
+  // 2. Its pipelines' polls, folded across shards into the reduce.
+  for (std::size_t p = 0; p < pipelines.size(); ++p) {
+    if (query_index(pipelines[p]->options().qid) == qi) merge.merge(*this, *pipelines[p], p, shards);
+  }
+  // 3. Its levels, coarse to fine; each level's winners filter the next
+  //    level on the SP side here, and on the switches in the epilogue.
+  const bool obs_on = obs::enabled();
+  const PlannedQuery& pq = *qs.pq;
+  for (std::size_t li = 0; li < qs.levels.size(); ++li) {
+    LevelExec& le = qs.levels[li];
+    // Reduce-state peak for the window: read before end_window clears it.
+    le.usage = obs_on ? le.exec->state_usage() : state::StateUsage{};
+    if (obs_on) {
+      le.state_gauge->set(static_cast<std::int64_t>(le.usage.entries));
+      le.state_bytes_gauge->set(static_cast<std::int64_t>(le.usage.bytes));
+      le.state_error_gauge->set(static_cast<std::int64_t>(le.usage.error_bound));
+      le.in_counter->add(le.tuples_in);
+      if (le.latency.n > 0) {
+        // One merge per window per (query, level): the whole tally lands
+        // in the registry histogram with two shard-local loops.
+        le.latency_hist->merge_counts(le.latency.counts, le.latency.sum);
+      }
+    }
+    le.latency.reset();
+    le.tuples_in = 0;
+    std::vector<Tuple> outputs = le.exec->end_window();
+    if (obs_on) le.out_counter->add(outputs.size());
+    if (li + 1 == qs.levels.size()) {
+      qs.outputs = std::move(outputs);
+      break;
+    }
+    // Winner keys: the refinement key column of this level's output.
+    const auto& schema = pq.exec_queries.at(le.level).root()->output_schema();
+    const std::string& key_col = pq.keys.empty() ? std::string{} : pq.keys.front().key_column;
+    const auto idx = schema.index_of(key_col);
+    std::vector<Tuple>& winners = qs.winners[li];
+    winners.clear();
+    if (idx) {
+      util::FlatSet dedup;
+      dedup.reserve(outputs.size());
+      for (const Tuple& out : outputs) {
+        Tuple key;
+        key.values.push_back(out.at(*idx));
+        if (dedup.insert(key)) winners.push_back(std::move(key));
+      }
+    }
+    for (const auto& p : pq.pipelines) {
+      if (p.level != qs.levels[li + 1].level || p.filter_table.empty()) continue;
+      qs.levels[li + 1].exec->set_filter_entries(p.filter_table, winners);
     }
   }
 }

@@ -28,9 +28,9 @@
 namespace sonata::runtime {
 
 // The emitter (paper §5): the accounting boundary between data plane and
-// stream processor. Counts every mirrored record per query. Stats live in
-// a dense vector in plan order — record() runs once per mirrored record,
-// so the per-record cost is one table-free index lookup, not a tree walk.
+// stream processor. Counts every mirrored record per query, densely in
+// plan order. Each query's tally has one writer (its close task), so the
+// total is derived from the tallies, not kept as a shared counter.
 class Emitter {
  public:
   struct PerQuery {
@@ -38,24 +38,28 @@ class Emitter {
     std::uint64_t overflows = 0;
   };
 
-  // Dense registration in plan order; must precede record() for the qid.
-  void register_query(query::QueryId qid);
+  // Dense registration in plan order: the query's index into per_query().
+  void register_query(query::QueryId qid) { stats_.emplace_back(qid, PerQuery{}); }
 
-  void record(const pisa::EmitRecord& rec);
+  // One record of the query at dense `index`.
+  void record(std::size_t index, pisa::EmitRecord::Kind kind) noexcept {
+    auto& s = stats_[index].second;
+    ++s.tuples;
+    if (kind == pisa::EmitRecord::Kind::kOverflow) ++s.overflows;
+  }
+  // Records whose qid no planned query has (a corrupted wire header).
+  void record_unplanned(std::uint64_t n) noexcept { unplanned_ += n; }
 
   // (qid, stats) pairs in plan order.
   [[nodiscard]] const std::vector<std::pair<query::QueryId, PerQuery>>& per_query()
       const noexcept {
     return stats_;
   }
-  [[nodiscard]] std::uint64_t total_tuples() const noexcept { return total_; }
+  [[nodiscard]] std::uint64_t total_tuples() const noexcept;
 
  private:
-  static constexpr std::uint32_t kUnregistered = static_cast<std::uint32_t>(-1);
-
   std::vector<std::pair<query::QueryId, PerQuery>> stats_;  // dense, plan order
-  std::vector<std::uint32_t> qid_to_index_;                 // qid -> dense index
-  std::uint64_t total_ = 0;
+  std::uint64_t unplanned_ = 0;
 };
 
 struct QueryResult {
@@ -93,14 +97,17 @@ struct WinnerTable {
 // Per-window phase-time breakdown, fed by the drivers' obs::PhaseAccum.
 // Kept in integer nanoseconds so the five components sum to total_nanos
 // EXACTLY (the accumulator adds both together); the millis accessors are
-// for display. In a threaded fleet the phases are busy time summed across
-// workers and driver, so total_nanos can exceed the window's wall time.
+// for display. In a threaded fleet ingest/compute are busy time summed
+// across workers and driver, so total_nanos can exceed the window's wall
+// time. merge/poll/close are the driver's wall time of each blocking step
+// of the close: the time worker threads spend polling or running close
+// tasks is not added to them.
 struct PhaseBreakdown {
   std::uint64_t ingest_nanos = 0;   // packet parse / tuple materialize
   std::uint64_t compute_nanos = 0;  // switch pipeline processing
-  std::uint64_t merge_nanos = 0;    // barrier drain + record merge into SP
+  std::uint64_t merge_nanos = 0;    // barrier drain (+ the faulty wire's pass)
   std::uint64_t poll_nanos = 0;     // end-of-window register polls
-  std::uint64_t close_nanos = 0;    // close_levels + refinement install + resets
+  std::uint64_t close_nanos = 0;    // per-query close tasks + install + resets
   std::uint64_t total_nanos = 0;    // exact sum of the five components
 
   [[nodiscard]] double ingest_millis() const noexcept { return static_cast<double>(ingest_nanos) / 1e6; }
@@ -146,6 +153,12 @@ struct WindowStats {
                                    // when no injector is configured)
 };
 
+// Runs close tasks 0..count-1, each exactly once, and returns when all have
+// finished. `task(i, slot)` may run on any of `slots` threads at once, each
+// passing its own slot < slots. Drivers without threads run them inline.
+using CloseTask = std::function<void(std::size_t task, std::size_t slot)>;
+using TaskRunner = std::function<void(std::size_t count, const CloseTask& task)>;
+
 class StreamProcessor {
  public:
   // `plan` must outlive the StreamProcessor (drivers own the plan copy).
@@ -160,30 +173,26 @@ class StreamProcessor {
   // unknown (qid, level) or out-of-range source index. Plan-driven callers
   // always route; the faulty wire (runtime::WireChannel) can hand the SP a
   // corrupted-but-decodable header, and this boundary check is what keeps
-  // that from indexing into another query's executors.
-  bool deliver(const pisa::EmitRecord& rec);
-
-  // Move-in variant: the record's tuple is moved into the executor. This
-  // is what the batched merge path uses — shard emit arenas hand their
-  // tuples over without a copy.
+  // that from indexing into another query's executors. The record's tuple
+  // is moved into the executor.
   bool deliver(pisa::EmitRecord&& rec);
+
+  // Would deliver() accept `rec`? Reads the route table only.
+  [[nodiscard]] bool accepts(const pisa::EmitRecord& rec) const noexcept;
 
   // Batched delivery in record order; every record's tuple is moved.
   // Callers must treat `recs` as consumed.
   void deliver_batch(std::span<pisa::EmitRecord> recs);
 
-  // Feed the shared raw mirror: `source` enters every SP-kept pipeline
-  // (partition == 0) whose source executes at its level.
-  void deliver_raw(const query::Tuple& source);
-
-  // Batched raw mirror: tuples are copied to every active feed except the
-  // last, which takes them by move. Callers must treat `sources` as
-  // consumed.
+  // Feed the shared raw mirror: `sources` enter every SP-kept pipeline
+  // (partition == 0) whose source executes at its level. Tuples are copied
+  // to every such feed except the last, which takes them by move. Callers
+  // must treat `sources` as consumed.
   void deliver_raw_batch(std::span<query::Tuple> sources);
 
   // True when the plan mirrors raw packets and some pipeline consumes them.
   [[nodiscard]] bool wants_raw_mirror() const noexcept {
-    return plan_->raw_mirror && !raw_feeds_.empty();
+    return plan_->raw_mirror && raw_feeds_ != 0;
   }
 
   // Static form of wants_raw_mirror() for processes that deploy the data
@@ -192,20 +201,35 @@ class StreamProcessor {
   // will consume them).
   [[nodiscard]] static bool plan_wants_raw_mirror(const planner::Plan& plan) noexcept;
 
-  // Observe every dynamic-filter install close_levels performs: one call
-  // per (filter table, winner set) in install order, including empty
-  // winner sets (which clear the table). The distributed collector
-  // forwards these to the switch-node processes, which replay them on
-  // their local switches before the next window — the same installs
-  // `switches` receives in-process.
+  // Observe every dynamic-filter install the close performs: one call per
+  // (filter table, winner set) in install order, including empty winner
+  // sets (which clear the table). The distributed collector forwards these
+  // to the switch-node processes, which replay them on their local
+  // switches before the next window — the same installs `switches`
+  // receives in-process.
   using WinnerSink =
       std::function<void(const std::string& table, std::span<const query::Tuple> keys)>;
   void set_winner_sink(WinnerSink sink) { winner_sink_ = std::move(sink); }
 
-  // End-of-window register poll for one switch's stateful tails (control
-  // channel), through the same WindowMerge the multi-switch drivers use;
-  // polled aggregates merge at the shared reduce.
+  // The window close of every driver (DESIGN.md "Parallel window close").
+  // One task per planned query delivers its records and raw tuples from
+  // `shards` (ascending shard order), folds its pipelines' polls (of the
+  // switch program `pipelines`) and ends its levels coarse to fine. A
+  // serial epilogue then, in plan order, installs winners on `switches`
+  // and the winner sink, fills `window` and emits the journal events.
+  // `run` (default: inline) runs the tasks on up to `slots` threads; the
+  // window is the same for every runner.
+  void close_window(WindowStats& window, std::span<const ShardOutput> shards,
+                    std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
+                    std::span<pisa::Switch* const> switches, std::size_t slots = 1,
+                    const TaskRunner& run = {});
+
+  // Single-thread steps of the close, for drivers that deliver as they go:
+  // one switch's polls into the reduce; close_window with no shards.
   void poll_switch(const pisa::Switch& sw);
+  void close_levels(WindowStats& window, std::span<pisa::Switch* const> switches) {
+    close_window(window, {}, {}, switches);
+  }
 
   // Feed one pipeline's merged polls (`merged`, the WindowMerge's last
   // fold) into its executor's reduce at pipe.poll_entry_op(). `logical` is
@@ -214,16 +238,10 @@ class StreamProcessor {
   void ingest_merged(const pisa::CompiledSwitchQuery& pipe, std::uint64_t logical,
                      WindowMerge& merged);
 
-  // Close every level coarse-to-fine: finest outputs land in
-  // `window.results`; coarse winners install into the next level's dynamic
-  // filter tables on the SP side and on every switch in `switches` (they
-  // take effect for the next window).
-  void close_levels(WindowStats& window, std::span<pisa::Switch* const> switches);
-
   [[nodiscard]] stream::QueryExecutor& executor(query::QueryId qid, int level);
   // Executor-side source index for an original source at a level (-1 when
   // that source does not execute at the level — raw sources at coarse
-  // levels; see PlannedQuery::source_remap).
+  // levels; see PlannedQuery::source_remap — or (qid, level) is unknown).
   [[nodiscard]] int remap_source(query::QueryId qid, int level, int source_index) const;
 
   // The planned query behind `qid` (nullptr when unknown).
@@ -266,9 +284,11 @@ class StreamProcessor {
   struct LevelExec {
     int level = planner::kFinestIpLevel;
     std::unique_ptr<stream::QueryExecutor> exec;
-    // Single-writer per-window tally (the SP is driven by one thread);
-    // published to the registry at close_levels.
+    std::vector<int> sources;  // route table: source index -> executor's, or -1
+    // Single-writer per-window tallies (the query's close task, or the
+    // one thread that delivers as it goes); published at the close.
     std::uint64_t tuples_in = 0;
+    state::StateUsage usage;  // read before end_window clears it (obs only)
     obs::Counter* in_counter = nullptr;
     obs::Counter* out_counter = nullptr;
     obs::Gauge* state_gauge = nullptr;
@@ -280,26 +300,46 @@ class StreamProcessor {
   struct QueryState {
     const planner::PlannedQuery* pq = nullptr;
     std::vector<LevelExec> levels;  // chain order (coarse -> fine)
+    std::vector<int> level_index;   // route table: level -> index into levels, or -1
+    // Active raw-mirror feeds: (index into levels, executor source).
+    std::vector<std::pair<std::size_t, int>> raw_feeds;
     obs::Counter* winners_counter = nullptr;
+    // The close task's results for the epilogue.
+    std::uint64_t taken = 0, overflows = 0;  // records taken; accepted overflows
+    std::vector<query::Tuple> outputs;               // finest level
+    std::vector<std::vector<query::Tuple>> winners;  // per coarse level
   };
+  static constexpr std::uint32_t kNoQuery = static_cast<std::uint32_t>(-1);
 
-  // The LevelExec behind executor(qid, level); nullptr on unknown pairs
-  // (only the wire delivery path can present one — see deliver()).
-  [[nodiscard]] LevelExec* level_exec(query::QueryId qid, int level) noexcept;
-  // Pipelines kept at the stream processor (partition == 0), needing the
-  // raw mirror: (qid, level, source).
-  struct RawFeed {
-    query::QueryId qid;
-    int level;
-    int source_index;
-  };
+  [[nodiscard]] std::uint32_t query_index(query::QueryId qid) const noexcept {
+    return qid < query_of_.size() ? query_of_[qid] : kNoQuery;
+  }
+  // Route table lookups, nullptr / -1 when the record routes nowhere (only
+  // the wire delivery path can present one — see deliver()).
+  [[nodiscard]] const LevelExec* level_exec(query::QueryId qid, int level) const noexcept;
+  [[nodiscard]] static const LevelExec* find_level(const QueryState& qs, int level) noexcept;
+  [[nodiscard]] static int source_of(const LevelExec& le, int source_index) noexcept;
+  bool deliver_to(std::size_t qi, pisa::EmitRecord&& rec);  // deliver() for query qi
+  // Raw tuples into qs's feeds; the last feed moves them when `move_last`.
+  void feed_raw(QueryState& qs, std::span<query::Tuple> sources, bool move_last);
+  void close_query(std::size_t qi, std::span<const ShardOutput> shards,
+                   std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
+                   WindowMerge& merge);
 
   const planner::Plan* plan_;
   std::vector<QueryState> queries_;
-  std::vector<RawFeed> raw_feeds_;
+  std::vector<std::uint32_t> query_of_;  // route table: qid -> index into queries_
+  std::vector<std::uint32_t> close_order_;  // queries by plan estimate, largest first
+  std::size_t raw_feeds_ = 0;  // SP-kept pipelines, active or not
+  // The one query with raw feeds, whose close task moves the raw tuples
+  // (kNoQuery when several share them: all copy).
+  std::uint32_t raw_owner_ = kNoQuery;
   Emitter emitter_;
   WindowMerge merge_;                      // poll_switch's merge
   std::vector<pisa::PolledBlock> polls_;   // poll_switch's blocks, per pipeline
+  std::vector<WindowMerge> task_merges_;   // close_window's, one per slot
+  // close_window's routing: [shard][query] -> that query's record indices.
+  std::vector<std::vector<std::vector<std::uint32_t>>> routed_;
   std::uint64_t delivery_now_ = 0;  // see begin_delivery()
   WinnerSink winner_sink_;          // see set_winner_sink()
 };

@@ -7,19 +7,15 @@
 
 namespace sonata::runtime {
 
-void WindowMerge::merge(StreamProcessor& sp,
-                        std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
-                        std::span<std::vector<pisa::PolledBlock>* const> shards) {
-  for (std::size_t p = 0; p < pipelines.size(); ++p) {
-    const pisa::CompiledSwitchQuery& pipe = *pipelines[p];
-    if (!pipe.has_stateful_tail()) continue;
-    const std::uint64_t logical = fold(pipe, p, shards);
-    if (logical != 0) sp.ingest_merged(pipe, logical, *this);
-  }
+void WindowMerge::merge(StreamProcessor& sp, const pisa::CompiledSwitchQuery& pipe,
+                        std::size_t p, std::span<const ShardOutput> shards) {
+  if (!pipe.has_stateful_tail()) return;
+  const std::uint64_t logical = fold(pipe, p, shards);
+  if (logical != 0) sp.ingest_merged(pipe, logical, *this);
 }
 
 std::uint64_t WindowMerge::fold(const pisa::CompiledSwitchQuery& pipe, std::size_t p,
-                                std::span<std::vector<pisa::PolledBlock>* const> shards) {
+                                std::span<const ShardOutput> shards) {
   const std::span<const query::ValueKind> kinds = pipe.tail_key_kinds();
   table_.reset(kinds.size());
   values_.clear();
@@ -32,8 +28,9 @@ std::uint64_t WindowMerge::fold(const pisa::CompiledSwitchQuery& pipe, std::size
   }
   const query::ReduceFn fn = pipe.tail_reduce_fn();
   std::uint64_t logical = 0;
-  for (std::vector<pisa::PolledBlock>* polls : shards) {
-    pisa::PolledBlock& block = (*polls)[p];
+  for (const ShardOutput& shard : shards) {
+    if (shard.polls == nullptr) continue;
+    pisa::PolledBlock& block = (*shard.polls)[p];
     assert(block.empty() || block.width() == kinds.size());
     logical += block.size();
     if (string_count_ == 0) {

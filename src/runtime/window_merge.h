@@ -1,7 +1,7 @@
 // The end-of-window merge of polled register aggregates (DESIGN.md
-// "Parallel window merge"), the one close path of every driver: the Fleet
-// folds its shards' polls, the Collector the polls its switch nodes ship,
-// and StreamProcessor::poll_switch (Runtime) the polls of its one switch.
+// "Parallel window merge"), the one fold of every driver's close: the
+// Fleet folds its shards' polls, the Collector the polls its switch nodes
+// ship, and Runtime the polls of its one switch.
 //
 // Per pipeline with a stateful tail, the shards' PolledBlocks fold key-wise
 // in ascending shard order into a reused word-keyed dense table
@@ -31,17 +31,23 @@ namespace sonata::runtime {
 
 class StreamProcessor;
 
+// One contributing shard's window output, the shared close's input. The
+// close moves the records and raw tuples out and empties the poll blocks.
+struct ShardOutput {
+  std::span<pisa::EmitRecord> records;  // mirrored records, arrival order
+  std::span<query::Tuple> raws;         // raw-mirror tuples, arrival order
+  std::vector<pisa::PolledBlock>* polls = nullptr;  // per pipeline; nullptr: none
+};
+
 class WindowMerge {
  public:
-  // Fold and ingest every stateful tail of `pipelines`, the switch program
-  // each contributing shard runs. `shards` holds each contributing shard's
-  // polls in ascending shard order: one block per pipeline, as
-  // CompiledSwitchQuery::poll_block() fills them. Every block is left
-  // empty. The SP's tuples_in counts the pre-merge entries of each
-  // pipeline; its executors count the merged ones.
-  void merge(StreamProcessor& sp,
-             std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
-             std::span<std::vector<pisa::PolledBlock>* const> shards);
+  // Fold the stateful tail of `pipe`, pipeline `p` of the switch program
+  // every contributing shard runs, and ingest the merged keys. `shards`
+  // are the contributing shards in ascending shard order; their blocks of
+  // pipeline p are left empty. The SP's tuples_in counts the pre-merge
+  // entries; its executors count the merged ones.
+  void merge(StreamProcessor& sp, const pisa::CompiledSwitchQuery& pipe, std::size_t p,
+             std::span<const ShardOutput> shards);
 
   // The last fold's merged entries, in first-appearance order.
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
@@ -53,7 +59,7 @@ class WindowMerge {
  private:
   // Fold pipeline p's blocks into the table; returns the pre-merge count.
   std::uint64_t fold(const pisa::CompiledSwitchQuery& pipe, std::size_t p,
-                     std::span<std::vector<pisa::PolledBlock>* const> shards);
+                     std::span<const ShardOutput> shards);
   template <typename Same>
   void fold_block(pisa::PolledBlock& block, query::ReduceFn fn, Same&& same);
 

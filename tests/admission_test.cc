@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "planner/incremental.h"
+#include "pisa/layout.h"
 #include "planner/planner.h"
 #include "queries/catalog.h"
 #include "query/parser.h"
@@ -273,6 +274,76 @@ TEST(IncrementalPlanner, FuzzCostEqualsFromScratchPlan) {
   }
   // The whole point: most mutations must certify without a joint re-solve.
   EXPECT_GT(inc.incremental_solves(), 0u);
+}
+
+// First-fit is not monotone: removing a program can let a later one move
+// into earlier stages and push the next one out. On S=3 with one stateful
+// and three stateless actions per stage, A=[stateful 1, stateful 1],
+// B=[stateful 2] and C=[2, 2, 1] pack in the order A, B, C, but B, C alone
+// do not (B takes stage 0 and pushes C's first table out). Compiled
+// queries lead every register table with an index table, so the planner
+// meets the same case as A=[filter, map 2], B=[filter, map 3] and
+// C=[filter, map 2, reduce] on S=5 with one stateful and four stateless
+// actions per stage. Withdrawing A must still snapshot a layout that fits,
+// checked through assign_stages (no assert involved, so it holds in
+// release builds too).
+TEST(IncrementalPlanner, WithdrawThatBreaksFirstFitSnapshotsAFeasibleLayout) {
+  const auto program = [](std::vector<std::pair<bool, int>> tables) {
+    pisa::ProgramResources p;
+    for (const auto& [stateful, actions] : tables) {
+      pisa::TableSpec t;
+      t.stateful = stateful;
+      t.actions = actions;
+      p.tables.push_back(t);
+    }
+    return p;
+  };
+  pisa::SwitchConfig tiny;
+  tiny.stages = 3;
+  tiny.stateful_actions_per_stage = 1;
+  tiny.stateless_actions_per_stage = 3;
+  const auto a = program({{true, 1}, {true, 1}});
+  const auto b = program({{true, 2}});
+  const auto c = program({{false, 2}, {false, 2}, {false, 1}});
+  EXPECT_TRUE(pisa::assign_stages(tiny, {a, b, c}).feasible);
+  EXPECT_FALSE(pisa::assign_stages(tiny, {b, c}).feasible);
+
+  const auto parsed = query::parse_queries(R"(
+query a id 11 window 3s { packetStream .filter(proto == 6) .map(s = sIP, d = dIP) }
+query b id 12 window 3s { packetStream .filter(proto == 17) .map(s = sIP, d = dIP, p = dPort) }
+query c id 13 window 3s {
+  packetStream .filter(proto == 6 && tcp.flags == 2) .map(dIP = dIP, count = 1)
+    .reduce(keys=(dIP), sum(count)) .filter(count > 1000)
+}
+)");
+  ASSERT_TRUE(parsed.ok());
+  const auto sc = testing::make_scenario(15, 20.0);
+  planner::PlannerConfig cfg;
+  cfg.switch_config.stages = 5;
+  cfg.switch_config.stateful_actions_per_stage = 1;
+  cfg.switch_config.stateless_actions_per_stage = 4;
+  planner::IncrementalPlanner inc(cfg, planner::materialize_windows(sc.trace, cfg.window));
+  std::vector<planner::AdmitId> ids;
+  for (const auto& q : parsed.queries) {
+    auto id = inc.admit(q);
+    ASSERT_TRUE(id) << id.error().to_string();
+    ids.push_back(*id);
+  }
+  const planner::Plan before = inc.snapshot_plan();
+  ASSERT_TRUE(before.layout.feasible);
+  // The case is live: without A's programs, B's and C's placements do not
+  // pack in order.
+  std::vector<pisa::ProgramResources> rest;
+  for (const auto& r : before.resources) {
+    if (r.qid != 11) rest.push_back(r);
+  }
+  ASSERT_FALSE(pisa::assign_stages(cfg.switch_config, rest).feasible);
+
+  ASSERT_TRUE(inc.withdraw(ids[0]));
+  const planner::Plan after = inc.snapshot_plan();
+  ASSERT_EQ(after.queries.size(), 2u);
+  EXPECT_TRUE(after.layout.feasible) << after.layout.error;
+  EXPECT_TRUE(pisa::assign_stages(cfg.switch_config, after.resources).feasible);
 }
 
 // --- tenant DSL -------------------------------------------------------------
