@@ -13,6 +13,7 @@
 #include "query/tuple.h"
 #include "runtime/limits.h"
 #include "runtime/report.h"
+#include "util/cpu.h"
 #include "util/hash.h"
 #include "util/log.h"
 #include "util/time.h"
@@ -587,7 +588,8 @@ Collector::Collector(const planner::Plan& plan, DistributedConfig cfg,
       fingerprint_(plan.fingerprint()),
       cfg_(std::move(cfg)),
       endpoint_(std::move(endpoint)),
-      sp_(std::make_unique<StreamProcessor>(plan_)) {
+      sp_(std::make_unique<StreamProcessor>(plan_)),
+      pool_(std::min(util::available_cores(), std::max<std::size_t>(plan.queries.size(), 1)) - 1) {
   assert(cfg_.nodes >= 1 && cfg_.switches >= 1);
   PipelineBuild build = build_pipelines(plan_, {}, {});
   ref_pipelines_ = std::move(build.pipelines);
@@ -602,7 +604,7 @@ Collector::Collector(const planner::Plan& plan, DistributedConfig cfg,
     }
   }
   sp_->set_winner_sink([this](const std::string& table, std::span<const Tuple> keys) {
-    winner_installs_.emplace_back(table, std::vector<Tuple>(keys.begin(), keys.end()));
+    encode_install(table, keys);
   });
 }
 
@@ -661,6 +663,7 @@ std::string Collector::run(const WindowFn& on_window) {
 
 std::string Collector::handle(nt::Frame& f) {
   if (f.source >= cfg_.nodes) return "";  // stray traffic: not one of our nodes
+  obs::PhaseTimer decode_timer{phases_, obs::Phase::kMerge};
   NodeState& node = nodes_[f.source];
   switch (f.type) {
     case nt::FrameType::kHello: {
@@ -822,78 +825,35 @@ std::string Collector::close_current(const WindowFn& on_window) {
   }
   ws.contribution_mask = mask;
   ws.partial = mask != full_mask();
-  // 1. The Fleet's shared close, tasks inline, over every shard in
-  //    ascending global shard order — independent of frame arrival
-  //    interleaving across nodes. No local switches — the winner sink
-  //    captures every install, and the nodes replay them before their next
-  //    window. control_update_millis stays 0: the modelled install latency
-  //    is paid on the switch nodes, inside the next window's barrier wait.
+  // 1. The Fleet's shared close, its tasks on the pool while the nodes
+  //    wait, over every shard in ascending global shard order. No local
+  //    switches — the winner sink encodes every install, and the nodes
+  //    replay them before their next window. control_update_millis stays
+  //    0: the modelled install latency is paid on the switch nodes, inside
+  //    the next window's barrier wait.
+  obs::PhaseTimer close_timer{phases_, obs::Phase::kClose};
   outputs_.clear();
   for (auto& sb : shards_) outputs_.push_back({sb.records, sb.raws, &sb.polls});
-  winner_installs_.clear();
+  winner_chunks_.clear();
   sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
-  sp_->close_window(ws, outputs_, ref_pipelines_, {});
+  sp_->close_window(ws, outputs_, ref_pipelines_, {}, pool_.slots(),
+                    [this](std::size_t count, const CloseTask& task) { pool_.run(count, task); });
   for (auto& sb : shards_) {
     sb.records.clear();
     sb.raws.clear();
   }
-  // 2. Feedback: winners + ack per node (cached for retransmission).
-  const bool was_partial = ws.partial;
+  if (!install_err_.empty()) return install_err_;
+  // 2. Feedback: winner chunks + ack per node (cached for retransmission).
   for (std::uint16_t i = 0; i < cfg_.nodes; ++i) {
     NodeState& node = nodes_[i];
-    node.feedback.clear();
-    const std::size_t max_payload = nt::max_frame_payload(endpoint_->kind());
-    std::uint64_t chunk_seq = 0;
-    nt::Frame cur;
-    bool open = false;
-    std::uint32_t count = 0;
-    std::vector<std::byte> install;
-    auto flush = [&]() {
-      if (!open) return;
-      patch_u32(cur.payload, 8, count);
-      node.feedback.push_back(std::move(cur));
-      cur = nt::Frame{};
-      open = false;
-      count = 0;
-    };
-    for (const auto& [table, keys] : winner_installs_) {
-      install.clear();
-      put_u16(install, static_cast<std::uint16_t>(table.size()));
-      for (const char c : table) install.push_back(static_cast<std::byte>(c));
-      put_u32(install, static_cast<std::uint32_t>(keys.size()));
-      for (const Tuple& key : keys) {
-        std::vector<std::byte> enc;
-        encode_tuple(key, enc);
-        put_u32(install, static_cast<std::uint32_t>(enc.size()));
-        install.insert(install.end(), enc.begin(), enc.end());
-      }
-      // 12 = the kWinners chunk header (window u64 + count u32). An
-      // install that cannot fit even an empty chunk would go out as an
-      // oversized frame (EMSGSIZE on UDP, a wedged shm ring): hard error.
-      if (12 + install.size() > max_payload) {
-        return "winner install for table '" + table +
-               "' exceeds the transport's max frame payload";
-      }
-      if (open && cur.payload.size() + install.size() > max_payload) flush();
-      if (!open) {
-        cur.type = nt::FrameType::kWinners;
-        cur.source = i;
-        cur.seq = chunk_seq++;
-        put_u64(cur.payload, window_counter_);
-        put_u32(cur.payload, 0);
-        open = true;
-      }
-      cur.payload.insert(cur.payload.end(), install.begin(), install.end());
-      ++count;
-    }
-    flush();
+    node.feedback.assign(winner_chunks_.begin(), winner_chunks_.end());
     nt::Frame ack;
     ack.type = nt::FrameType::kWindowAck;
-    ack.source = i;
     put_u64(ack.payload, window_counter_);
     put_u32(ack.payload, static_cast<std::uint32_t>(node.feedback.size()));
-    put_u8(ack.payload, was_partial ? 1 : 0);
+    put_u8(ack.payload, ws.partial ? 1 : 0);
     node.feedback.push_back(std::move(ack));
+    for (nt::Frame& fb : node.feedback) fb.source = i;
     send_feedback(node, i);
     node.feedback_window = window_counter_;
     node.lost_baseline = endpoint_->reassembly().stats(i).lost;
@@ -903,6 +863,9 @@ std::string Collector::close_current(const WindowFn& on_window) {
     node.tuples_to_sp = 0;
     node.raw_mirror = 0;
   }
+  close_timer.stop();
+  ws.phases = to_breakdown(phases_);
+  phases_.reset();
   stats_.peer_dropped = peer_dropped;
   stats_.lost_frames = endpoint_->reassembly().totals().lost;
   ++window_counter_;
@@ -917,6 +880,41 @@ std::string Collector::close_current(const WindowFn& on_window) {
   }
   if (on_window) on_window(ws);
   return "";
+}
+
+void Collector::encode_install(const std::string& table, std::span<const Tuple> keys) {
+  if (!install_err_.empty()) return;
+  install_.clear();
+  put_u16(install_, static_cast<std::uint16_t>(table.size()));
+  for (const char c : table) install_.push_back(static_cast<std::byte>(c));
+  put_u32(install_, static_cast<std::uint32_t>(keys.size()));
+  for (const Tuple& key : keys) {
+    const std::size_t at = install_.size();
+    put_u32(install_, 0);
+    encode_tuple(key, install_);
+    patch_u32(install_, at, static_cast<std::uint32_t>(install_.size() - at - 4));
+  }
+  // 12 = the kWinners chunk header (window u64 + count u32). An install
+  // that cannot fit even an empty chunk would go out as an oversized frame
+  // (EMSGSIZE on UDP, a wedged shm ring): hard error.
+  const std::size_t max_payload = nt::max_frame_payload(endpoint_->kind());
+  if (12 + install_.size() > max_payload) {
+    install_err_ = "winner install for table '" + table +
+                   "' exceeds the transport's max frame payload";
+    return;
+  }
+  if (winner_chunks_.empty() ||
+      winner_chunks_.back().payload.size() + install_.size() > max_payload) {
+    nt::Frame& chunk = winner_chunks_.emplace_back();
+    chunk.type = nt::FrameType::kWinners;
+    chunk.seq = winner_chunks_.size() - 1;
+    put_u64(chunk.payload, window_counter_);
+    put_u32(chunk.payload, 0);
+  }
+  nt::Frame& chunk = winner_chunks_.back();
+  chunk.payload.insert(chunk.payload.end(), install_.begin(), install_.end());
+  PayloadReader installs(std::span<const std::byte>(chunk.payload).subspan(8, 4));
+  patch_u32(chunk.payload, 8, installs.u32() + 1);
 }
 
 void Collector::send_feedback(NodeState& node, std::uint16_t index) {

@@ -57,6 +57,7 @@
 #include "planner/planner.h"
 #include "runtime/plan_install.h"
 #include "runtime/stream_processor.h"
+#include "runtime/task_pool.h"
 #include "runtime/window_merge.h"
 #include "util/rng.h"
 
@@ -227,6 +228,8 @@ class Collector {
 
   [[nodiscard]] std::string handle(net::transport::Frame& f);
   [[nodiscard]] std::string close_current(const WindowFn& on_window);
+  // The winner sink: appends an install to this window's kWinners chunks.
+  void encode_install(const std::string& table, std::span<const query::Tuple> keys);
   void send_feedback(NodeState& node, std::uint16_t index);
   [[nodiscard]] bool all_ended() const;
   [[nodiscard]] bool all_done() const;
@@ -245,7 +248,12 @@ class Collector {
   std::vector<NodeState> nodes_;
   std::vector<ShardBuffer> shards_;  // indexed by global shard
   std::vector<ShardOutput> outputs_;  // the close's input, reused
-  std::vector<std::pair<std::string, std::vector<query::Tuple>>> winner_installs_;
+  // This window's kWinners chunks, encoded once and copied to every node.
+  std::vector<net::transport::Frame> winner_chunks_;
+  std::vector<std::byte> install_;  // encode_install's scratch, reused
+  std::string install_err_;         // an install too large for any chunk
+  TaskPool pool_;  // the close's tasks: min(available cores, queries) threads
+  obs::PhaseAccum phases_;  // frame decode (merge) and close, per window
   std::uint64_t window_counter_ = 0;
   Stats stats_;
   Stats obs_pub_;

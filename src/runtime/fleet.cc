@@ -26,6 +26,7 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
     : plan_(std::move(plan)),
       sp_(std::make_unique<StreamProcessor>(plan_)),
       batch_size_(std::max<std::size_t>(batch_size, 1)),
+      pool_(std::min(worker_threads, switch_count), [this] { for (auto& w : workers_) wake(*w); }),
       pin_workers_(pin_workers) {
   assert(switch_count >= 1);
   if (std::string err = switch_count_error(switch_count); !err.empty()) {
@@ -224,7 +225,7 @@ void Fleet::worker_loop(Worker& w) {
   const std::uint64_t slow_ns = injector_ ? injector_->spec().slow_ns : 0;
   std::uint64_t flushed_yields = 0, flushed_sleeps = 0;
   for (;;) {
-    bool did_work = run_close_tasks(w.slot);
+    bool did_work = pool_.help(w.slot);
     for (Shard* shard : w.shards) {
       if (batch_size_ == 1) {
         // Legacy per-packet drain (the equivalence baseline).
@@ -533,38 +534,6 @@ void Fleet::drain_barrier() {
   current_.partial = mask != full_contribution_mask();
 }
 
-void Fleet::run_tasks(std::size_t count, const CloseTask& task) {
-  if (workers_.empty()) {
-    for (std::size_t i = 0; i < count; ++i) task(i, 0);
-    return;
-  }
-  assert(count <= 0xffff);
-  close_task_ = &task;
-  close_finished_.store(0, std::memory_order_relaxed);
-  const std::uint64_t generation = (close_cursor_.load(std::memory_order_relaxed) >> 32) + 1;
-  close_cursor_.store(generation << 32 | count << 16, std::memory_order_release);
-  for (auto& w : workers_) wake(*w);
-  run_close_tasks(0);
-  // Every task is claimed: wait out the ones still running on workers.
-  while (close_finished_.load(std::memory_order_acquire) != count) std::this_thread::yield();
-}
-
-bool Fleet::run_close_tasks(std::size_t slot) {
-  bool ran = false;
-  std::uint64_t cur = close_cursor_.load(std::memory_order_acquire);
-  while ((cur & 0xffff) < (cur >> 16 & 0xffff)) {
-    if (!close_cursor_.compare_exchange_weak(cur, cur + 1, std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-      continue;
-    }
-    (*close_task_)(cur & 0xffff, slot);
-    close_finished_.fetch_add(1, std::memory_order_release);
-    ran = true;
-    cur = close_cursor_.load(std::memory_order_acquire);
-  }
-  return ran;
-}
-
 WindowStats Fleet::do_close_window() {
   // Fix the closing window's index up front so journal events emitted
   // during the barrier/close (quarantine, sketch bounds) carry it; the
@@ -629,7 +598,7 @@ WindowStats Fleet::do_close_window() {
   }
   {
     obs::PhaseTimer t{driver_phases_, obs::Phase::kPoll};
-    run_tasks(healthy_.size(), [&](std::size_t i, std::size_t) { do_shard_close(*healthy_[i]); });
+    pool_.run(healthy_.size(), [&](std::size_t i, std::size_t) { do_shard_close(*healthy_[i]); });
   }
 
   obs::PhaseTimer close_timer{driver_phases_, obs::Phase::kClose};
@@ -656,8 +625,8 @@ WindowStats Fleet::do_close_window() {
   sp_->close_window(current_, outputs_,
                     healthy_.empty() ? std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>>{}
                                      : healthy_.front()->sw->pipelines(),
-                    switches, workers_.size() + 1,
-                    [this](std::size_t count, const CloseTask& task) { run_tasks(count, task); });
+                    switches, pool_.slots(),
+                    [this](std::size_t count, const CloseTask& task) { pool_.run(count, task); });
   for (Shard* s : healthy_) {  // a quarantined shard's worker resync wipes it
     s->sink.clear();
     s->raw_sources.clear();

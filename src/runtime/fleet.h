@@ -69,6 +69,7 @@
 #include "runtime/engine.h"
 #include "runtime/spsc_queue.h"
 #include "runtime/stream_processor.h"
+#include "runtime/task_pool.h"
 #include "runtime/window_merge.h"
 #include "runtime/wire_channel.h"
 
@@ -201,7 +202,7 @@ class Fleet final : public TelemetryEngine {
     std::atomic<bool> signal{false};
     std::atomic<bool> asleep{false};
     std::vector<Shard*> shards;
-    std::size_t slot = 0;  // close-task slot (the driver's is 0)
+    std::size_t slot = 0;  // pool_ slot (the driver's is 0)
     Backoff backoff;  // worker-thread-owned idle backoff
     std::thread thread;
   };
@@ -225,11 +226,6 @@ class Fleet final : public TelemetryEngine {
   void worker_loop(Worker& w);
   void wake(Worker& w);
   void drain_barrier();
-  // The close's task runner (runtime::TaskRunner): the workers and the
-  // driver claim tasks; inline without workers.
-  void run_tasks(std::size_t count, const CloseTask& task);
-  // Claim and run open close tasks until none is left; true if any ran.
-  bool run_close_tasks(std::size_t slot);
 
   // Shard-local close phase: poll every stateful tail into shard.polls
   // and reset the switch registers — one close task per healthy shard.
@@ -266,13 +262,7 @@ class Fleet final : public TelemetryEngine {
   std::vector<Shard*> healthy_;            // driver-only: this close's shards, reused
   std::vector<ShardOutput> outputs_;       // driver-only: the close's input, reused
   std::vector<pisa::EmitRecord> wired_;    // driver-only: records off the faulty wire
-  // Close tasks open to the workers: (generation << 32 | task count << 16 |
-  // next task). Claiming is one CAS on the whole word, so a thread holding
-  // an older window's value can never claim a newer window's task. Workers
-  // read it on every loop pass: it keeps a cache line to itself.
-  alignas(64) std::atomic<std::uint64_t> close_cursor_{0};
-  std::atomic<std::size_t> close_finished_{0};  // tasks of this generation done
-  const CloseTask* close_task_ = nullptr;        // published by close_cursor_
+  TaskPool pool_;  // the close's tasks: the driver, and workers on every pass
   alignas(64) std::atomic<bool> stop_{false};
 
   bool pin_workers_ = false;

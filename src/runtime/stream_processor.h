@@ -22,6 +22,7 @@
 #include "obs/tracing.h"
 #include "pisa/switch.h"
 #include "planner/planner.h"
+#include "runtime/task_pool.h"
 #include "runtime/window_merge.h"
 #include "stream/executor.h"
 
@@ -152,12 +153,6 @@ struct WindowStats {
   fault::FaultAccount faults;      // faults injected during this window (all zero
                                    // when no injector is configured)
 };
-
-// Runs close tasks 0..count-1, each exactly once, and returns when all have
-// finished. `task(i, slot)` may run on any of `slots` threads at once, each
-// passing its own slot < slots. Drivers without threads run them inline.
-using CloseTask = std::function<void(std::size_t task, std::size_t slot)>;
-using TaskRunner = std::function<void(std::size_t count, const CloseTask& task)>;
 
 class StreamProcessor {
  public:

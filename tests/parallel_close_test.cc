@@ -11,7 +11,9 @@
 //     threads, against records delivered one by one in (shard, arrival)
 //     order before the close; this also compares the winner sink's
 //     install sequence;
-//   * the Collector over shm against the in-process Fleet.
+//   * the Collector over shm, its close on its own task pool, against the
+//     inline Fleet for the Sonata plan, sketch state and duplicated or
+//     reordered frames.
 // Compared per window: the whole WindowStats (results in order, winners,
 // overflow_records, tuples_to_sp, ...), the SP's per-(qid, level)
 // tuples_in, the emitter's per-query tallies and total, the switches'
@@ -424,27 +426,39 @@ TEST(ParallelClose, TaskRunnersMatchSerialDelivery) {
   }
 }
 
-TEST(ParallelClose, CollectorOverShmMatchesInProcessFleet) {
-  ScopedObs obs_on;
-  const Plan plan = make_plan(PlanMode::kSonata, false);
-  std::vector<Observed> want = run_fleet(plan, 2, {});
-
+// The Collector over shm, its close on its own pool, with two switch nodes
+// whose frames carry `faults`. `injected` returns the node's injected
+// frame faults.
+std::vector<Observed> run_collector(const Plan& plan, const fault::FaultSpec& faults,
+                                    std::uint64_t* injected = nullptr) {
   constexpr std::uint16_t kNodes = 2;
   const std::string prefix = "/tmp/sonata_pc." + std::to_string(::getpid());
   const auto spec = net::transport::parse_endpoint("shm:" + prefix);
-  ASSERT_TRUE(spec.has_value());
+  if (!spec.has_value()) {
+    ADD_FAILURE() << spec.error();
+    return {};
+  }
   DistributedConfig dcfg;
   dcfg.switches = kShards;
   dcfg.nodes = kNodes;
   auto ep = net::transport::make_collector_endpoint(*spec, kNodes);
-  ASSERT_TRUE(ep.has_value()) << ep.error();
+  if (!ep.has_value()) {
+    ADD_FAILURE() << ep.error();
+    return {};
+  }
   Collector collector(plan, dcfg, std::move(*ep));
-  ASSERT_EQ(collector.listen(), "");
+  if (const std::string err = collector.listen(); !err.empty()) {
+    ADD_FAILURE() << err;
+    return {};
+  }
   TuplesIn tuples_in(plan);
   std::vector<Observed> got;
   std::string collector_err;
   std::thread collector_thread([&] {
     collector_err = collector.run([&](const WindowStats& ws) {
+      // Metrics are on: the collector times its frame decode and close.
+      EXPECT_GT(ws.phases.close_nanos, 0u);
+      EXPECT_EQ(ws.phases.total_nanos, ws.phases.merge_nanos + ws.phases.close_nanos);
       Observed o;
       o.stats = ws;
       o.tuples_in = tuples_in.delta();
@@ -454,11 +468,13 @@ TEST(ParallelClose, CollectorOverShmMatchesInProcessFleet) {
     });
   });
   std::string node_err[kNodes];
+  std::uint64_t node_faults[kNodes] = {};
   std::vector<std::thread> node_threads;
   for (std::uint16_t n = 0; n < kNodes; ++n) {
     node_threads.emplace_back([&, n] {
       DistributedConfig ncfg = dcfg;
       ncfg.node_index = n;
+      ncfg.faults = faults;
       auto transport = net::transport::make_switch_transport(*spec, n);
       if (!transport) {
         node_err[n] = transport.error();
@@ -466,6 +482,7 @@ TEST(ParallelClose, CollectorOverShmMatchesInProcessFleet) {
       }
       SwitchNode node(plan, ncfg, std::move(*transport));
       node_err[n] = node.run(scenario().trace);
+      node_faults[n] = node.stats().tx_duplicated + node.stats().tx_reordered;
     });
   }
   for (auto& t : node_threads) t.join();
@@ -474,10 +491,19 @@ TEST(ParallelClose, CollectorOverShmMatchesInProcessFleet) {
     ::unlink((prefix + ".n" + std::to_string(n) + ".up").c_str());
     ::unlink((prefix + ".n" + std::to_string(n) + ".down").c_str());
   }
-  ASSERT_EQ(collector_err, "");
-  for (std::uint16_t n = 0; n < kNodes; ++n) ASSERT_EQ(node_err[n], "") << "node " << n;
-  // The collector's switches live in other processes' roles: its installs
-  // model no local latency, and its journal holds the nodes' events too.
+  EXPECT_EQ(collector_err, "");
+  for (std::uint16_t n = 0; n < kNodes; ++n) EXPECT_EQ(node_err[n], "") << "node " << n;
+  if (injected != nullptr) *injected = node_faults[0] + node_faults[1];
+  return got;
+}
+
+// The Collector against the inline Fleet, window by window. The
+// collector's switches live in other processes' roles: its installs model
+// no local latency, and its journal holds the nodes' events too.
+void check_collector(const Plan& plan, const fault::FaultSpec& faults, const std::string& label,
+                     std::uint64_t* injected = nullptr) {
+  std::vector<Observed> want = run_fleet(plan, 0, {});
+  std::vector<Observed> got = run_collector(plan, faults, injected);
   for (auto* side : {&want, &got}) {
     for (Observed& o : *side) {
       o.stats.control_update_millis = 0.0;
@@ -485,7 +511,31 @@ TEST(ParallelClose, CollectorOverShmMatchesInProcessFleet) {
       o.events.clear();
     }
   }
-  expect_same(want, got, "collector");
+  expect_same(want, got, label);
+}
+
+TEST(ParallelClose, CollectorOverShmMatchesInProcessFleet) {
+  ScopedObs obs_on;
+  check_collector(make_plan(PlanMode::kSonata, false), {}, "collector sonata");
+}
+
+TEST(ParallelClose, SketchCollectorOverShmMatchesInProcessFleet) {
+  ScopedObs obs_on;
+  check_collector(make_plan(PlanMode::kMaxDP, true), {}, "collector sketch");
+}
+
+TEST(ParallelClose, FrameFaultCollectorOverShmMatchesInProcessFleet) {
+  // Duplicated and reordered frames lose nothing: the collector's
+  // reassembly restores each node's frame order before the close.
+  fault::FaultSpec faults;
+  faults.seed = 5;
+  faults.dup_rate = 0.05;
+  faults.reorder_rate = 0.05;
+  ScopedObs obs_on;
+  std::uint64_t injected = 0;
+  check_collector(make_plan(PlanMode::kSonata, false), faults, "collector frame faults",
+                  &injected);
+  EXPECT_GT(injected, 0u) << "no frame was duplicated or reordered";
 }
 
 }  // namespace
