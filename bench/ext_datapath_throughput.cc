@@ -6,8 +6,8 @@
 // granularity of the whole data path: driver-side packet runs, one SPSC
 // acquire/release pair and at most one worker wakeup per run, one
 // Switch::process_batch call into the shard emit arena, and a move-based
-// merge into the stream executors at the barrier. batch=1 is the legacy
-// per-packet path and the equivalence reference.
+// merge into the stream executors at the barrier. batch=1 runs the same
+// path one packet at a time and is the equivalence reference.
 //
 // Reported per configuration: wall-clock packets/sec (best of five
 // replays), speedup vs batch=1 at the same thread count, and whether the

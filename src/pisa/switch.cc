@@ -686,8 +686,6 @@ void Switch::process_batch(std::span<const Tuple> sources, EmitSink& sink) {
   }
 }
 
-void Switch::process_one(const Tuple& source, EmitSink& sink) { process_batch({&source, 1}, sink); }
-
 void Switch::process_block(std::span<const Tuple> block, EmitSink& sink) {
   stats_.packets_processed += block.size();
   live_.clear();
@@ -740,12 +738,8 @@ void Switch::merge_staged(std::size_t rows, EmitSink& sink) {
 
 void Switch::process(const net::Packet& packet, std::vector<EmitRecord>& out) {
   const Tuple source = query::materialize_tuple(packet);
-  process_tuple(source, out);
-}
-
-void Switch::process_tuple(const Tuple& source, std::vector<EmitRecord>& out) {
   scratch_sink_.clear();
-  process_one(source, scratch_sink_);
+  process_batch({&source, 1}, scratch_sink_);
   for (EmitRecord& rec : scratch_sink_.records()) out.push_back(std::move(rec));
 }
 

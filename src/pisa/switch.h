@@ -352,15 +352,9 @@ class Switch {
   // time — the fleet pins each switch to a single worker.
   void process_batch(std::span<const query::Tuple> sources, EmitSink& sink);
 
-  // process_batch on a batch of one (same sink contract).
-  void process_one(const query::Tuple& source, EmitSink& sink);
-
   // Process one packet through every installed pipeline; emitted records
   // are appended to `out`.
   void process(const net::Packet& packet, std::vector<EmitRecord>& out);
-
-  // process_one for callers that collect records in a vector.
-  void process_tuple(const query::Tuple& source, std::vector<EmitRecord>& out);
 
   [[nodiscard]] const std::vector<std::unique_ptr<CompiledSwitchQuery>>& pipelines() const noexcept {
     return pipelines_;
@@ -428,7 +422,7 @@ class Switch {
   std::vector<std::unique_ptr<CompiledSwitchQuery>> pipelines_;
   Layout layout_;
   SwitchStats stats_;
-  EmitSink scratch_sink_;  // backs the vector-based wrappers
+  EmitSink scratch_sink_;  // backs process()
   kernel::PhvBuffer phv_;
   std::unique_ptr<kernel::Scratch> scratch_ = std::make_unique<kernel::Scratch>();
   EmitStaging staging_;

@@ -14,7 +14,6 @@
 #include "runtime/limits.h"
 #include "runtime/report.h"
 #include "util/cpu.h"
-#include "util/hash.h"
 #include "util/log.h"
 #include "util/time.h"
 
@@ -147,7 +146,6 @@ SwitchNode::SwitchNode(const planner::Plan& plan, DistributedConfig cfg,
   assert(cfg_.nodes >= 1 && cfg_.node_index < cfg_.nodes);
   assert(cfg_.switches >= 1);
   cfg_.batch = std::max<std::size_t>(cfg_.batch, 1);
-  raw_mirror_ = StreamProcessor::plan_wants_raw_mirror(plan_);
   const fault::FaultSpec& f = cfg_.faults;
   frame_faults_ = f.drop_rate > 0 || f.dup_rate > 0 || f.reorder_rate > 0;
   record_faults_ = f.corrupt_rate > 0 || f.truncate_rate > 0;
@@ -155,18 +153,8 @@ SwitchNode::SwitchNode(const planner::Plan& plan, DistributedConfig cfg,
   // node compiles the identical per-shard switch program the in-process
   // Fleet would have installed (including the register-pressure faults).
   for (std::size_t g = cfg_.node_index; g < cfg_.switches; g += cfg_.nodes) {
-    auto shard = std::make_unique<OwnedShard>();
-    shard->global = g;
-    shard->sw = std::make_unique<pisa::Switch>(plan_.switch_config);
-    shard->sw->set_obs_label(std::to_string(g));
-    PipelineBuildOptions build_opts;
-    build_opts.register_shrink = f.register_shrink;
-    build_opts.hash_seed = f.hash_seed;
-    PipelineBuild build = build_pipelines(plan_, {}, build_opts);
-    const std::string err = shard->sw->install(std::move(build.pipelines), build.resources);
-    assert(err.empty() && "plan does not fit the switch it was planned for");
-    (void)err;
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<OwnedShard>(plan_.switch_config, g));
+    shards_.back()->exec.install(plan_, {f.register_shrink, f.hash_seed}, {});
   }
 }
 
@@ -240,49 +228,12 @@ std::string SwitchNode::handshake() {
 }
 
 void SwitchNode::ingest(const net::Packet& packet) {
-  // The Fleet's exact routing hash, over the fleet-wide shard count:
-  // packet -> global shard is the same function in every deployment mode.
-  const std::uint64_t flow =
-      util::hash_combine(util::hash_combine(packet.src_ip, packet.dst_ip),
-                         (static_cast<std::uint64_t>(packet.src_port) << 24) ^
-                             (static_cast<std::uint64_t>(packet.dst_port) << 8) ^ packet.proto);
-  const std::size_t g = static_cast<std::size_t>(flow % cfg_.switches);
+  const std::size_t g = route_to_shard(packet, cfg_.switches);
   if (g % cfg_.nodes != cfg_.node_index) return;  // another process's shard
   OwnedShard& shard = *shards_[g / cfg_.nodes];
   ++shard.packets;
   ++stats_.packets;
-  if (shard.pending == shard.scratch.size()) shard.scratch.emplace_back();
-  query::materialize_tuple_into(packet, shard.scratch[shard.pending]);
-  ++shard.pending;
-  if (shard.pending >= cfg_.batch) flush_shard(shard);
-}
-
-void SwitchNode::flush_shard(OwnedShard& shard) {
-  if (shard.pending == 0) return;
-  const std::uint64_t ingest_ns = obs::enabled() ? obs::now_ns() : 0;
-  process_tuples(shard, {shard.scratch.data(), shard.pending}, ingest_ns);
-  shard.pending = 0;
-}
-
-void SwitchNode::process_tuples(OwnedShard& shard, std::span<Tuple> tuples,
-                                std::uint64_t ingest_ns) {
-  // Byte-for-byte the Fleet's per-shard compute step, so the records a
-  // shard contributes are identical whether it lives in a thread or a
-  // process.
-  const std::uint64_t before = shard.sink.packets_with_records();
-  const std::size_t recs_before = shard.sink.size();
-  shard.sw->process_batch(tuples, shard.sink);
-  if (ingest_ns != 0) {
-    const std::span<pisa::EmitRecord> recs = shard.sink.records();
-    for (std::size_t r = recs_before; r < recs.size(); ++r) recs[r].ingest_ns = ingest_ns;
-  }
-  if (raw_mirror_) {
-    shard.raw_mirror_packets += tuples.size();
-    shard.tuples_to_sp += tuples.size();
-    for (Tuple& t : tuples) shard.raw_sources.push_back(std::move(t));
-  } else {
-    shard.tuples_to_sp += shard.sink.packets_with_records() - before;
-  }
+  if (shard.exec.stage(packet) >= cfg_.batch) shard.exec.flush();
 }
 
 bool SwitchNode::raw_send(const nt::Frame& f) { return transport_->send(f); }
@@ -340,7 +291,7 @@ void SwitchNode::note_send_failure(const char* frame_kind) {
 void SwitchNode::send_records(OwnedShard& shard) {
   if (!send_err_.empty()) return;
   const std::size_t max_payload = nt::max_frame_payload(transport_->kind());
-  const auto recs = shard.sink.records();
+  const auto recs = shard.exec.records();
   std::size_t i = 0;
   while (i < recs.size()) {
     nt::Frame f;
@@ -388,17 +339,18 @@ void SwitchNode::send_records(OwnedShard& shard) {
 void SwitchNode::send_raw(OwnedShard& shard) {
   if (!send_err_.empty()) return;
   const std::size_t max_payload = nt::max_frame_payload(transport_->kind());
+  const auto raws = shard.exec.raw_sources();
   std::size_t i = 0;
-  while (i < shard.raw_sources.size()) {
+  while (i < raws.size()) {
     nt::Frame f;
     f.type = nt::FrameType::kRaw;
     f.source = cfg_.node_index;
     put_u16(f.payload, static_cast<std::uint16_t>(shard.global));
     put_u32(f.payload, 0);
     std::uint32_t count = 0;
-    while (i < shard.raw_sources.size()) {
+    while (i < raws.size()) {
       record_scratch_.clear();
-      encode_tuple(shard.raw_sources[i], record_scratch_);
+      encode_tuple(raws[i], record_scratch_);
       if (f.payload.size() + 4 + record_scratch_.size() > max_payload) {
         if (count > 0) break;
         send_err_ = "encoded raw tuple exceeds the transport's max frame payload";
@@ -415,40 +367,36 @@ void SwitchNode::send_raw(OwnedShard& shard) {
   }
 }
 
-void SwitchNode::send_partials(OwnedShard& shard) {
+void SwitchNode::send_partials(const OwnedShard& shard, std::size_t pipeline,
+                               const pisa::PolledBlock& block) {
   if (!send_err_.empty()) return;
   const std::size_t max_payload = nt::max_frame_payload(transport_->kind());
-  const auto& pipelines = shard.sw->pipelines();
-  for (std::size_t p = 0; p < pipelines.size(); ++p) {
-    if (!pipelines[p]->has_stateful_tail()) continue;
-    pipelines[p]->poll_block(poll_);
-    std::size_t i = 0;
-    while (i < poll_.size()) {
-      nt::Frame f;
-      f.type = nt::FrameType::kPartial;
-      f.source = cfg_.node_index;
-      put_u16(f.payload, static_cast<std::uint16_t>(shard.global));
-      put_u32(f.payload, static_cast<std::uint32_t>(p));
-      put_u32(f.payload, 0);
-      std::uint32_t count = 0;
-      while (i < poll_.size()) {
-        record_scratch_.clear();
-        encode_polled_key(poll_, i, record_scratch_);
-        if (f.payload.size() + 12 + record_scratch_.size() > max_payload) {
-          if (count > 0) break;
-          send_err_ = "encoded partial entry exceeds the transport's max frame payload";
-          return;
-        }
-        put_u64(f.payload, poll_.value(i));
-        put_u32(f.payload, static_cast<std::uint32_t>(record_scratch_.size()));
-        f.payload.insert(f.payload.end(), record_scratch_.begin(), record_scratch_.end());
-        ++count;
-        ++i;
-        ++stats_.partial_entries_sent;
+  std::size_t i = 0;
+  while (i < block.size()) {
+    nt::Frame f;
+    f.type = nt::FrameType::kPartial;
+    f.source = cfg_.node_index;
+    put_u16(f.payload, static_cast<std::uint16_t>(shard.global));
+    put_u32(f.payload, static_cast<std::uint32_t>(pipeline));
+    put_u32(f.payload, 0);
+    std::uint32_t count = 0;
+    while (i < block.size()) {
+      record_scratch_.clear();
+      encode_polled_key(block, i, record_scratch_);
+      if (f.payload.size() + 12 + record_scratch_.size() > max_payload) {
+        if (count > 0) break;
+        send_err_ = "encoded partial entry exceeds the transport's max frame payload";
+        return;
       }
-      patch_u32(f.payload, 6, count);
-      if (!send_data(std::move(f))) note_send_failure("kPartial");
+      put_u64(f.payload, block.value(i));
+      put_u32(f.payload, static_cast<std::uint32_t>(record_scratch_.size()));
+      f.payload.insert(f.payload.end(), record_scratch_.begin(), record_scratch_.end());
+      ++count;
+      ++i;
+      ++stats_.partial_entries_sent;
     }
+    patch_u32(f.payload, 6, count);
+    if (!send_data(std::move(f))) note_send_failure("kPartial");
   }
 }
 
@@ -456,23 +404,23 @@ std::string SwitchNode::close_window(std::uint64_t window, bool final) {
   std::uint64_t packets = 0;
   std::uint64_t tuples = 0;
   std::uint64_t raw = 0;
-  for (auto& shard_ptr : shards_) flush_shard(*shard_ptr);
   // Ship per-shard contributions in ascending global shard order — the
-  // collector replays this order, which is the Fleet's merge order.
+  // collector replays this order, which is the Fleet's merge order. Each
+  // pipeline's block ships as soon as it is polled, so the collector
+  // decodes it while the node polls the next.
   for (auto& shard_ptr : shards_) {
     OwnedShard& shard = *shard_ptr;
+    shard.exec.flush();
     send_records(shard);
     send_raw(shard);
-    send_partials(shard);
-    shard.sw->reset_all_registers();
+    shard.exec.poll_and_reset([&](std::size_t p, const pisa::PolledBlock& block) {
+      send_partials(shard, p, block);
+    });
     packets += shard.packets;
-    tuples += shard.tuples_to_sp;
-    raw += shard.raw_mirror_packets;
+    tuples += shard.exec.tuples_to_sp();
+    raw += shard.exec.raw_mirror_packets();
     shard.packets = 0;
-    shard.tuples_to_sp = 0;
-    shard.raw_mirror_packets = 0;
-    shard.sink.clear();
-    shard.raw_sources.clear();
+    shard.exec.clear();
   }
   flush_held();
   if (!send_err_.empty()) {
@@ -553,9 +501,7 @@ std::string SwitchNode::await_feedback(std::uint64_t window, const nt::Frame& en
         keys.push_back(std::move(*decoded));
       }
       if (!r.ok()) return "malformed winner install in collector feedback";
-      for (auto& shard_ptr : shards_) {
-        shard_ptr->sw->update_filter_entries(table, keys);
-      }
+      for (auto& shard_ptr : shards_) shard_ptr->exec.sw().update_filter_entries(table, keys);
       ++stats_.winner_installs;
     }
     if (!r.ok()) return "malformed winner frame in collector feedback";

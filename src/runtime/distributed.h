@@ -56,6 +56,7 @@
 #include "net/transport/transport.h"
 #include "planner/planner.h"
 #include "runtime/plan_install.h"
+#include "runtime/shard_exec.h"
 #include "runtime/stream_processor.h"
 #include "runtime/task_pool.h"
 #include "runtime/window_merge.h"
@@ -117,26 +118,21 @@ class SwitchNode {
 
  private:
   struct OwnedShard {
+    OwnedShard(const pisa::SwitchConfig& cfg, std::size_t g)
+        : global(g), exec(cfg, std::to_string(g)) {}
     std::size_t global = 0;  // shard index in the fleet-wide numbering
-    std::unique_ptr<pisa::Switch> sw;
-    pisa::EmitSink sink;
-    std::vector<query::Tuple> raw_sources;
-    std::vector<query::Tuple> scratch;  // warm tuple slots (batch staging)
-    std::size_t pending = 0;
+    ShardExec exec;
     std::uint64_t packets = 0;  // window-scoped accounting
-    std::uint64_t tuples_to_sp = 0;
-    std::uint64_t raw_mirror_packets = 0;
   };
 
   [[nodiscard]] std::string handshake();
   void ingest(const net::Packet& packet);
-  void flush_shard(OwnedShard& shard);
-  void process_tuples(OwnedShard& shard, std::span<query::Tuple> tuples,
-                      std::uint64_t ingest_ns);
   [[nodiscard]] std::string close_window(std::uint64_t window, bool final);
   void send_records(OwnedShard& shard);
   void send_raw(OwnedShard& shard);
-  void send_partials(OwnedShard& shard);
+  // One pipeline's polled register block, as kPartial frames.
+  void send_partials(const OwnedShard& shard, std::size_t pipeline,
+                     const pisa::PolledBlock& block);
   // Records a failed data send: always warns; fatal (sticky in send_err_,
   // surfaced by close_window) on in-order transports, where a send failure
   // is never recoverable loss.
@@ -155,8 +151,6 @@ class SwitchNode {
   DistributedConfig cfg_;
   std::unique_ptr<net::transport::ReportTransport> transport_;
   std::vector<std::unique_ptr<OwnedShard>> shards_;  // ascending global index
-  pisa::PolledBlock poll_;  // send_partials' block, reused
-  bool raw_mirror_ = false;
   std::uint64_t data_seq_ = 0;
   std::optional<net::transport::Frame> held_;  // reorder-injected frame
   util::Rng rng_;

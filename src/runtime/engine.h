@@ -119,7 +119,8 @@ class EngineBuilder {
 
   EngineBuilder& topology(std::size_t switches, std::size_t worker_threads = 0);
   // Data-path handoff granularity (DESIGN.md "Data-path memory model");
-  // bit-identical output for every value, 1 = legacy per-packet path.
+  // bit-identical output for every value; batch 1 runs the batched path one
+  // packet at a time.
   EngineBuilder& batch(std::size_t batch_size);
   // Deterministic fault injection (DESIGN.md "Fault model & degradation").
   EngineBuilder& faults(fault::FaultSpec spec);

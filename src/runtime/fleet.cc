@@ -4,22 +4,16 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "obs/journal.h"
-#include "pisa/extract.h"
 #include "runtime/limits.h"
-#include "runtime/plan_install.h"
 #include "util/cpu.h"
-#include "util/hash.h"
 #include "util/log.h"
 
 namespace sonata::runtime {
-
-using query::Tuple;
 
 Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_threads,
              std::size_t batch_size, fault::FaultSpec faults, bool pin_workers)
@@ -35,7 +29,6 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
   // A stall without a watchdog would spin the window barrier forever
   // (parse_fault_spec rejects this; assert for programmatic specs).
   assert(faults.stall_windows == 0 || faults.watchdog_ms > 0);
-  raw_mirror_ = sp_->wants_raw_mirror();
   if (faults.any()) injector_ = std::make_unique<fault::Injector>(faults);
   if (injector_ && faults.wire_active()) wire_ = std::make_unique<WireChannel>(*injector_);
   quarantined_.assign(switch_count, 0);
@@ -48,10 +41,7 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
 
   // One identical switch program per ingress point.
   for (std::size_t i = 0; i < switch_count; ++i) {
-    auto shard = std::make_unique<Shard>(ring_capacity_for(batch_size_));
-    shard->index = i;
-    shard->sw = std::make_unique<pisa::Switch>(plan_.switch_config);
-    shard->sw->set_obs_label(std::to_string(i));
+    auto shard = std::make_unique<Shard>(ring_capacity_for(batch_size_), plan_.switch_config, i);
     {
       const std::pair<std::string_view, std::string> labels[] = {{"sw", std::to_string(i)}};
       shard->packets_ctr = &reg.counter(obs::labeled("sonata_fleet_packets_total", labels));
@@ -63,13 +53,7 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
     // Register pressure (fault injection): install with registers sized
     // for traffic that has since drifted (shrunken n) and/or an
     // adversarial hash seed, forcing collision-overflow storms.
-    PipelineBuildOptions build_opts;
-    build_opts.register_shrink = faults.register_shrink;
-    build_opts.hash_seed = faults.hash_seed;
-    PipelineBuild build = build_pipelines(plan_, {}, build_opts);
-    const std::string err = shard->sw->install(std::move(build.pipelines), build.resources);
-    assert(err.empty() && "plan does not fit the switch it was planned for");
-    (void)err;
+    shard->exec.install(plan_, {faults.register_shrink, faults.hash_seed}, {});
     shards_.push_back(std::move(shard));
   }
 
@@ -112,75 +96,6 @@ Fleet::~Fleet() {
   }
 }
 
-void Fleet::process_batch_on_shard(Shard& shard, std::span<const net::Packet> packets) {
-  // Parse into the shard's tuple slots — warm slots keep their value
-  // storage, so a steady-state batch materializes without touching the
-  // allocator — and run each kTimedRun-packet stretch through the switch
-  // in one call. Each phase timer spans a whole run: per-call clock reads
-  // would dominate the obs overhead budget.
-  constexpr std::size_t kTimedRun = 256;
-  while (!packets.empty()) {
-    const std::size_t run = std::min(packets.size(), kTimedRun);
-    if (shard.tuple_scratch.size() < run) shard.tuple_scratch.resize(run);
-    {
-      // Batched PHV extraction: AVX2 gathers pull the numeric columns of 4
-      // packets per pass (scalar under SONATA_NO_AVX2 / old CPUs, bit-
-      // identical either way).
-      obs::PhaseTimer t{shard.phases, obs::Phase::kIngest};
-      pisa::extract_batch(packets.first(run), shard.tuple_scratch.data());
-    }
-    {
-      // One clock read per timed run stamps every record the run emits
-      // (arena residency until the window merge is the dominant latency
-      // component; the stamp is metadata only and never affects results).
-      const std::uint64_t ingest_ns = obs::enabled() ? obs::now_ns() : 0;
-      obs::PhaseTimer t{shard.phases, obs::Phase::kCompute};
-      process_tuples_on_shard(shard, {shard.tuple_scratch.data(), run}, ingest_ns);
-    }
-    packets = packets.subspan(run);
-  }
-}
-
-void Fleet::process_tuples_on_shard(Shard& shard, std::span<Tuple> tuples,
-                                    std::uint64_t ingest_ns) {
-  const std::uint64_t before = shard.sink.packets_with_records();
-  const std::size_t recs_before = shard.sink.size();
-  shard.sw->process_batch(tuples, shard.sink);
-  if (ingest_ns != 0) {
-    const std::span<pisa::EmitRecord> recs = shard.sink.records();
-    for (std::size_t r = recs_before; r < recs.size(); ++r) recs[r].ingest_ns = ingest_ns;
-  }
-  if (raw_mirror_) {
-    shard.raw_mirror_packets += tuples.size();
-    shard.tuples_to_sp += tuples.size();
-    for (Tuple& t : tuples) shard.raw_sources.push_back(std::move(t));
-  } else {
-    shard.tuples_to_sp += shard.sink.packets_with_records() - before;
-  }
-}
-
-void Fleet::process_legacy_on_shard(Shard& shard, const net::Packet& packet) {
-  // The pre-batching per-packet path, kept verbatim behind batch_size == 1
-  // as the equivalence baseline: fresh tuple, one switch call, per-packet
-  // accounting.
-  const Tuple source = query::materialize_tuple(packet);
-  const std::uint64_t before = shard.sink.packets_with_records();
-  const std::size_t recs_before = shard.sink.size();
-  shard.sw->process_one(source, shard.sink);
-  if (obs::enabled() && shard.sink.size() > recs_before) {
-    const std::uint64_t now = obs::now_ns();
-    const std::span<pisa::EmitRecord> recs = shard.sink.records();
-    for (std::size_t r = recs_before; r < recs.size(); ++r) recs[r].ingest_ns = now;
-  }
-  if (raw_mirror_) {
-    ++shard.raw_mirror_packets;
-    ++shard.tuples_to_sp;
-    shard.raw_sources.push_back(source);
-  } else {
-    shard.tuples_to_sp += shard.sink.packets_with_records() - before;
-  }
-}
-
 bool Fleet::stalled(const Shard& shard) const noexcept {
   return injector_ != nullptr &&
          injector_->stall_active(shard.index, window_pub_.load(std::memory_order_acquire));
@@ -207,12 +122,9 @@ bool Fleet::maybe_resync(Shard& shard) {
     // Clean slate: discard the quarantined window's partial output and
     // reset the registers, so the shard's next window starts from the same
     // switch state a healthy close would have left.
-    shard.sink.clear();
-    shard.raw_sources.clear();
-    shard.tuples_to_sp = 0;
-    shard.raw_mirror_packets = 0;
+    shard.exec.clear();
     shard.phases.reset();
-    shard.sw->reset_all_registers();
+    shard.exec.sw().reset_all_registers();
   } while (!shard.resync_to.compare_exchange_strong(target, 0, std::memory_order_acq_rel));
   // Worker-thread emit is fine: the journal ring is lock-free and sharded.
   obs::Journal::global().emit(obs::EventType::kShardResynced,
@@ -227,33 +139,6 @@ void Fleet::worker_loop(Worker& w) {
   for (;;) {
     bool did_work = pool_.help(w.slot);
     for (Shard* shard : w.shards) {
-      if (batch_size_ == 1) {
-        // Legacy per-packet drain (the equivalence baseline).
-        net::Packet p;
-        for (;;) {
-          if (maybe_resync(*shard)) {
-            did_work = true;
-            continue;
-          }
-          if (stalled(*shard)) break;
-          if (!shard->queue.try_pop(p)) break;
-          const std::uint64_t target = shard->resync_to.load(std::memory_order_acquire);
-          if (target != 0 && shard->drained.load(std::memory_order_relaxed) < target) {
-            // Quarantined while popping: this packet is condemned.
-            shard->drained.fetch_add(1, std::memory_order_release);
-            continue;
-          }
-          if (target != 0) maybe_resync(*shard);  // popped past the target: recover first
-          if (slow_ns > 0) {
-            injector_->note_slowdown();
-            std::this_thread::sleep_for(std::chrono::nanoseconds(slow_ns));
-          }
-          process_legacy_on_shard(*shard, p);
-          shard->drained.fetch_add(1, std::memory_order_release);
-          did_work = true;
-        }
-        continue;
-      }
       for (;;) {
         if (maybe_resync(*shard)) {
           did_work = true;
@@ -273,7 +158,7 @@ void Fleet::worker_loop(Worker& w) {
           injector_->note_slowdown();
           std::this_thread::sleep_for(std::chrono::nanoseconds(slow_ns));
         }
-        process_batch_on_shard(*shard, run);
+        shard->exec.run(run, shard->phases);
         shard->queue.retire(run.size());
         // Release-publish the buffer writes; the driver's acquire load at
         // the barrier makes them visible without locks.
@@ -350,53 +235,10 @@ void Fleet::ingest_at(std::size_t switch_index, const net::Packet& packet) {
   ++current_.packets;
   Shard& shard = *shards_.at(switch_index);
   const bool watchdog = injector_ != nullptr && injector_->spec().watchdog_ms > 0;
-  if (batch_size_ == 1) {
-    // Legacy per-packet handoff (the equivalence baseline).
-    if (workers_.empty()) {
-      process_legacy_on_shard(shard, packet);
-      return;
-    }
-    Worker& w = *workers_[switch_index % workers_.size()];
-    const bool was_empty = shard.queue.empty();
-    shard.packets_ctr->add(1);
-    if (!shard.queue.try_push(packet)) {
-      shard.stalls_ctr->add(1);
-      if (watchdog) {
-        if (shard.shedding) {
-          shed_packet(shard);
-          return;
-        }
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(injector_->spec().watchdog_ms);
-        for (;;) {
-          wake(w);
-          driver_backoff_.pause();
-          if (shard.queue.try_push(packet)) break;
-          if (std::chrono::steady_clock::now() >= deadline) {
-            shard.shedding = true;
-            shed_packet(shard);
-            driver_backoff_.reset();
-            return;
-          }
-        }
-      } else {
-        do {
-          wake(w);
-          driver_backoff_.pause();
-        } while (!shard.queue.try_push(packet));
-      }
-      driver_backoff_.reset();
-    }
-    ++shard.enqueued;
-    if (was_empty) wake(w);
-    return;
-  }
   if (workers_.empty()) {
-    // Inline batch path: materialize straight into a reusable tuple slot
-    // (no packet copy) and run the pipelines once a batch has gathered.
-    if (shard.tuples_pending == shard.tuple_scratch.size()) shard.tuple_scratch.emplace_back();
-    query::materialize_tuple_into(packet, shard.tuple_scratch[shard.tuples_pending++]);
-    if (shard.tuples_pending >= batch_size_) flush_shard(switch_index);
+    // Inline: materialize straight into a warm tuple slot (no packet copy)
+    // and run the pipelines once a batch has gathered.
+    if (shard.exec.stage(packet) >= batch_size_) flush_shard(switch_index);
     return;
   }
   // Threaded batch path: stage straight into the ring slot (one copy, no
@@ -442,12 +284,10 @@ void Fleet::ingest_at(std::size_t switch_index, const net::Packet& packet) {
 void Fleet::flush_shard(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   if (workers_.empty()) {
-    if (shard.tuples_pending == 0) return;
-    shard.packets_ctr->add(shard.tuples_pending);
-    const std::uint64_t ingest_ns = obs::enabled() ? obs::now_ns() : 0;
+    if (shard.exec.staged() == 0) return;
+    shard.packets_ctr->add(shard.exec.staged());
     obs::PhaseTimer t{driver_phases_, obs::Phase::kCompute};
-    process_tuples_on_shard(shard, {shard.tuple_scratch.data(), shard.tuples_pending}, ingest_ns);
-    shard.tuples_pending = 0;
+    shard.exec.flush();
     return;
   }
   if (shard.staged_count == 0) return;
@@ -463,11 +303,7 @@ void Fleet::flush_shard(std::size_t shard_index) {
 }
 
 void Fleet::ingest(const net::Packet& packet) {
-  const std::uint64_t flow =
-      util::hash_combine(util::hash_combine(packet.src_ip, packet.dst_ip),
-                         (static_cast<std::uint64_t>(packet.src_port) << 24) ^
-                             (static_cast<std::uint64_t>(packet.dst_port) << 8) ^ packet.proto);
-  ingest_at(static_cast<std::size_t>(flow % shards_.size()), packet);
+  ingest_at(route_to_shard(packet, shards_.size()), packet);
 }
 
 void Fleet::drain_barrier() {
@@ -563,7 +399,7 @@ WindowStats Fleet::do_close_window() {
       wired_.clear();
       for (std::size_t i = 0; i < shards_.size(); ++i) {
         if (quarantined_[i]) continue;
-        for (const pisa::EmitRecord& rec : shards_[i]->sink.records()) wire_->transmit(rec, deliver);
+        for (const pisa::EmitRecord& rec : shards_[i]->exec.records()) wire_->transmit(rec, deliver);
       }
       wire_->flush(deliver);  // release a still-held (reordered) record
     }
@@ -583,7 +419,7 @@ WindowStats Fleet::do_close_window() {
     // A quarantined switch is worker-owned until its resync completes —
     // don't even read its stats (placeholder keeps the vector aligned).
     control_before.push_back(quarantined_[i] ? 0.0
-                                             : shards_[i]->sw->stats().control_update_millis);
+                                             : shards_[i]->exec.sw().stats().control_update_millis);
   }
 
   // 2. Parallel poll + reset, one task per healthy shard: poll its
@@ -598,7 +434,7 @@ WindowStats Fleet::do_close_window() {
   }
   {
     obs::PhaseTimer t{driver_phases_, obs::Phase::kPoll};
-    pool_.run(healthy_.size(), [&](std::size_t i, std::size_t) { do_shard_close(*healthy_[i]); });
+    pool_.run(healthy_.size(), [&](std::size_t i, std::size_t) { healthy_[i]->exec.poll_and_reset(); });
   }
 
   obs::PhaseTimer close_timer{driver_phases_, obs::Phase::kClose};
@@ -614,25 +450,20 @@ WindowStats Fleet::do_close_window() {
   outputs_.clear();
   std::vector<pisa::Switch*> switches;
   for (Shard* s : healthy_) {
-    outputs_.push_back({wire_ ? std::span<pisa::EmitRecord>{} : s->sink.records(),
-                        s->raw_sources, &s->polls});
-    switches.push_back(s->sw.get());
-    current_.tuples_to_sp += s->tuples_to_sp;
-    current_.raw_mirror_packets += s->raw_mirror_packets;
+    outputs_.push_back(s->exec.output());
+    if (wire_) outputs_.back().records = {};
+    switches.push_back(&s->exec.sw());
+    current_.tuples_to_sp += s->exec.tuples_to_sp();
+    current_.raw_mirror_packets += s->exec.raw_mirror_packets();
   }
   if (wire_) outputs_.push_back({wired_, {}, nullptr});
   sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
   sp_->close_window(current_, outputs_,
                     healthy_.empty() ? std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>>{}
-                                     : healthy_.front()->sw->pipelines(),
+                                     : healthy_.front()->exec.sw().pipelines(),
                     switches, pool_.slots(),
                     [this](std::size_t count, const CloseTask& task) { pool_.run(count, task); });
-  for (Shard* s : healthy_) {  // a quarantined shard's worker resync wipes it
-    s->sink.clear();
-    s->raw_sources.clear();
-    s->tuples_to_sp = 0;
-    s->raw_mirror_packets = 0;
-  }
+  for (Shard* s : healthy_) s->exec.clear();  // a quarantined shard's resync wipes it
 
   // 4. Control latency = the slowest switch's update time this window
   //    (updates run in parallel across the fleet). The register reset
@@ -643,7 +474,7 @@ WindowStats Fleet::do_close_window() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (quarantined_[i]) continue;  // reset happens in the worker's resync
     control =
-        std::max(control, shards_[i]->sw->stats().control_update_millis - control_before[i]);
+        std::max(control, shards_[i]->exec.sw().stats().control_update_millis - control_before[i]);
   }
   current_.control_update_millis = control;
   // Quiet point: flush the driver's spin-wait escalation tallies.
@@ -673,16 +504,6 @@ WindowStats Fleet::do_close_window() {
   return out;
 }
 
-void Fleet::do_shard_close(Shard& shard) {
-  const auto& pipelines = shard.sw->pipelines();
-  shard.polls.resize(pipelines.size());
-  for (std::size_t p = 0; p < pipelines.size(); ++p) pipelines[p]->poll_block(shard.polls[p]);
-  // publish_obs inside sees the pre-reset occupancy, exactly like the
-  // serial driver-side reset did; the registry handles are atomic and
-  // per-switch, so concurrent shard closes never contend on a cell.
-  shard.sw->reset_all_registers();
-}
-
 void Fleet::apply_plan(planner::Plan plan) {
   // Runs on the driver thread right after do_close_window, so every ring
   // is drained — EXCEPT a quarantined shard whose worker is still mid-
@@ -704,15 +525,9 @@ void Fleet::apply_plan(planner::Plan plan) {
   // the unchanged ones (runtime state reset). Register-pressure faults are
   // not re-applied — the swap installs clean, like an auto-replan.
   sp_.reset();
-  for (auto& shard : shards_) {
-    PipelineBuild build = build_pipelines(plan, shard->sw->release_pipelines(), {});
-    const std::string err = shard->sw->install(std::move(build.pipelines), build.resources);
-    assert(err.empty() && "plan does not fit the switch it was planned for");
-    (void)err;
-  }
+  for (auto& shard : shards_) shard->exec.install(plan, {}, shard->exec.sw().release_pipelines());
   plan_ = std::move(plan);
   sp_ = std::make_unique<StreamProcessor>(plan_);
-  raw_mirror_ = sp_->wants_raw_mirror();
 }
 
 }  // namespace sonata::runtime

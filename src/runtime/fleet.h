@@ -30,11 +30,11 @@
 // Batching (DESIGN.md "Data-path memory model"). The driver accumulates up
 // to `batch_size` packets per shard before handing them over; the handoff
 // moves the whole run through the SPSC ring with one acquire/release pair
-// and at most one worker wakeup, and the worker processes the run with one
-// Switch::process_batch call into the shard's emit arena. Per-shard packet
-// order — and therefore the merged output — is identical for every batch
-// size; `batch_size == 1` degenerates to the original per-packet path and
-// is kept as the equivalence baseline.
+// and at most one worker wakeup, and the worker runs it in place through
+// the shard's ShardExec (runtime/shard_exec.h), the per-switch data path
+// every driver shares. Per-shard packet order — and therefore the merged
+// output — is identical for every batch size; batch 1 runs the batched
+// path one packet at a time.
 //
 // Fault injection & graceful degradation (DESIGN.md "Fault model &
 // degradation"). With a FaultSpec configured the fleet can corrupt the
@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -65,8 +64,8 @@
 #include "net/packet.h"
 #include "pisa/switch.h"
 #include "planner/planner.h"
-#include "query/tuple.h"
 #include "runtime/engine.h"
+#include "runtime/shard_exec.h"
 #include "runtime/spsc_queue.h"
 #include "runtime/stream_processor.h"
 #include "runtime/task_pool.h"
@@ -80,11 +79,11 @@ class Fleet final : public TelemetryEngine {
   // Deploys `plan` on `switch_count` identical switches, processed by
   // `worker_threads` workers (0 = inline in the calling thread; capped at
   // `switch_count` since a switch is single-consumer). `batch_size` is the
-  // per-shard handoff granularity; 1 is the legacy per-packet path. The
-  // plan's base queries must outlive the Fleet. `faults` configures
-  // deterministic fault injection (default: none — hooks compile to null
-  // checks); a stall requires faults.watchdog_ms > 0, and worker
-  // stalls/slowdowns only apply in threaded mode.
+  // per-shard handoff granularity; batch 1 runs the batched path one packet
+  // at a time. The plan's base queries must outlive the Fleet. `faults`
+  // configures deterministic fault injection (default: none — hooks
+  // compile to null checks); a stall requires faults.watchdog_ms > 0, and
+  // worker stalls/slowdowns only apply in threaded mode.
   // `pin_workers` pins worker i to allowed core i % cores (NUMA-local by
   // construction: a worker allocates its working set from the core it runs
   // on, and first-touch places the pages on that core's node).
@@ -118,7 +117,7 @@ class Fleet final : public TelemetryEngine {
   [[nodiscard]] const planner::Plan& plan() const noexcept override { return plan_; }
   [[nodiscard]] std::size_t data_plane_count() const noexcept override { return shards_.size(); }
   [[nodiscard]] const pisa::Switch& data_plane(std::size_t i) const override {
-    return *shards_.at(i)->sw;
+    return shards_.at(i)->exec.sw();
   }
   [[nodiscard]] const Emitter& emitter() const noexcept override { return sp_->emitter(); }
 
@@ -137,30 +136,17 @@ class Fleet final : public TelemetryEngine {
 
  private:
   struct Shard {
-    explicit Shard(std::size_t ring_capacity) : queue(ring_capacity) {}
+    Shard(std::size_t ring_capacity, const pisa::SwitchConfig& cfg, std::size_t i)
+        : index(i), exec(cfg, std::to_string(i)), queue(ring_capacity) {}
 
     std::size_t index = 0;  // switch index (stall schedules key on it)
-    std::unique_ptr<pisa::Switch> sw;
+    // The switch and its window output. Written only by the shard's worker
+    // (the driver when inline) between barriers; read and cleared by the
+    // driver after the barrier (publication via `drained`). Inline mode
+    // stages packets into it; threaded mode stages them into ring slots.
+    ShardExec exec;
     SpscQueue<net::Packet> queue;
-
-    // Driver-side batch state. Inline mode (no workers) materializes into
-    // the first `tuples_pending` tuple_scratch slots; threaded mode stages
-    // packets directly into ring slots and only counts them here. Both
-    // flush at batch_size_ and at the barrier.
-    std::size_t tuples_pending = 0;
-    std::size_t staged_count = 0;
-
-    // Written only by the shard's worker between barriers; read and cleared
-    // by the driver thread after the barrier (publication via `drained`).
-    pisa::EmitSink sink;                       // mirrored records, arrival order
-    std::vector<query::Tuple> raw_sources;     // raw-mirror tuples, arrival order
-    std::uint64_t tuples_to_sp = 0;
-    std::uint64_t raw_mirror_packets = 0;
-
-    // Worker-side tuple slots, reused chunk to chunk (no hot-path
-    // allocation once warm). The batched drain itself is zero-copy:
-    // workers process packets in place in the ring slots.
-    std::vector<query::Tuple> tuple_scratch;
+    std::size_t staged_count = 0;  // driver-only: ring slots staged, unpublished
 
     std::uint64_t enqueued = 0;                // driver-only
     std::atomic<std::uint64_t> drained{0};     // worker-written (release)
@@ -179,10 +165,6 @@ class Fleet final : public TelemetryEngine {
     // emit arena: published to the driver by the same release/acquire
     // pair as `drained`, merged and reset at the window barrier.
     obs::PhaseAccum phases;
-
-    // Register polls (one packed block per pipeline, in the registers'
-    // deterministic slot order), filled by the shard's close-time poll task.
-    std::vector<pisa::PolledBlock> polls;
 
     // Registry handles, resolved once at construction (self-gated on
     // obs::enabled, so they cost one branch when observability is off).
@@ -207,29 +189,11 @@ class Fleet final : public TelemetryEngine {
     std::thread thread;
   };
 
-  // The per-switch data-plane hot path for one batch; runs on the shard's
-  // worker (or the driver thread when worker_threads == 0). Consumes
-  // `packets` (tuples may be moved out for the raw mirror).
-  void process_batch_on_shard(Shard& shard, std::span<const net::Packet> packets);
-  // Run already-materialized tuples through the shard's pipelines into its
-  // emit arena, with per-batch tuple accounting. Consumes `tuples` in raw-
-  // mirror plans (moved into the shard's raw buffer). When `ingest_ns` is
-  // nonzero every record this call appends is stamped with it (report
-  // latency); callers read the clock once per timed run, not per chunk.
-  void process_tuples_on_shard(Shard& shard, std::span<query::Tuple> tuples,
-                               std::uint64_t ingest_ns = 0);
-  // The pre-batching per-packet hot path, active when batch_size == 1 (the
-  // equivalence baseline for the batched path).
-  void process_legacy_on_shard(Shard& shard, const net::Packet& packet);
   // Hand a shard's pending batch to its worker (or process it inline).
   void flush_shard(std::size_t shard_index);
   void worker_loop(Worker& w);
   void wake(Worker& w);
   void drain_barrier();
-
-  // Shard-local close phase: poll every stateful tail into shard.polls
-  // and reset the switch registers — one close task per healthy shard.
-  void do_shard_close(Shard& shard);
 
   // Worker-side quarantine recovery: if the driver condemned this shard,
   // discard the condemned ring prefix, wipe the emit arena, reset the
@@ -247,7 +211,6 @@ class Fleet final : public TelemetryEngine {
   // unique_ptr (not a value) so a control-plane swap can rebuild it; sp_
   // holds pointers into plan_, so it is reset before plan_ is replaced.
   std::unique_ptr<StreamProcessor> sp_;
-  bool raw_mirror_ = false;  // sp_->wants_raw_mirror(), cached for workers
   std::size_t batch_size_ = 1;
 
   // Fault injection (null/empty when no spec is configured — every hook on

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <span>
 #include <utility>
 
 #include "obs/journal.h"
@@ -13,7 +12,6 @@ namespace sonata::runtime {
 
 using planner::PlannedPipeline;
 using planner::PlannedQuery;
-using query::Tuple;
 
 Runtime::Runtime(planner::Plan plan, std::size_t batch_size, fault::FaultSpec faults)
     : batch_size_(std::max<std::size_t>(batch_size, 1)), faults_(faults) {
@@ -23,36 +21,29 @@ Runtime::Runtime(planner::Plan plan, std::size_t batch_size, fault::FaultSpec fa
 }
 
 void Runtime::install_plan(planner::Plan plan, bool register_pressure) {
-  // Partial recompile: hand the outgoing program's pipelines to the shared
-  // builder so unchanged (query, source, level, partition, sizing) entries
-  // are reused with their runtime state reset. The match runs while BOTH
-  // plans are alive, so node-pointer identity is sound.
-  std::vector<std::unique_ptr<pisa::CompiledSwitchQuery>> reusable;
-  if (switch_) reusable = switch_->release_pipelines();
+  // Partial recompile onto a fresh switch: the outgoing program's pipelines
+  // go to the shared builder, so unchanged (query, source, level,
+  // partition, sizing) entries are reused with their runtime state reset.
+  // The match runs while BOTH plans are alive, so node-pointer identity is
+  // sound. Register pressure (fault injection) sizes the registers for
+  // drifted traffic and/or an adversarial hash seed; a swap (auto-replan or
+  // control plane) installs clean — re-planning is the recovery from it.
   PipelineBuildOptions build_opts;
-  if (register_pressure) {
-    // Register pressure (fault injection): install with registers sized
-    // for traffic that has since drifted and/or an adversarial hash seed.
-    // A swap (auto-replan or control plane) installs clean — re-planning
-    // is the recovery from register pressure.
-    build_opts.register_shrink = faults_.register_shrink;
-    build_opts.hash_seed = faults_.hash_seed;
-  }
-  PipelineBuild build = build_pipelines(plan, std::move(reusable), build_opts);
+  if (register_pressure) build_opts = {faults_.register_shrink, faults_.hash_seed};
+  auto exec = std::make_unique<ShardExec>(plan.switch_config);
+  exec->install(plan, build_opts,
+                exec_ ? exec_->sw().release_pipelines()
+                      : std::vector<std::unique_ptr<pisa::CompiledSwitchQuery>>{});
 
   // Tear down in dependency order (sp_ holds pointers into plan_), then
   // rebuild. On the initial install this is a plain construction; on a
-  // swap it replaces the switch program and the stream executors between
-  // windows. Mitigation guard entries and dynamic filter winners do not
-  // survive the swap — they are rebuilt from the next window's detections.
+  // swap it replaces the switch and the stream executors between windows.
+  // Mitigation guard entries and dynamic filter winners do not survive the
+  // swap — they are rebuilt from the next window's detections.
   sp_.reset();
-  switch_.reset();
+  exec_ = std::move(exec);
   plan_ = std::move(plan);
-  switch_ = std::make_unique<pisa::Switch>(plan_.switch_config);
   sp_ = std::make_unique<StreamProcessor>(plan_);
-  const std::string err = switch_->install(std::move(build.pipelines), build.resources);
-  assert(err.empty() && "plan does not fit the switch it was planned for");
-  (void)err;
 }
 
 void Runtime::apply_plan(planner::Plan plan) {
@@ -64,102 +55,53 @@ void Runtime::apply_plan(planner::Plan plan) {
   replan_recommended_ = false;
 }
 
-void Runtime::deliver_record(pisa::EmitRecord&& rec) {
-  const auto deliver = [&](pisa::EmitRecord&& d) {
-    // Overflow counts only records the SP accepted: a corrupted header the
-    // SP's routing boundary rejects never reached its counters either.
-    const bool overflow = d.kind == pisa::EmitRecord::Kind::kOverflow;
-    if (!sp_->deliver(std::move(d))) return false;
-    if (overflow) {
-      ++current_.overflow_records;
-      ++total_overflows_;
-    }
-    return true;
-  };
-  if (wire_) {
-    // Round-trip the record through the report codec over the faulty wire;
-    // overflow accounting moves to the delivered side (a dropped overflow
-    // report never reaches the stream processor — or its counters).
-    wire_->transmit(rec, deliver);
-  } else {
-    deliver(std::move(rec));
+bool Runtime::deliver_record(pisa::EmitRecord&& rec) {
+  const bool overflow = rec.kind == pisa::EmitRecord::Kind::kOverflow;
+  if (!sp_->deliver(std::move(rec))) return false;
+  if (overflow) {
+    ++current_.overflow_records;
+    ++total_overflows_;
   }
+  return true;
 }
 
 void Runtime::ingest(const net::Packet& packet) {
   ++current_.packets;
   if (auto_replan_) history_.back().push_back(packet);
-  if (batch_size_ == 1) {
-    // Legacy per-packet path (the equivalence baseline): fresh tuple, one
-    // switch call, immediate delivery (ingest == delivery, so the latency
-    // histogram records the floor bucket — delivery here is synchronous).
-    Tuple source = query::materialize_tuple(packet);
-    sink_.clear();
-    switch_->process_one(source, sink_);
-    const std::uint64_t now = obs::enabled() ? obs::now_ns() : 0;
-    sp_->begin_delivery(now);
-    for (pisa::EmitRecord& rec : sink_.records()) {
-      rec.ingest_ns = now;
-      ++total_records_;
-      deliver_record(std::move(rec));
-    }
-    const bool raw = sp_->wants_raw_mirror();
-    if (raw) {
-      ++current_.raw_mirror_packets;
-      ++total_records_;
-      sp_->deliver_raw_batch({&source, 1});
-    }
-    if (raw || !sink_.empty()) ++current_.tuples_to_sp;
-    return;
-  }
-  if (pending_used_ == 0 && obs::enabled()) pending_first_ns_ = obs::now_ns();
-  if (pending_used_ == pending_tuples_.size()) pending_tuples_.emplace_back();
-  query::materialize_tuple_into(packet, pending_tuples_[pending_used_++]);
-  if (pending_used_ >= batch_size_) flush_pending();
+  if (exec_->stage(packet) >= batch_size_) flush_pending();
 }
 
 void Runtime::flush_pending() {
-  if (pending_used_ == 0) return;
-  const std::span<Tuple> batch{pending_tuples_.data(), pending_used_};
-  sink_.clear();
+  if (exec_->staged() == 0) return;
   {
-    // One timed span and one switch call for the whole buffered batch.
+    // One timed span and one switch call for the whole staged batch.
     obs::PhaseTimer t{phase_accum_, obs::Phase::kCompute};
-    switch_->process_batch(batch, sink_);
+    exec_->flush();
   }
+  // The batch's records carry its first packet's ingest time; the merge
+  // start is their delivery time — one clock read per batch, never per
+  // record. Both are metadata only: results are bit-identical with metrics
+  // on or off.
   obs::PhaseTimer merge_timer{phase_accum_, obs::Phase::kMerge};
-  if (pending_first_ns_ != 0) {
-    // Stamp the whole batch's records with its first packet's ingest time
-    // and the merge start as the delivery time — one clock read per batch
-    // on each side, never per record. ingest_ns is metadata only; results
-    // are bit-identical with metrics on or off.
-    const std::uint64_t now = obs::now_ns();
-    for (pisa::EmitRecord& rec : sink_.records()) rec.ingest_ns = pending_first_ns_;
-    sp_->begin_delivery(now);
-  } else {
-    sp_->begin_delivery(0);
-  }
-  for (pisa::EmitRecord& rec : sink_.records()) {
+  sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
+  const auto deliver = [this](pisa::EmitRecord&& d) { return deliver_record(std::move(d)); };
+  for (pisa::EmitRecord& rec : exec_->records()) {
     ++total_records_;
-    deliver_record(std::move(rec));
+    // Over a faulty wire the record round-trips the report codec, and a
+    // dropped overflow report never reaches the SP or its counters.
+    if (wire_) {
+      wire_->transmit(rec, deliver);
+    } else {
+      deliver_record(std::move(rec));
+    }
   }
-  // One mirrored packet per original packet: the PHV carries a single
-  // report bit plus every query's intermediate results (paper §3.1.3), so
-  // N counts packets with at least one emission (or the raw mirror).
-  // tuples_to_sp stays switch-side accounting: what the switch *sent*, not
-  // what survived a faulty wire.
-  const bool raw = sp_->wants_raw_mirror();
-  if (raw) {
-    const std::uint64_t n = pending_used_;
-    current_.raw_mirror_packets += n;
-    total_records_ += n;
-    current_.tuples_to_sp += n;
-    sp_->deliver_raw_batch(batch);
-  } else {
-    current_.tuples_to_sp += sink_.packets_with_records();
-  }
-  pending_used_ = 0;
-  pending_first_ns_ = 0;
+  total_records_ += exec_->raw_sources().size();
+  if (!exec_->raw_sources().empty()) sp_->deliver_raw_batch(exec_->raw_sources());
+  // tuples_to_sp stays switch-side accounting: what the switch *sent*,
+  // not what survived a faulty wire.
+  current_.tuples_to_sp += exec_->tuples_to_sp();
+  current_.raw_mirror_packets += exec_->raw_mirror_packets();
+  exec_->clear();
 }
 
 WindowStats Runtime::do_close_window() {
@@ -172,24 +114,12 @@ WindowStats Runtime::do_close_window() {
   //    and release a still-held (reordered) report — reordering never
   //    crosses a window boundary.
   flush_pending();
-  if (wire_) {
-    wire_->flush([&](pisa::EmitRecord&& d) {
-      // Held records are verbatim copies of routable records; the overflow
-      // gate mirrors deliver_record's for uniformity.
-      const bool overflow = d.kind == pisa::EmitRecord::Kind::kOverflow;
-      if (!sp_->deliver(std::move(d))) return false;
-      if (overflow) {
-        ++current_.overflow_records;
-        ++total_overflows_;
-      }
-      return true;
-    });
-  }
+  if (wire_) wire_->flush([this](pisa::EmitRecord&& d) { return deliver_record(std::move(d)); });
 
   // 1. Poll switch registers for stateful tails (control channel).
   {
     obs::PhaseTimer t{phase_accum_, obs::Phase::kPoll};
-    sp_->poll_switch(*switch_);
+    sp_->poll_switch(exec_->sw());
   }
 
   obs::PhaseTimer close_timer{phase_accum_, obs::Phase::kClose};
@@ -198,8 +128,9 @@ WindowStats Runtime::do_close_window() {
   //    as they were emitted), tasks inline: levels close coarse-to-fine;
   //    winners install into the next level's dynamic filter tables (they
   //    take effect for the next window).
-  const double control_before = switch_->stats().control_update_millis;
-  pisa::Switch* const switches[] = {switch_.get()};
+  pisa::Switch& sw = exec_->sw();
+  const double control_before = sw.stats().control_update_millis;
+  pisa::Switch* const switches[] = {&sw};
   sp_->close_levels(current_, switches);
 
   // 3. Closed-loop mitigation: block the keys behind this window's
@@ -214,18 +145,18 @@ WindowStats Runtime::do_close_window() {
     for (const auto& result : current_.results) {
       if (result.qid != policy.qid) continue;
       for (const auto& t : result.outputs) {
-        if (switch_->blocked_keys() >= policy.max_entries) break;
-        switch_->block(policy.packet_field, t.at(*col));
+        if (sw.blocked_keys() >= policy.max_entries) break;
+        sw.block(policy.packet_field, t.at(*col));
       }
     }
   }
 
   // 4. Reset registers for the next window.
-  switch_->reset_all_registers();
+  sw.reset_all_registers();
   close_timer.stop();
-  current_.control_update_millis = switch_->stats().control_update_millis - control_before;
-  current_.dropped_packets = switch_->stats().dropped_packets - dropped_before_window_;
-  dropped_before_window_ = switch_->stats().dropped_packets;
+  current_.control_update_millis = sw.stats().control_update_millis - control_before;
+  current_.dropped_packets = sw.stats().dropped_packets - dropped_before_window_;
+  dropped_before_window_ = sw.stats().dropped_packets;
   current_.phases = to_breakdown(phase_accum_);
   phase_accum_.reset();
 

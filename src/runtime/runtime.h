@@ -35,8 +35,8 @@
 #include "fault/fault.h"
 #include "pisa/switch.h"
 #include "planner/planner.h"
-#include "query/tuple.h"
 #include "runtime/engine.h"
+#include "runtime/shard_exec.h"
 #include "runtime/stream_processor.h"
 #include "runtime/wire_channel.h"
 
@@ -48,8 +48,9 @@ class Runtime final : public TelemetryEngine {
   // references must outlive the Runtime. `batch_size` is the data-path
   // handoff granularity (DESIGN.md "Data-path memory model"): ingested
   // packets are parsed immediately but run through the switch pipelines
-  // `batch_size` at a time into a reusable emit arena. 1 is the legacy
-  // per-packet path; any value produces bit-identical windows.
+  // `batch_size` at a time into a reusable emit arena; batch 1 runs the
+  // batched path one packet at a time. Every value produces bit-identical
+  // windows.
   //
   // `faults` configures deterministic fault injection (DESIGN.md "Fault
   // model & degradation"): wire faults round-trip every mirrored record
@@ -64,8 +65,8 @@ class Runtime final : public TelemetryEngine {
 
   [[nodiscard]] const planner::Plan& plan() const noexcept override { return plan_; }
   [[nodiscard]] std::size_t data_plane_count() const noexcept override { return 1; }
-  [[nodiscard]] const pisa::Switch& data_plane(std::size_t) const override { return *switch_; }
-  [[nodiscard]] const pisa::Switch& data_plane() const noexcept { return *switch_; }
+  [[nodiscard]] const pisa::Switch& data_plane(std::size_t) const override { return exec_->sw(); }
+  [[nodiscard]] const pisa::Switch& data_plane() const noexcept { return exec_->sw(); }
   [[nodiscard]] const Emitter& emitter() const noexcept override { return sp_->emitter(); }
 
   // Fraction of mirrored records caused by register-chain overflow since
@@ -126,12 +127,14 @@ class Runtime final : public TelemetryEngine {
   void apply_plan(planner::Plan plan) override;
 
  private:
-  // Run the buffered tuples through the switch pipelines and route the
-  // resulting records (and the raw mirror) into the stream processor.
+  // Run the staged packets through the switch pipelines and hand the
+  // resulting records (and the raw mirror) to the stream processor.
   void flush_pending();
-  // Route one emitted record toward the stream processor, through the
-  // faulty wire when one is configured.
-  void deliver_record(pisa::EmitRecord&& rec);
+  // Deliver one record (off the switch, or off the faulty wire) to the
+  // stream processor; overflow counts only records the SP accepted: a
+  // corrupted header its routing boundary rejects never reached its
+  // counters either. Returns whether the record routed.
+  bool deliver_record(pisa::EmitRecord&& rec);
   // (Re)build the switch program and stream processor for `plan`.
   // `register_pressure` applies the fault spec's shrink/hash_seed (true for
   // the initial install, false for auto-replan swaps — re-planning is the
@@ -140,8 +143,8 @@ class Runtime final : public TelemetryEngine {
 
   planner::Plan plan_;
   // unique_ptrs (not values) so an auto-replan swap can rebuild both; sp_
-  // holds pointers into plan_, so destruction order is switch_/sp_ first.
-  std::unique_ptr<pisa::Switch> switch_;
+  // holds pointers into plan_, so destruction order is exec_/sp_ first.
+  std::unique_ptr<ShardExec> exec_;  // the switch and its data path
   std::unique_ptr<StreamProcessor> sp_;
   std::size_t batch_size_ = 1;
   fault::FaultSpec faults_;
@@ -170,15 +173,6 @@ class Runtime final : public TelemetryEngine {
   std::uint64_t total_records_ = 0;
   std::uint64_t total_overflows_ = 0;
   std::uint64_t dropped_before_window_ = 0;
-  // Parsed-but-unprocessed tuple slots: the first `pending_used_` entries
-  // are live; warm slots keep their value storage across batches.
-  std::vector<query::Tuple> pending_tuples_;
-  std::size_t pending_used_ = 0;
-  // Ingest timestamp of the current buffered batch's first packet (0 when
-  // metrics are off): one clock read per batch stamps every record the
-  // batch emits for the end-to-end latency histograms.
-  std::uint64_t pending_first_ns_ = 0;
-  pisa::EmitSink sink_;  // reusable emit arena
 };
 
 }  // namespace sonata::runtime

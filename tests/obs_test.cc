@@ -358,8 +358,9 @@ TEST(ObsEngine, PhaseBreakdownSumsToTotalSerial) {
   obs::set_enabled(false);
   expect_phase_sum_exact(windows);
   for (const auto& w : windows) {
-    // The serial runtime times compute/poll/close; ingest stays inside the
-    // per-packet path and is deliberately untimed there.
+    // The serial runtime times compute/poll/close; it stages each packet
+    // as it arrives (batch 1 runs the batched path one packet at a time)
+    // and leaves that ingest step untimed.
     EXPECT_GT(w.phases.compute_nanos + w.phases.poll_nanos + w.phases.close_nanos, 0u)
         << "window " << w.window_index;
   }

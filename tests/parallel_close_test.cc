@@ -427,10 +427,10 @@ TEST(ParallelClose, TaskRunnersMatchSerialDelivery) {
 }
 
 // The Collector over shm, its close on its own pool, with two switch nodes
-// whose frames carry `faults`. `injected` returns the node's injected
-// frame faults.
+// whose frames carry `faults` and whose data paths flush every `batch`
+// packets. `injected` returns the nodes' injected frame faults.
 std::vector<Observed> run_collector(const Plan& plan, const fault::FaultSpec& faults,
-                                    std::uint64_t* injected = nullptr) {
+                                    std::size_t batch, std::uint64_t* injected) {
   constexpr std::uint16_t kNodes = 2;
   const std::string prefix = "/tmp/sonata_pc." + std::to_string(::getpid());
   const auto spec = net::transport::parse_endpoint("shm:" + prefix);
@@ -441,6 +441,7 @@ std::vector<Observed> run_collector(const Plan& plan, const fault::FaultSpec& fa
   DistributedConfig dcfg;
   dcfg.switches = kShards;
   dcfg.nodes = kNodes;
+  dcfg.batch = batch;
   auto ep = net::transport::make_collector_endpoint(*spec, kNodes);
   if (!ep.has_value()) {
     ADD_FAILURE() << ep.error();
@@ -501,9 +502,9 @@ std::vector<Observed> run_collector(const Plan& plan, const fault::FaultSpec& fa
 // collector's switches live in other processes' roles: its installs model
 // no local latency, and its journal holds the nodes' events too.
 void check_collector(const Plan& plan, const fault::FaultSpec& faults, const std::string& label,
-                     std::uint64_t* injected = nullptr) {
+                     std::uint64_t* injected = nullptr, std::size_t batch = 256) {
   std::vector<Observed> want = run_fleet(plan, 0, {});
-  std::vector<Observed> got = run_collector(plan, faults, injected);
+  std::vector<Observed> got = run_collector(plan, faults, batch, injected);
   for (auto* side : {&want, &got}) {
     for (Observed& o : *side) {
       o.stats.control_update_millis = 0.0;
@@ -522,6 +523,16 @@ TEST(ParallelClose, CollectorOverShmMatchesInProcessFleet) {
 TEST(ParallelClose, SketchCollectorOverShmMatchesInProcessFleet) {
   ScopedObs obs_on;
   check_collector(make_plan(PlanMode::kMaxDP, true), {}, "collector sketch");
+}
+
+TEST(ParallelClose, AllSpCollectorOverShmAtRaggedBatchMatchesInProcessFleet) {
+  // The switch nodes ship kRaw frames, and their executors flush every 7
+  // packets, so windows end on partial batches; the reference Fleet runs
+  // at batch 256.
+  ScopedObs obs_on;
+  const Plan plan = make_plan(PlanMode::kAllSP, false);
+  ASSERT_TRUE(StreamProcessor::plan_wants_raw_mirror(plan));
+  check_collector(plan, {}, "collector all-sp batch 7", nullptr, 7);
 }
 
 TEST(ParallelClose, FrameFaultCollectorOverShmMatchesInProcessFleet) {

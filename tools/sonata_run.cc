@@ -15,8 +15,8 @@
 // worker threads — both run behind the same TelemetryEngine interface, and
 // results are identical for any switch/thread combination that sees the
 // whole trace. `--batch N` sets the data-path handoff granularity (default
-// 256; 1 is the legacy per-packet path) — output is bit-identical for any
-// value, only throughput changes. Flags are parsed and validated by the
+// 256; batch 1 runs the batched path one packet at a time) — output is
+// bit-identical for any value, only throughput changes. Flags are parsed and validated by the
 // shared tools/run_config module.
 //
 // Dynamic query control plane: the DSL file may declare tenants
