@@ -57,7 +57,7 @@ struct FaultSpec {
   double reorder_rate = 0.0;   // delay the report past its successor
 
   // -- worker faults (fleet only) --------------------------------------
-  std::uint64_t slow_ns = 0;         // sleep per drained run on every worker
+  std::uint64_t slow_ns = 0;         // sleep per drained run, on every thread that drains
   std::size_t stall_switch = 0;      // shard whose worker stalls
   std::uint64_t stall_from_window = 0;
   std::uint64_t stall_windows = 0;   // 0 = no stall

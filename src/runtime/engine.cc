@@ -197,12 +197,6 @@ EngineBuilder& EngineBuilder::training(std::span<const net::Packet> packets) {
   return *this;
 }
 
-EngineBuilder& EngineBuilder::training_windows(std::vector<planner::TupleWindow> windows) {
-  windows_ = std::move(windows);
-  have_training_ = true;
-  return *this;
-}
-
 EngineBuilder& EngineBuilder::tenant(std::string_view name, planner::TenantBudget budget) {
   tenants_.emplace_back(std::string(name), budget);
   return *this;
@@ -223,7 +217,7 @@ EngineBuilder::plan_only() {
   if (!have_training_) {
     planner::AdmissionDiagnostic d;
     d.code = planner::AdmissionDiagnostic::Code::kValidation;
-    d.message = "no training traffic: call training() or training_windows() before build()";
+    d.message = "no training traffic: call training() before build()";
     return d;
   }
   auto control = std::make_unique<ControlPlane>(planner_, std::move(windows_));

@@ -130,7 +130,6 @@ class EngineBuilder {
   EngineBuilder& planner(planner::PlannerConfig cfg);
   // Training traffic for the planner's cost estimators (required).
   EngineBuilder& training(std::span<const net::Packet> packets);
-  EngineBuilder& training_windows(std::vector<planner::TupleWindow> windows);
   // Define a tenant budget (may be referenced by later admit calls).
   EngineBuilder& tenant(std::string_view name, planner::TenantBudget budget);
   // Queries to admit at build time ("" = the unlimited default tenant).

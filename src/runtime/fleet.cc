@@ -38,6 +38,7 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
   backoffs_ctr_ = &reg.counter("sonata_fleet_backoffs_total");
   sleeps_ctr_ = &reg.counter("sonata_fleet_sleeps_total");
   partial_windows_ctr_ = &reg.counter("sonata_fleet_partial_windows_total");
+  driver_runs_ctr_ = &reg.counter("sonata_fleet_driver_runs_total");
 
   // One identical switch program per ingress point.
   for (std::size_t i = 0; i < switch_count; ++i) {
@@ -57,7 +58,8 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
     shards_.push_back(std::move(shard));
   }
 
-  // Pin shard i to worker i % threads; each shard has exactly one consumer.
+  // Shard i's worker is i % threads; the driver may drain any shard whose
+  // claim it takes, one consumer at a time (Fleet::drain).
   const std::size_t threads = std::min(worker_threads, switch_count);
   for (std::size_t w = 0; w < threads; ++w) {
     auto worker = std::make_unique<Worker>();
@@ -126,46 +128,63 @@ bool Fleet::maybe_resync(Shard& shard) {
     shard.phases.reset();
     shard.exec.sw().reset_all_registers();
   } while (!shard.resync_to.compare_exchange_strong(target, 0, std::memory_order_acq_rel));
-  // Worker-thread emit is fine: the journal ring is lock-free and sharded.
+  // Emitting from any thread is fine: the journal ring is lock-free and sharded.
   obs::Journal::global().emit(obs::EventType::kShardResynced,
                               window_pub_.load(std::memory_order_relaxed), 0,
                               static_cast<std::uint32_t>(shard.index));
   return true;
 }
 
-void Fleet::worker_loop(Worker& w) {
+std::size_t Fleet::drain(Shard& shard, std::size_t max_runs) {
+  // The acquire pairs with the previous holder's release, so its ring,
+  // arena and phase writes are visible before this thread touches them.
+  if (shard.claim.exchange(true, std::memory_order_acquire)) return 0;
   const std::uint64_t slow_ns = injector_ ? injector_->spec().slow_ns : 0;
+  std::size_t runs = 0;
+  while (runs < max_runs) {
+    if (maybe_resync(shard)) continue;
+    if (stalled(shard)) break;
+    // Zero-copy drain: process packets in place in the ring slots, then
+    // retire the run — no move out of the ring.
+    const std::span<const net::Packet> run = shard.queue.front_run(batch_size_);
+    if (run.empty()) break;
+    // Re-check the quarantine cell after observing the run: the acquire
+    // load of the ring head that made these packets visible also made
+    // any earlier quarantine visible, so packets enqueued after a
+    // quarantine can never be processed into a condemned emit arena.
+    if (shard.resync_to.load(std::memory_order_acquire) != 0) continue;
+    if (slow_ns > 0) {
+      injector_->note_slowdown();
+      std::this_thread::sleep_for(std::chrono::nanoseconds(slow_ns));
+    }
+    shard.exec.run(run, shard.phases);
+    shard.queue.retire(run.size());
+    // Release-publish the buffer writes; the driver's acquire load at
+    // the barrier makes them visible without locks.
+    shard.drained.fetch_add(run.size(), std::memory_order_release);
+    ++runs;
+  }
+  shard.claim.store(false, std::memory_order_release);
+  return runs;
+}
+
+bool Fleet::drive_one_run(std::size_t from) {
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    const std::size_t i = from + k < shards_.size() ? from + k : from + k - shards_.size();
+    if (drain(*shards_[i], 1) != 0) {
+      ++driver_runs_;  // published at the barrier: no shared write here
+      return true;
+    }
+  }
+  return false;
+}
+
+void Fleet::worker_loop(Worker& w) {
   std::uint64_t flushed_yields = 0, flushed_sleeps = 0;
   for (;;) {
     bool did_work = pool_.help(w.slot);
-    for (Shard* shard : w.shards) {
-      for (;;) {
-        if (maybe_resync(*shard)) {
-          did_work = true;
-          continue;
-        }
-        if (stalled(*shard)) break;
-        // Zero-copy drain: process packets in place in the ring slots, then
-        // retire the run — no move out of the ring.
-        const std::span<const net::Packet> run = shard->queue.front_run(batch_size_);
-        if (run.empty()) break;
-        // Re-check the quarantine cell after observing the run: the acquire
-        // load of the ring head that made these packets visible also made
-        // any earlier quarantine visible, so packets enqueued after a
-        // quarantine can never be processed into a condemned emit arena.
-        if (shard->resync_to.load(std::memory_order_acquire) != 0) continue;
-        if (slow_ns > 0) {
-          injector_->note_slowdown();
-          std::this_thread::sleep_for(std::chrono::nanoseconds(slow_ns));
-        }
-        shard->exec.run(run, shard->phases);
-        shard->queue.retire(run.size());
-        // Release-publish the buffer writes; the driver's acquire load at
-        // the barrier makes them visible without locks.
-        shard->drained.fetch_add(run.size(), std::memory_order_release);
-        did_work = true;
-      }
-    }
+    // Drain each of its shards dry, skipping one the driver holds.
+    for (Shard* shard : w.shards) did_work |= drain(*shard, SIZE_MAX) != 0;
     if (did_work) {
       w.backoff.reset();
       continue;
@@ -247,7 +266,8 @@ void Fleet::ingest_at(std::size_t switch_index, const net::Packet& packet) {
   Worker& w = *workers_[switch_index % workers_.size()];
   if (!shard.queue.try_stage(packet)) {
     // Ring full: publish what we have, make sure the worker is awake, and
-    // yield to it.
+    // drain runs beside it (this shard first), backing off only when every
+    // shard is empty, stalled or held.
     shard.stalls_ctr->add(1);
     if (watchdog) {
       if (shard.shedding) {
@@ -259,7 +279,7 @@ void Fleet::ingest_at(std::size_t switch_index, const net::Packet& packet) {
       for (;;) {
         flush_shard(switch_index);
         wake(w);
-        driver_backoff_.pause();
+        if (!drive_one_run(switch_index)) driver_backoff_.pause();
         if (shard.queue.try_stage(packet)) break;
         if (std::chrono::steady_clock::now() >= deadline) {
           shard.shedding = true;
@@ -272,7 +292,7 @@ void Fleet::ingest_at(std::size_t switch_index, const net::Packet& packet) {
       do {
         flush_shard(switch_index);
         wake(w);
-        driver_backoff_.pause();
+        if (!drive_one_run(switch_index)) driver_backoff_.pause();
       } while (!shard.queue.try_stage(packet));
     }
     driver_backoff_.reset();
@@ -339,9 +359,9 @@ void Fleet::drain_barrier() {
         break;
       }
       // Workers may have raced to sleep around the last push; keep them
-      // awake until their queues are dry.
+      // awake until their queues are dry, and drain beside them.
       wake(*workers_[i % workers_.size()]);
-      driver_backoff_.pause();
+      if (!drive_one_run(i)) driver_backoff_.pause();
     }
     driver_backoff_.reset();
     if (healthy) {
@@ -408,7 +428,7 @@ WindowStats Fleet::do_close_window() {
   // release/acquire pair that publishes the emit arenas); fold the
   // workers' ingest/compute time into this window's breakdown.
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (quarantined_[i]) continue;  // worker-owned until its resync clears it
+    if (quarantined_[i]) continue;  // consumer-owned until its resync clears it
     driver_phases_.merge(shards_[i]->phases);
     shards_[i]->phases.reset();
   }
@@ -416,7 +436,7 @@ WindowStats Fleet::do_close_window() {
   std::vector<double> control_before;
   control_before.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    // A quarantined switch is worker-owned until its resync completes —
+    // A quarantined switch is consumer-owned until its resync completes —
     // don't even read its stats (placeholder keeps the vector aligned).
     control_before.push_back(quarantined_[i] ? 0.0
                                              : shards_[i]->exec.sw().stats().control_update_millis);
@@ -427,7 +447,7 @@ WindowStats Fleet::do_close_window() {
   //    shard-locally merged aggregates) and reset its registers. After the
   //    barrier no worker touches a healthy shard's switch, so any thread
   //    may poll it. Quarantined switches are skipped: their registers hold
-  //    a torn mid-window state and are reset by the worker's resync.
+  //    a torn mid-window state and are reset by the shard's resync.
   healthy_.clear();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (!quarantined_[i]) healthy_.push_back(shards_[i].get());
@@ -443,7 +463,7 @@ WindowStats Fleet::do_close_window() {
   //    by the workers and the driver; winners install on every healthy
   //    switch (a quarantined switch misses this window's winners —
   //    acceptable degradation, its next window runs one refinement step
-  //    behind). A quarantined switch is worker-owned, so the program comes
+  //    behind). A quarantined switch is consumer-owned, so the program comes
   //    from the first healthy one (every switch runs the identical program).
   //    Off the faulty wire, the records arrive as one stream after the
   //    shards' raw tuples: every executor source sees them in wire order.
@@ -472,7 +492,7 @@ WindowStats Fleet::do_close_window() {
   //    stats delta, exactly as the serial close accounted it.
   double control = 0.0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (quarantined_[i]) continue;  // reset happens in the worker's resync
+    if (quarantined_[i]) continue;  // reset happens in the shard's resync
     control =
         std::max(control, shards_[i]->exec.sw().stats().control_update_millis - control_before[i]);
   }
@@ -482,6 +502,8 @@ WindowStats Fleet::do_close_window() {
   sleeps_ctr_->add(driver_backoff_.sleeps() - driver_flushed_sleeps_);
   driver_flushed_yields_ = driver_backoff_.yields();
   driver_flushed_sleeps_ = driver_backoff_.sleeps();
+  driver_runs_ctr_->add(driver_runs_);
+  driver_runs_ = 0;
   close_timer.stop();
   current_.phases = to_breakdown(driver_phases_);
   driver_phases_.reset();
@@ -506,10 +528,10 @@ WindowStats Fleet::do_close_window() {
 
 void Fleet::apply_plan(planner::Plan plan) {
   // Runs on the driver thread right after do_close_window, so every ring
-  // is drained — EXCEPT a quarantined shard whose worker is still mid-
-  // resync and touching its switch. Wait those out: after resync_to
-  // returns to zero with drained == enqueued the worker can only sleep or
-  // poll empty rings, so the switches are driver-owned for the swap.
+  // is drained — EXCEPT a quarantined shard whose claim holder is still
+  // mid-resync and touching its switch. Wait those out: after resync_to
+  // returns to zero with drained == enqueued a claim holder can only poll
+  // an empty ring, so the switches are driver-owned for the swap.
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = *shards_[i];
     while (s.resync_to.load(std::memory_order_acquire) != 0 ||

@@ -16,11 +16,15 @@
 // Threading model (DESIGN.md "Parallel fleet execution"). Each switch is a
 // *shard*: the switch itself, a bounded SPSC ingest queue fed by the
 // driver thread, and a per-window emit arena (mirrored records, raw
-// mirror tuples, counters) written only by the shard's worker. With
-// `worker_threads == 0` shards execute inline in the caller; otherwise
-// shard i is pinned to worker i % worker_threads and the per-switch hot
-// path (parse -> match-action -> register updates -> emit) runs
-// concurrently during the window. close_window() is the barrier: the
+// mirror tuples, counters). With `worker_threads == 0` shards execute
+// inline in the caller; otherwise the per-switch hot path (parse ->
+// match-action -> register updates -> emit) runs concurrently during the
+// window, and a shard's consumer side is claimable: whoever holds its
+// claim (acquire to take, release to drop) drains its ring and writes its
+// arena. Shard i's worker (i % worker_threads) drains it dry whenever it
+// holds the claim; the driver, instead of spinning behind a full ring or
+// at the barrier, drains one run of any unclaimed shard. One consumer at
+// a time keeps per-shard packet order. close_window() is the barrier: the
 // driver waits until every queue is drained, then the workers and the
 // driver poll the shards' registers and run the shared close's per-query
 // tasks (DESIGN.md "Parallel window close"). Each task reads the shard
@@ -43,9 +47,10 @@
 // budget is set — survive a stalled shard: the barrier times out, the
 // shard is quarantined for the window (its contribution skipped, its bit
 // cleared in WindowStats::contribution_mask, its packets counted late),
-// and the merge completes partial. The quarantined worker later re-syncs:
-// it discards the condemned ring contents, clears its emit arena, and
-// resets its switch registers, so the next window starts from clean state.
+// and the merge completes partial. The quarantined shard later re-syncs:
+// its next claim holder discards the condemned ring contents, clears its
+// emit arena, and resets its switch registers, so the next window starts
+// from clean state.
 // Ingest sheds packets (counted) instead of spinning once a ring stays
 // full past the watchdog budget. With no spec configured every hook is a
 // single null check — the fault path costs nothing when disabled.
@@ -78,9 +83,9 @@ class Fleet final : public TelemetryEngine {
  public:
   // Deploys `plan` on `switch_count` identical switches, processed by
   // `worker_threads` workers (0 = inline in the calling thread; capped at
-  // `switch_count` since a switch is single-consumer). `batch_size` is the
-  // per-shard handoff granularity; batch 1 runs the batched path one packet
-  // at a time. The plan's base queries must outlive the Fleet. `faults`
+  // `switch_count` since a switch has one consumer at a time). `batch_size`
+  // is the per-shard handoff granularity; batch 1 runs the batched path one
+  // packet at a time. The plan's base queries must outlive the Fleet. `faults`
   // configures deterministic fault injection (default: none — hooks
   // compile to null checks); a stall requires faults.watchdog_ms > 0, and
   // worker stalls/slowdowns only apply in threaded mode.
@@ -128,10 +133,10 @@ class Fleet final : public TelemetryEngine {
   WindowStats do_close_window() override;
   // Control-plane swap at the window barrier: reinstall every shard's
   // switch program (unchanged compiled pipelines are reused per shard) and
-  // rebuild the shared stream processor. Waits out any in-flight worker
-  // resync first — workers only touch their switch during a quarantine
-  // resync, and the swap must not race it. Register-pressure faults are
-  // not re-applied; a swap installs clean.
+  // rebuild the shared stream processor. Waits out any in-flight resync
+  // first — after the barrier a claim holder only touches its switch
+  // during a quarantine resync, and the swap must not race it.
+  // Register-pressure faults are not re-applied; a swap installs clean.
   void apply_plan(planner::Plan plan) override;
 
  private:
@@ -140,7 +145,7 @@ class Fleet final : public TelemetryEngine {
         : index(i), exec(cfg, std::to_string(i)), queue(ring_capacity) {}
 
     std::size_t index = 0;  // switch index (stall schedules key on it)
-    // The switch and its window output. Written only by the shard's worker
+    // The switch and its window output. Written only by the claim holder
     // (the driver when inline) between barriers; read and cleared by the
     // driver after the barrier (publication via `drained`). Inline mode
     // stages packets into it; threaded mode stages them into ring slots.
@@ -149,21 +154,25 @@ class Fleet final : public TelemetryEngine {
     std::size_t staged_count = 0;  // driver-only: ring slots staged, unpublished
 
     std::uint64_t enqueued = 0;                // driver-only
-    std::atomic<std::uint64_t> drained{0};     // worker-written (release)
+    std::atomic<std::uint64_t> drained{0};     // claim holder-written (release)
+    // The consumer role (Fleet::drain): its holder owns the ring's consumer
+    // side, `exec`, `phases`, the `drained` publish and the resync.
+    std::atomic<bool> claim{false};
 
     // Quarantine protocol (watchdog degradation). Non-zero = the driver
-    // timed this shard out at a window barrier; the worker must discard
-    // ring contents up to this enqueue count, wipe its emit arena, reset
-    // its switch registers, and CAS the cell back to zero. The CAS (rather
-    // than a plain store) closes the race where the driver re-quarantines
-    // with a larger target while the worker is finishing an older one.
+    // timed this shard out at a window barrier; the next claim holder must
+    // discard ring contents up to this enqueue count, wipe its emit arena,
+    // reset its switch registers, and CAS the cell back to zero. The CAS
+    // (rather than a plain store) closes the race where the driver
+    // re-quarantines with a larger target while a claim holder is
+    // finishing an older one.
     std::atomic<std::uint64_t> resync_to{0};
     std::uint64_t barrier_mark = 0;  // driver-only: enqueued at last barrier
     bool shedding = false;           // driver-only: ring stayed full past budget
 
-    // Worker-side phase clock (ingest/compute), single-writer like the
-    // emit arena: published to the driver by the same release/acquire
-    // pair as `drained`, merged and reset at the window barrier.
+    // Consumer-side phase clock (ingest/compute), written by the claim
+    // holder like the emit arena: published to the driver by the same
+    // release/acquire pair as `drained`, merged and reset at the barrier.
     obs::PhaseAccum phases;
 
     // Registry handles, resolved once at construction (self-gated on
@@ -194,12 +203,20 @@ class Fleet final : public TelemetryEngine {
   void worker_loop(Worker& w);
   void wake(Worker& w);
   void drain_barrier();
+  // The consumer side of a shard, for whichever thread takes its claim:
+  // runs a pending resync, then up to `max_runs` ring runs through the
+  // ShardExec, stopping early at an empty ring or a stall. Returns the runs
+  // drained; 0 without doing anything when another thread holds the claim.
+  std::size_t drain(Shard& shard, std::size_t max_runs);
+  // Driver: drain one run of the first unclaimed shard from `from` on,
+  // wrapping; false when none had a run to drain.
+  bool drive_one_run(std::size_t from);
 
-  // Worker-side quarantine recovery: if the driver condemned this shard,
-  // discard the condemned ring prefix, wipe the emit arena, reset the
-  // switch, and re-arm. Returns true when a resync ran.
+  // Quarantine recovery for the claim holder: if the driver condemned this
+  // shard, discard the condemned ring prefix, wipe the emit arena, reset
+  // the switch, and re-arm. Returns true when a resync ran.
   bool maybe_resync(Shard& shard);
-  // Is this shard's worker stalled for the currently published window?
+  // Is this shard stalled for the currently published window?
   [[nodiscard]] bool stalled(const Shard& shard) const noexcept;
   // Account one packet shed at ingest (ring full past the watchdog budget).
   void shed_packet(Shard& shard);
@@ -234,6 +251,8 @@ class Fleet final : public TelemetryEngine {
   WindowStats current_;
   obs::PhaseAccum driver_phases_;  // merge/poll/close (+ inline compute)
   Backoff driver_backoff_;         // driver-thread spin-wait escalation
+  std::uint64_t driver_runs_ = 0;  // runs the driver drained, unpublished
+  obs::Counter* driver_runs_ctr_ = nullptr;
   std::uint64_t driver_flushed_yields_ = 0;  // backoff tallies already published
   std::uint64_t driver_flushed_sleeps_ = 0;
   obs::Counter* wakeups_ctr_ = nullptr;

@@ -10,7 +10,8 @@
 // span processed in place (run, the threaded Fleet's zero-copy ring drain).
 // Either way the packets go through the one compute step, so every batch
 // size — one packet included — produces the same records in the same order.
-// A ShardExec is single-threaded; the Fleet hands each one to one worker.
+// A ShardExec is single-threaded; the Fleet hands each one to one thread at
+// a time (its shard's claim holder).
 #pragma once
 
 #include <cstddef>

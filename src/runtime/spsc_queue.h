@@ -1,11 +1,13 @@
 // Bounded single-producer / single-consumer ring buffer.
 //
 // The fleet's ingest path: the driver thread (sole producer) routes each
-// packet to its ingress switch's queue; that switch's worker (sole
-// consumer) drains it. Lock-free — one release store per side; the
-// producer's store publishes the slot, the consumer's acquire load pairs
-// with it, so popped values are fully visible without locks (and clean
-// under ThreadSanitizer).
+// packet to its ingress switch's queue; one consumer at a time drains it.
+// The consumer side may pass between threads (the Fleet hands it over with
+// its shard's claim, runtime/fleet.h), as long as each hand-over is a
+// release by the old consumer that the new one acquires. Lock-free — one
+// release store per side; the producer's store publishes the slot, the
+// consumer's acquire load pairs with it, so popped values are fully
+// visible without locks (and clean under ThreadSanitizer).
 //
 // The batch operations are the backbone of the batched data path: a whole
 // span of elements is moved through the ring with ONE acquire/release pair

@@ -5,6 +5,8 @@
 // (including the inline threads=0 path).
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
+#include "obs/metrics.h"
 #include "planner/planner.h"
 #include "queries/catalog.h"
 #include "runtime/engine.h"
@@ -27,23 +29,43 @@ const testing::Scenario& scenario() {
   return sc;
 }
 
-// Everything a window produced, in output order (not as a set): any
-// nondeterministic interleaving shows up as a mismatch here.
+// Every deterministic field of two windows: all of WindowStats but the
+// phase clocks, and of the fault account all but the slowdowns (runs
+// delayed by slow_ns: how packets were grouped into runs, not what ran).
+// Outputs compare in output order (not as a set): any nondeterministic
+// interleaving shows up as a mismatch here.
+void expect_same_window(const WindowStats& a, const WindowStats& b) {
+  EXPECT_EQ(a.window_index, b.window_index);
+  EXPECT_EQ(a.packets, b.packets);
+  EXPECT_EQ(a.tuples_to_sp, b.tuples_to_sp);
+  EXPECT_EQ(a.raw_mirror_packets, b.raw_mirror_packets);
+  EXPECT_EQ(a.overflow_records, b.overflow_records);
+  EXPECT_EQ(a.control_update_millis, b.control_update_millis);
+  EXPECT_EQ(a.dropped_packets, b.dropped_packets);
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t r = 0; r < a.results.size(); ++r) {
+    EXPECT_EQ(a.results[r].qid, b.results[r].qid);
+    EXPECT_EQ(a.results[r].name, b.results[r].name);
+    EXPECT_EQ(a.results[r].outputs, b.results[r].outputs);
+  }
+  EXPECT_EQ(a.winners, b.winners);
+  EXPECT_EQ(a.contribution_mask, b.contribution_mask);
+  EXPECT_EQ(a.partial, b.partial);
+  EXPECT_EQ(a.late_packets, b.late_packets);
+  EXPECT_EQ(a.shed_packets, b.shed_packets);
+  EXPECT_EQ(a.plan_swapped, b.plan_swapped);
+  EXPECT_EQ(a.plan_version, b.plan_version);
+  fault::FaultAccount fa = a.faults, fb = b.faults;
+  fa.slowdowns = fb.slowdowns = 0;
+  EXPECT_EQ(fa, fb);
+}
+
 void expect_identical_windows(const std::vector<WindowStats>& a,
                               const std::vector<WindowStats>& b, const std::string& label) {
   ASSERT_EQ(a.size(), b.size()) << label;
   for (std::size_t w = 0; w < a.size(); ++w) {
     SCOPED_TRACE(label + " window " + std::to_string(w));
-    EXPECT_EQ(a[w].packets, b[w].packets);
-    EXPECT_EQ(a[w].tuples_to_sp, b[w].tuples_to_sp);
-    EXPECT_EQ(a[w].raw_mirror_packets, b[w].raw_mirror_packets);
-    EXPECT_EQ(a[w].overflow_records, b[w].overflow_records);
-    ASSERT_EQ(a[w].results.size(), b[w].results.size());
-    for (std::size_t r = 0; r < a[w].results.size(); ++r) {
-      EXPECT_EQ(a[w].results[r].qid, b[w].results[r].qid);
-      EXPECT_EQ(a[w].results[r].outputs, b[w].results[r].outputs);
-    }
-    EXPECT_EQ(a[w].winners, b[w].winners);
+    expect_same_window(a[w], b[w]);
   }
 }
 
@@ -233,6 +255,147 @@ TEST(FleetParallel, BatchedRuntimeMatchesPerPacketRuntime) {
     Runtime batched(plan, batch);
     expect_identical_windows(reference, batched.run_trace(scenario().trace),
                              "runtime batch " + std::to_string(batch));
+  }
+}
+
+std::uint64_t driver_runs_total() {
+  return obs::Registry::global().counter("sonata_fleet_driver_runs_total").value();
+}
+
+// Ring-full events so far on switches 0..shards-1.
+std::uint64_t ring_full_total(std::size_t shards) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < shards; ++i) {
+    const std::pair<std::string_view, std::string> labels[] = {{"sw", std::to_string(i)}};
+    total += obs::Registry::global()
+                 .counter(obs::labeled("sonata_fleet_stalls_total", labels))
+                 .value();
+  }
+  return total;
+}
+
+TEST(FleetParallel, DriverDrainedShardsMatchInlineFleet) {
+  // The driver drains runs of any shard its worker has not claimed, while a
+  // ring is full and at the barrier. Rings fill (batch 1 by itself, larger
+  // batches behind slowed runs), so shards are drained by both threads in
+  // turn; each window must still equal the inline fleet's, and so must the
+  // emitter's per-query tallies and every switch's filter updates (the
+  // installs of refinement winners).
+  const auto qs = queries::evaluation_queries(scenario().thresholds, util::seconds(3));
+  const Plan plan = Planner(PlannerConfig{}).plan(qs, scenario().trace);
+  fault::FaultSpec slow;
+  slow.slow_ns = 20'000;
+
+  obs::set_enabled(true);  // the driver-runs counter records only with obs on
+  for (const std::size_t shards : {4u, 8u}) {
+    for (const std::size_t batch : {1u, 7u, 256u}) {
+      Fleet inline_fleet(plan, shards, 0, batch);
+      const auto want = inline_fleet.run_trace(scenario().trace);
+      ASSERT_FALSE(want.empty());
+      std::uint64_t updates = 0;
+      for (std::size_t i = 0; i < shards; ++i) {
+        updates += inline_fleet.data_plane(i).stats().filter_entry_updates;
+      }
+      ASSERT_GT(updates, 0u) << "the plan must install refinement winners";
+
+      for (const std::size_t workers : {1u, 2u}) {
+        const std::string label = std::to_string(shards) + " shards, batch " +
+                                  std::to_string(batch) + ", " + std::to_string(workers) +
+                                  " workers";
+        SCOPED_TRACE(label);
+        const std::uint64_t runs_before = driver_runs_total();
+        const std::uint64_t full_before = ring_full_total(shards);
+        Fleet fleet(plan, shards, workers, batch, batch == 1 ? fault::FaultSpec{} : slow);
+        const auto got = fleet.run_trace(scenario().trace);
+        EXPECT_GT(ring_full_total(shards), full_before);
+        EXPECT_GT(driver_runs_total(), runs_before);
+
+        expect_identical_windows(want, got, label);
+        const auto& got_q = fleet.emitter().per_query();
+        const auto& want_q = inline_fleet.emitter().per_query();
+        ASSERT_EQ(got_q.size(), want_q.size());
+        for (std::size_t q = 0; q < want_q.size(); ++q) {
+          EXPECT_EQ(got_q[q].first, want_q[q].first);
+          EXPECT_EQ(got_q[q].second.tuples, want_q[q].second.tuples);
+          EXPECT_EQ(got_q[q].second.overflows, want_q[q].second.overflows);
+        }
+        for (std::size_t i = 0; i < shards; ++i) {
+          EXPECT_EQ(fleet.data_plane(i).stats().filter_entry_updates,
+                    inline_fleet.data_plane(i).stats().filter_entry_updates)
+              << "switch " << i;
+        }
+      }
+    }
+  }
+  obs::set_enabled(false);
+}
+
+TEST(FleetParallel, DriverNeverDrainsAStalledShard) {
+  // A stall blocks every thread from the shard, the driver included: the
+  // watchdog quarantines it as when only its worker could drain it. The
+  // window then holds exactly the other shards' work, every packet routed
+  // to the stalled shard counts late or shed, and the shard's resync makes
+  // the next window whole again.
+  std::vector<query::Query> qs;
+  qs.push_back(queries::make_newly_opened_tcp(scenario().thresholds, util::seconds(3)));
+  qs.push_back(queries::make_ddos(scenario().thresholds, util::seconds(3)));
+  PlannerConfig cfg;
+  cfg.mode = PlanMode::kMaxDP;  // windows independent: no winner state to lose
+  const Plan plan = Planner(cfg).plan(qs, scenario().trace);
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kStalled = 1;
+
+  std::vector<std::vector<net::Packet>> slices;
+  for (const auto& p : scenario().trace) {
+    const std::uint64_t w = util::window_index(p.ts, plan.window);
+    if (slices.empty() || util::window_index(slices.back().front().ts, plan.window) != w) {
+      slices.emplace_back();
+    }
+    slices.back().push_back(p);
+  }
+  ASSERT_GE(slices.size(), 3u);
+
+  // The reference is an inline fleet; in the stalled window it never sees
+  // the stalled shard's packets.
+  Fleet reference(plan, kShards, 0, 64);
+  fault::FaultSpec spec;
+  spec.stall_switch = kStalled;
+  spec.stall_from_window = 1;
+  spec.stall_windows = 1;
+  spec.watchdog_ms = 1000;  // generous: sanitizer builds drain slowly
+  Fleet fleet(plan, kShards, 2, 64, spec);
+  for (std::size_t w = 0; w < slices.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    std::uint64_t stalled_packets = 0;
+    for (const auto& p : slices[w]) {
+      fleet.ingest(p);
+      if (w == 1 && route_to_shard(p, kShards) == kStalled) {
+        ++stalled_packets;
+      } else {
+        reference.ingest(p);
+      }
+    }
+    const WindowStats got = fleet.close_window();
+    const WindowStats want = reference.close_window();
+    EXPECT_EQ(got.tuples_to_sp, want.tuples_to_sp);
+    ASSERT_EQ(got.results.size(), want.results.size());
+    for (std::size_t r = 0; r < want.results.size(); ++r) {
+      EXPECT_EQ(got.results[r].outputs, want.results[r].outputs);
+    }
+    EXPECT_EQ(got.winners, want.winners);
+    if (w == 1) {
+      ASSERT_GT(stalled_packets, 0u);
+      EXPECT_TRUE(got.partial);
+      EXPECT_EQ(got.contribution_mask, 0b1111u & ~(1u << kStalled));
+      EXPECT_EQ(got.faults.watchdog_fires, 1u);
+      EXPECT_EQ(got.late_packets + got.shed_packets, stalled_packets);
+      EXPECT_EQ(got.packets, want.packets + stalled_packets);
+    } else {
+      EXPECT_FALSE(got.partial);
+      EXPECT_EQ(got.contribution_mask, 0b1111u);
+      EXPECT_EQ(got.late_packets + got.shed_packets, 0u);
+      EXPECT_EQ(got.packets, want.packets);
+    }
   }
 }
 
