@@ -161,7 +161,7 @@ class ClosePool {
   ClosePool& operator=(const ClosePool&) = delete;
 
   // Returns once every helper has left this round.
-  void run(std::size_t count, const runtime::CloseTask& task) {
+  void run(std::size_t count, const util::Task& task) {
     task_ = &task;
     count_ = count;
     next_.store(0, std::memory_order_relaxed);
@@ -184,7 +184,7 @@ class ClosePool {
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::size_t> next_{0};
   std::atomic<std::size_t> idle_{0};
-  const runtime::CloseTask* task_ = nullptr;
+  const util::Task* task_ = nullptr;
   std::size_t count_ = 0;
 };
 
@@ -260,7 +260,7 @@ void BM_WindowClose(benchmark::State& state) {
 
   const auto threads = static_cast<std::size_t>(state.range(0));
   ClosePool pool(threads);
-  const runtime::TaskRunner runner = [&](std::size_t count, const runtime::CloseTask& task) {
+  const util::TaskRunner runner = [&](std::size_t count, const util::Task& task) {
     pool.run(count, task);
   };
   std::uint64_t keys = 0;

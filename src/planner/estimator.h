@@ -10,12 +10,33 @@
 //
 // Like Figure 5's exposition, transition costs use same-window winner sets
 // (the paper assumes counts are stable across consecutive windows).
+//
+// Building. Every replay is a pure function of (query, training window), so
+// build_estimators() runs them as flat task lists over every estimator it is
+// given, on min(available cores, tasks) threads (util::TaskPool), in three
+// rounds:
+//   1. relaxed thresholds: per (query, window) the satisfying keys and each
+//      thresholded source's fine rows, then per (query, source, level,
+//      window) the coarse replay;
+//   2. winner sets, per (query, level, window);
+//   3. transitions, per (query, source, prev, level, window).
+// Tasks write their results by index; medians, minima and the memo tables
+// are filled serially afterwards, so estimates never depend on scheduling.
+// Replays read the training tuples in place and copy only what a map,
+// distinct or reduce keeps.
+//
+// What gets built: the transitions queued by require() (a ChainInstaller
+// queues every transition its candidate chains reach), the winner sets they
+// read, and the relaxed thresholds. An accessor that finds its value
+// missing queues it and builds its own estimator through the same rounds.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "planner/refine.h"
@@ -43,6 +64,7 @@ class CostEstimator {
   // `relax_margin` scales the training-derived relaxed thresholds (paper
   // §4.1): 1.0 keeps exactly every training positive; smaller values leave
   // headroom for traffic variance between training and live windows.
+  // Construction replays nothing; build_estimators() does.
   CostEstimator(const query::Query& q, const std::vector<TupleWindow>& windows,
                 std::vector<int> ip_levels, std::vector<int> dns_levels,
                 double relax_margin = 0.5);
@@ -57,29 +79,32 @@ class CostEstimator {
   [[nodiscard]] const std::vector<int>& levels() const noexcept { return levels_; }
   [[nodiscard]] int finest_level() const noexcept { return levels_.back(); }
 
+  // Queue every transition `chain` reaches for the next build: per source,
+  // each (prev, level) step of the chain; sources without stateful ops run
+  // at the finest level only (make_winner_query).
+  void require(const std::vector<int>& chain);
+
   // Relaxed threshold for `source`'s trailing filter at `level`; nullopt at
   // the finest level or when the source has no trailing threshold filter.
-  [[nodiscard]] std::optional<std::uint64_t> relaxed_threshold(int source, int level) const;
+  [[nodiscard]] std::optional<std::uint64_t> relaxed_threshold(int source, int level);
+
+  // Cost of running `level` after `prev` (kNoPrevLevel at a chain head).
+  const TransitionCost& transition(int source, int prev, int level);
 
   // Winner keys at `level` for window `w`: the output keys of the winner
   // query (stateful sub-queries with relaxed thresholds; raw sources and
   // post-join operators excluded — see make_winner_query). These seed the
   // next refinement level's dynamic filters.
-
-  // Cost of running `level` after `prev` (kNoPrevLevel at a chain head).
-  const TransitionCost& transition(int source, int prev, int level);
-
   const std::vector<query::Tuple>& winners(int level, std::size_t w);
 
   [[nodiscard]] std::size_t window_count() const noexcept { return windows_->size(); }
   [[nodiscard]] const query::Query& base_query() const noexcept { return *query_; }
 
  private:
-  void compute_relaxed_thresholds();
-  const query::Query& winner_query(int level);
-  // Satisfying finest-level key values per training window (key_column of
-  // the original query's output).
-  std::vector<std::vector<query::Value>> satisfying_keys();
+  friend class EstimatorBuild;
+  using TransitionKey = std::tuple<int, int, int>;  // (source, prev, level)
+
+  [[nodiscard]] std::optional<std::uint64_t> relaxed(int source, int level) const;
 
   const query::Query* query_;
   const std::vector<TupleWindow>* windows_;
@@ -88,15 +113,23 @@ class CostEstimator {
   std::vector<RefinementKey> keys_;
   std::vector<int> levels_;
 
+  // Round 1 ran (always true when not refinable: nothing to relax).
+  bool thresholds_built_ = false;
   // relaxed_[source][level]
   std::vector<std::map<int, std::uint64_t>> relaxed_;
-  std::optional<std::vector<std::vector<query::Value>>> satisfying_cache_;
-  std::map<int, query::Query> winner_queries_;
   // winners_[level][window]
   std::map<int, std::vector<std::vector<query::Tuple>>> winners_;
   // costs_[(source, prev, level)]
-  std::map<std::tuple<int, int, int>, TransitionCost> costs_;
+  std::map<TransitionKey, TransitionCost> costs_;
+  // Queued for the next build; cleared by it.
+  std::set<TransitionKey> wanted_;
+  std::set<int> wanted_winners_;
 };
+
+// Builds what every estimator in `estimators` is missing (see the top of
+// this file) in three rounds of tasks across all of them. Estimators that
+// lack nothing cost nothing.
+void build_estimators(std::span<CostEstimator* const> estimators);
 
 // Instrumented single-window chain run (exposed for tests).
 struct InstrumentedResult {

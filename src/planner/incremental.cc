@@ -171,8 +171,34 @@ void IncrementalPlanner::full_resolve() {
   ++full_solves_;
 }
 
+std::vector<util::Expected<AdmitId, AdmissionDiagnostic>> IncrementalPlanner::admit(
+    std::span<const Submission> batch) {
+  std::vector<std::unique_ptr<ChainInstaller>> installers;
+  std::vector<CostEstimator*> estimators;
+  installers.reserve(batch.size());
+  estimators.reserve(batch.size());
+  for (const Submission& sub : batch) {
+    installers.push_back(std::make_unique<ChainInstaller>(cfg_, *sub.q, windows_, window_packets_));
+    estimators.push_back(&installers.back()->estimator());
+  }
+  build_estimators(estimators);
+  std::vector<util::Expected<AdmitId, AdmissionDiagnostic>> results;
+  results.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    results.push_back(admit_one(*batch[i].q, batch[i].tenant, std::move(installers[i])));
+    if (!results.back()) break;
+  }
+  return results;
+}
+
 util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Query& q,
                                                                        std::string_view tenant) {
+  const Submission one{&q, tenant};
+  return std::move(admit({&one, 1}).front());
+}
+
+util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit_one(
+    const Query& q, std::string_view tenant, std::unique_ptr<ChainInstaller> installer) {
   for (const auto& e : entries_) {
     if (e.q->id() == q.id()) {
       AdmissionDiagnostic d;
@@ -193,8 +219,6 @@ util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Que
   }
   const TenantBudget budget = tenant_it->second;
   const TenantUsage usage = tenant_usage(tenant);
-
-  auto installer = std::make_unique<ChainInstaller>(cfg_, q, windows_, window_packets_);
 
   // Candidate chains by optimistic cost (stable: shorter chains win ties).
   std::vector<std::vector<int>> chains = installer->chains();

@@ -9,6 +9,12 @@
 // pisa::StagePacker). Admission places only the new query (greedy over the existing
 // layout); withdrawal reclaims only its resources.
 //
+// Admission takes a batch: the estimators of every query in it are built
+// together, in build_estimators()'s rounds of tasks on every available
+// core, before the queries are placed one by one in submission order. A
+// deployment's initial query set is one batch (EngineBuilder); a runtime
+// submit is a batch of one.
+//
 // Cost optimality is preserved by certification, not hope: a mutation's
 // greedy result is accepted only when the total objective equals the
 // branch-and-bound's own admissible lower bound (the sum of contention-free
@@ -33,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,8 +113,21 @@ class IncrementalPlanner {
   [[nodiscard]] TenantUsage tenant_usage(std::string_view name) const;
   [[nodiscard]] std::vector<std::string> tenant_names() const;
 
-  // Place `q` for `tenant` ("" = the unlimited default tenant). `q` must be
-  // validated and outlive the placement (until withdraw or destruction).
+  struct Submission {
+    const query::Query* q = nullptr;
+    std::string_view tenant;  // "" = the unlimited default tenant
+  };
+
+  // Place each submission in order, exactly as one admit() after another
+  // would: the batch's estimators are built first, together
+  // (build_estimators), then each query is placed on the layout the ones
+  // before it left. Returns one result per submission up to and including
+  // the first rejection; the queries placed before it stay admitted. Each
+  // query must be validated and outlive its placement (until withdraw or
+  // destruction).
+  std::vector<util::Expected<AdmitId, AdmissionDiagnostic>> admit(
+      std::span<const Submission> batch);
+  // A batch of one.
   util::Expected<AdmitId, AdmissionDiagnostic> admit(const query::Query& q,
                                                      std::string_view tenant = {});
   util::Expected<util::Ok, AdmissionDiagnostic> withdraw(AdmitId id);
@@ -142,6 +162,10 @@ class IncrementalPlanner {
     std::uint64_t min_cost = 0;  // contention-free lower bound over its chains
   };
 
+  // Admission of one query whose installer's estimator is built.
+  util::Expected<AdmitId, AdmissionDiagnostic> admit_one(
+      const query::Query& q, std::string_view tenant,
+      std::unique_ptr<ChainInstaller> installer);
   [[nodiscard]] bool raw_active() const noexcept;
   [[nodiscard]] bool budget_constrained() const;  // any active limited-tenant entry
   // Push `e`'s switch programs onto the packed layout; returns its footprint.

@@ -54,12 +54,15 @@ ChainInstaller::ChainInstaller(const PlannerConfig& cfg, const Query& q,
       owned_(std::make_unique<CostEstimator>(q, windows, cfg.ip_levels, cfg.dns_levels,
                                              cfg.relax_margin)),
       est_(owned_.get()),
-      window_packets_(window_packets) {}
+      window_packets_(window_packets) {
+  for (const auto& chain : chains()) est_->require(chain);
+}
 
 ChainInstaller::ChainInstaller(const PlannerConfig& cfg, const Query& q, CostEstimator* est,
                                std::uint64_t window_packets)
     : cfg_(&cfg), q_(&q), est_(est), window_packets_(window_packets) {
   assert(est_ != nullptr);
+  for (const auto& chain : chains()) est_->require(chain);
 }
 
 std::vector<std::vector<int>> ChainInstaller::chains() {

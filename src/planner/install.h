@@ -61,8 +61,10 @@ struct Installed {
 
 class ChainInstaller {
  public:
-  // Owns a fresh estimator built over `windows` (the expensive, cacheable
-  // part of planning: estimator construction replays every training window).
+  // Owns a fresh estimator over `windows`. Either way the installer queues
+  // on its estimator every transition its chains() reach (require()), for
+  // the caller's build_estimators() over all its installers: estimator
+  // construction is the expensive, cacheable part of planning.
   ChainInstaller(const PlannerConfig& cfg, const query::Query& q,
                  const std::vector<TupleWindow>& windows, std::uint64_t window_packets);
   // Borrows `est` (EstimatorPool reuse); `est` must outlive the installer.

@@ -55,6 +55,12 @@ class PlanBuilder {
       : cfg_(cfg), queries_(queries), installers_(installers), window_packets_(window_packets) {}
 
   Plan run() {
+    // Whatever the installers' estimators still lack, built together.
+    std::vector<CostEstimator*> estimators;
+    estimators.reserve(installers_.size());
+    for (ChainInstaller* installer : installers_) estimators.push_back(&installer->estimator());
+    build_estimators(estimators);
+
     // Candidate chains per query.
     std::vector<std::vector<std::vector<int>>> candidates(queries_.size());
     for (std::size_t qi = 0; qi < queries_.size(); ++qi) {

@@ -117,8 +117,10 @@ struct Plan {
 
 // Shared, lazily-filled cost estimators: plans for different modes / switch
 // configurations over the same training data reuse the (expensive)
-// trace-driven cost model. Levels must match the PlannerConfig the pool is
-// used with; queries are matched by position.
+// trace-driven cost model. Each plan_windows() over the pool builds only
+// what its chains need and the pool's estimators still lack, through the
+// same build_estimators() rounds. Levels must match the PlannerConfig the
+// pool is used with; queries are matched by position.
 class EstimatorPool {
  public:
   EstimatorPool(const std::vector<query::Query>& queries,
@@ -165,6 +167,8 @@ class Planner {
 
 // Joint branch-and-bound over caller-supplied install state (install.h).
 // `installers[i]` must wrap `queries[i]`; both spans must outlive the call.
+// It first builds what the installers' estimators lack, all together
+// (build_estimators).
 // This is the seam the incremental planner's full re-solve goes through, so
 // a cached-estimator re-solve is bitwise identical to a cold plan_windows()
 // over the same query order.

@@ -1,5 +1,6 @@
 #include "runtime/control_plane.h"
 
+#include <iterator>
 #include <utility>
 
 #include "obs/journal.h"
@@ -36,51 +37,81 @@ void ControlPlane::publish_tenant_gauges(std::string_view tenant) {
       .set(static_cast<std::int64_t>(usage.queries));
 }
 
+std::optional<AdmissionDiagnostic> ControlPlane::invalid(query::Query& q,
+                                                       std::string_view tenant) {
+  std::string message;
+  if (q.root() == nullptr) {
+    message = "query \"" + q.name() + "\" has no operator tree";
+  } else if (const std::string err = q.validate(); !err.empty()) {
+    // Idempotent for already-validated queries; a DSL front-end hands us
+    // validated ones, but programmatic callers may not have bothered.
+    message = "query \"" + q.name() + "\": " + err;
+  } else {
+    return std::nullopt;
+  }
+  AdmissionDiagnostic d;
+  d.code = AdmissionDiagnostic::Code::kValidation;
+  d.tenant = std::string(tenant);
+  d.message = std::move(message);
+  return d;
+}
+
+void ControlPlane::count_rejection(const AdmissionDiagnostic& d, const std::string& name) {
+  rejected_ctr_->add(1);
+  // Admissions have no window context; window_id 0 marks control-plane
+  // events that land between windows.
+  obs::Journal::global().emit(obs::EventType::kAdmissionRejected, 0, 0, 0,
+                              static_cast<std::int64_t>(d.code), 0, 0, name);
+}
+
 util::Expected<planner::AdmitId, AdmissionDiagnostic> ControlPlane::submit(
     query::Query q, std::string_view tenant) {
-  if (q.root() == nullptr) {
-    AdmissionDiagnostic d;
-    d.code = AdmissionDiagnostic::Code::kValidation;
-    d.tenant = std::string(tenant);
-    d.message = "query \"" + q.name() + "\" has no operator tree";
-    rejected_ctr_->add(1);
-    // Admissions have no window context; window_id 0 marks control-plane
-    // events that land between windows.
-    obs::Journal::global().emit(obs::EventType::kAdmissionRejected, 0, 0, 0,
-                                static_cast<std::int64_t>(d.code), 0, 0, q.name());
-    return d;
+  std::vector<Submission> one;
+  one.push_back({std::move(q), std::string(tenant)});
+  auto admitted = submit(std::move(one));
+  if (!admitted) return admitted.error();
+  return admitted->front();
+}
+
+util::Expected<std::vector<planner::AdmitId>, AdmissionDiagnostic> ControlPlane::submit(
+    std::vector<Submission> batch) {
+  // The planner takes the queries before the first invalid one.
+  std::optional<AdmissionDiagnostic> invalid_at;
+  std::size_t valid = 0;
+  for (; valid < batch.size(); ++valid) {
+    if ((invalid_at = invalid(batch[valid].q, batch[valid].tenant))) break;
   }
-  // Idempotent for already-validated queries; a DSL front-end hands us
-  // validated ones, but programmatic callers may not have bothered.
-  if (const std::string err = q.validate(); !err.empty()) {
-    AdmissionDiagnostic d;
-    d.code = AdmissionDiagnostic::Code::kValidation;
-    d.tenant = std::string(tenant);
-    d.message = "query \"" + q.name() + "\": " + err;
-    rejected_ctr_->add(1);
-    obs::Journal::global().emit(obs::EventType::kAdmissionRejected, 0, 0, 0,
-                                static_cast<std::int64_t>(d.code), 0, 0, q.name());
-    return d;
+  std::vector<std::list<query::Query>::iterator> stored;
+  std::vector<planner::IncrementalPlanner::Submission> subs;
+  for (std::size_t i = 0; i < valid; ++i) {
+    storage_.push_back(std::move(batch[i].q));
+    stored.push_back(std::prev(storage_.end()));
+    subs.push_back({&storage_.back(), batch[i].tenant});
   }
-  storage_.push_back(std::move(q));
-  const auto it = std::prev(storage_.end());
-  auto admitted = planner_.admit(*it, tenant);
-  if (!admitted) {
-    const std::string rejected_name = it->name();
-    storage_.erase(it);
-    rejected_ctr_->add(1);
-    obs::Journal::global().emit(obs::EventType::kAdmissionRejected, 0, 0, 0,
-                                static_cast<std::int64_t>(admitted.error().code), 0, 0,
-                                rejected_name);
-    return admitted.error();
+  const auto results = planner_.admit(subs);
+
+  std::vector<planner::AdmitId> ids;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (!results[i]) {
+      const std::string rejected_name = stored[i]->name();
+      storage_.erase(stored[i], storage_.end());  // this one and every later one
+      count_rejection(results[i].error(), rejected_name);
+      return results[i].error();
+    }
+    const planner::AdmitId id = *results[i];
+    owned_.emplace(id, stored[i]);
+    dirty_ = true;
+    accepted_ctr_->add(1);
+    obs::Journal::global().emit(obs::EventType::kAdmissionAccepted, 0, id, 0, 0, 0, 0,
+                                stored[i]->name());
+    publish_tenant_gauges(batch[i].tenant);
+    ids.push_back(id);
   }
-  owned_.emplace(*admitted, it);
-  dirty_ = true;
-  accepted_ctr_->add(1);
-  obs::Journal::global().emit(obs::EventType::kAdmissionAccepted, 0, *admitted, 0, 0, 0, 0,
-                              it->name());
-  publish_tenant_gauges(tenant);
-  return *admitted;
+  if (invalid_at) {
+    count_rejection(*invalid_at, batch[valid].q.name());
+    return *invalid_at;
+  }
+  return ids;
 }
 
 util::Expected<util::Ok, AdmissionDiagnostic> ControlPlane::withdraw(planner::AdmitId id) {

@@ -17,7 +17,9 @@
 #include <list>
 #include <map>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "planner/incremental.h"
@@ -36,12 +38,22 @@ class ControlPlane {
   // budget without disturbing existing placements.
   void define_tenant(std::string_view name, planner::TenantBudget budget);
 
-  // Admit `q` for `tenant` ("" = the unlimited default tenant). Takes
-  // ownership; the query is validated here if it was not already. On
-  // rejection nothing is retained and the diagnostic names the binding
-  // constraint.
+  struct Submission {
+    query::Query q;
+    std::string tenant;  // "" = the unlimited default tenant
+  };
+
+  // Admit `q` for `tenant`: a batch of one. Takes ownership; the query is
+  // validated here if it was not already. On rejection nothing is retained
+  // and the diagnostic names the binding constraint.
   [[nodiscard]] util::Expected<planner::AdmitId, planner::AdmissionDiagnostic> submit(
       query::Query q, std::string_view tenant = {});
+  // Admit `batch` in order, exactly as one submit() after another would,
+  // with the estimators of every query in it built together
+  // (IncrementalPlanner::admit). Stops at the first rejection and returns
+  // its diagnostic; the queries admitted before it stay admitted.
+  [[nodiscard]] util::Expected<std::vector<planner::AdmitId>, planner::AdmissionDiagnostic>
+  submit(std::vector<Submission> batch);
   [[nodiscard]] util::Expected<util::Ok, planner::AdmissionDiagnostic> withdraw(
       planner::AdmitId id);
 
@@ -61,6 +73,10 @@ class ControlPlane {
 
  private:
   void publish_tenant_gauges(std::string_view tenant);
+  // The validation diagnostic of `q`, if it cannot be admitted at all.
+  [[nodiscard]] static std::optional<planner::AdmissionDiagnostic> invalid(
+      query::Query& q, std::string_view tenant);
+  void count_rejection(const planner::AdmissionDiagnostic& d, const std::string& name);
 
   planner::IncrementalPlanner planner_;
   std::list<query::Query> storage_;  // stable addresses for admitted queries

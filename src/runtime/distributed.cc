@@ -783,7 +783,7 @@ std::string Collector::close_current(const WindowFn& on_window) {
   winner_chunks_.clear();
   sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
   sp_->close_window(ws, outputs_, ref_pipelines_, {}, pool_.slots(),
-                    [this](std::size_t count, const CloseTask& task) { pool_.run(count, task); });
+                    [this](std::size_t count, const util::Task& task) { pool_.run(count, task); });
   for (auto& sb : shards_) {
     sb.records.clear();
     sb.raws.clear();

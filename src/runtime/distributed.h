@@ -58,7 +58,7 @@
 #include "runtime/plan_install.h"
 #include "runtime/shard_exec.h"
 #include "runtime/stream_processor.h"
-#include "runtime/task_pool.h"
+#include "util/task_pool.h"
 #include "runtime/window_merge.h"
 #include "util/rng.h"
 
@@ -246,7 +246,7 @@ class Collector {
   std::vector<net::transport::Frame> winner_chunks_;
   std::vector<std::byte> install_;  // encode_install's scratch, reused
   std::string install_err_;         // an install too large for any chunk
-  TaskPool pool_;  // the close's tasks: min(available cores, queries) threads
+  util::TaskPool pool_;  // the close's tasks: min(available cores, queries) threads
   obs::PhaseAccum phases_;  // frame decode (merge) and close, per window
   std::uint64_t window_counter_ = 0;
   Stats stats_;

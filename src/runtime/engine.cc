@@ -223,11 +223,14 @@ EngineBuilder::plan_only() {
   auto control = std::make_unique<ControlPlane>(planner_, std::move(windows_));
   have_training_ = false;
   for (const auto& [name, budget] : tenants_) control->define_tenant(name, budget);
-  for (auto& p : pending_) {
-    auto admitted = control->submit(std::move(p.q), p.tenant);
-    if (!admitted) return admitted.error();
-  }
+  // One batch: every query's estimators are built together, then the
+  // queries are placed in submission order.
+  std::vector<ControlPlane::Submission> batch;
+  batch.reserve(pending_.size());
+  for (auto& p : pending_) batch.push_back({std::move(p.q), std::move(p.tenant)});
   pending_.clear();
+  auto admitted = control->submit(std::move(batch));
+  if (!admitted) return admitted.error();
   PlannedSetup setup;
   setup.plan = control->take_snapshot();
   setup.control = std::move(control);

@@ -482,7 +482,7 @@ WindowStats Fleet::do_close_window() {
                     healthy_.empty() ? std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>>{}
                                      : healthy_.front()->exec.sw().pipelines(),
                     switches, pool_.slots(),
-                    [this](std::size_t count, const CloseTask& task) { pool_.run(count, task); });
+                    [this](std::size_t count, const util::Task& task) { pool_.run(count, task); });
   for (Shard* s : healthy_) s->exec.clear();  // a quarantined shard's resync wipes it
 
   // 4. Control latency = the slowest switch's update time this window

@@ -73,7 +73,7 @@
 #include "runtime/shard_exec.h"
 #include "runtime/spsc_queue.h"
 #include "runtime/stream_processor.h"
-#include "runtime/task_pool.h"
+#include "util/task_pool.h"
 #include "runtime/window_merge.h"
 #include "runtime/wire_channel.h"
 
@@ -242,7 +242,7 @@ class Fleet final : public TelemetryEngine {
   std::vector<Shard*> healthy_;            // driver-only: this close's shards, reused
   std::vector<ShardOutput> outputs_;       // driver-only: the close's input, reused
   std::vector<pisa::EmitRecord> wired_;    // driver-only: records off the faulty wire
-  TaskPool pool_;  // the close's tasks: the driver, and workers on every pass
+  util::TaskPool pool_;  // the close's tasks: the driver, and workers on every pass
   alignas(64) std::atomic<bool> stop_{false};
 
   bool pin_workers_ = false;

@@ -1,6 +1,8 @@
 #include "runtime/stream_processor.h"
 
+#include <algorithm>
 #include <cassert>
+#include <chrono>
 
 #include "obs/journal.h"
 #include "util/flat_table.h"
@@ -29,7 +31,6 @@ PhaseBreakdown to_breakdown(const obs::PhaseAccum& accum) noexcept {
 StreamProcessor::StreamProcessor(const planner::Plan& plan) : plan_(&plan) {
   auto& reg = obs::Registry::global();
   std::size_t raw_queries = 0;
-  std::vector<std::uint64_t> cost;  // plan estimate: SP tuples + register slots polled
   for (const PlannedQuery& pq : plan_->queries) {
     const query::QueryId qid = pq.base->id();
     if (qid >= query_of_.size()) query_of_.resize(qid + 1U, kNoQuery);
@@ -69,9 +70,9 @@ StreamProcessor::StreamProcessor(const planner::Plan& plan) : plan_(&plan) {
       qs.levels.push_back(std::move(le));
     }
     qs.winners.resize(qs.levels.empty() ? 0 : qs.levels.size() - 1);
-    cost.push_back(pq.est_tuples);
+    qs.estimate = pq.est_tuples;
     for (const PlannedPipeline& p : pq.pipelines) {
-      for (const auto& [op, rs] : p.sizing) cost.back() += rs.entries * std::size_t(rs.depth);
+      for (const auto& [op, rs] : p.sizing) qs.estimate += rs.entries * std::size_t(rs.depth);
       if (p.partition != 0) continue;
       ++raw_feeds_;
       const LevelExec* le = find_level(qs, p.level);
@@ -83,8 +84,15 @@ StreamProcessor::StreamProcessor(const planner::Plan& plan) : plan_(&plan) {
     queries_.push_back(std::move(qs));
   }
   if (raw_queries > 1) raw_owner_ = kNoQuery;
-  std::stable_sort(close_order_.begin(), close_order_.end(),
-                   [&](std::uint32_t a, std::uint32_t b) { return cost[a] > cost[b]; });
+  sort_close_order();
+}
+
+void StreamProcessor::sort_close_order() {
+  std::stable_sort(close_order_.begin(), close_order_.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const QueryState& x = queries_[a];
+    const QueryState& y = queries_[b];
+    return x.task_ns != y.task_ns ? x.task_ns > y.task_ns : x.estimate > y.estimate;
+  });
 }
 
 bool StreamProcessor::plan_wants_raw_mirror(const planner::Plan& plan) noexcept {
@@ -212,12 +220,12 @@ void StreamProcessor::ingest_merged(const pisa::CompiledSwitchQuery& pipe, std::
 void StreamProcessor::close_window(
     WindowStats& window, std::span<const ShardOutput> shards,
     std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
-    std::span<pisa::Switch* const> switches, std::size_t slots, const TaskRunner& run) {
+    std::span<pisa::Switch* const> switches, std::size_t slots, const util::TaskRunner& run) {
   if (task_merges_.size() < slots) task_merges_.resize(slots);
   if (routed_.size() < shards.size()) routed_.resize(shards.size());
   // Two rounds of tasks: one routes each shard's records to their queries,
-  // the next closes each query, largest first.
-  const CloseTask route = [&](std::size_t s, std::size_t) {
+  // the next closes each query, the longest last window first.
+  const util::Task route = [&](std::size_t s, std::size_t) {
     auto& lists = routed_[s];
     lists.resize(queries_.size());
     for (auto& list : lists) list.clear();
@@ -227,8 +235,14 @@ void StreamProcessor::close_window(
       if (qi != kNoQuery) lists[qi].push_back(r);
     }
   };
-  const CloseTask close = [&](std::size_t i, std::size_t slot) {
-    close_query(close_order_[i], shards, pipelines, task_merges_[slot]);
+  const util::Task close = [&](std::size_t i, std::size_t slot) {
+    const std::uint32_t qi = close_order_[i];
+    const auto start = std::chrono::steady_clock::now();
+    close_query(qi, shards, pipelines, task_merges_[slot]);
+    queries_[qi].task_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                             start)
+            .count());
   };
   if (run) {
     run(shards.size(), route);
@@ -237,6 +251,8 @@ void StreamProcessor::close_window(
     for (std::size_t s = 0; s < shards.size(); ++s) route(s, 0);
     for (std::size_t i = 0; i < close_order_.size(); ++i) close(i, 0);
   }
+  // The next window starts the longest of this window's tasks first.
+  sort_close_order();
 
   // The serial epilogue, in plan order. Dense winner table: every query
   // gets a slot so two runs of the same plan compare equal window-by-window

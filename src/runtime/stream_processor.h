@@ -22,7 +22,7 @@
 #include "obs/tracing.h"
 #include "pisa/switch.h"
 #include "planner/planner.h"
-#include "runtime/task_pool.h"
+#include "util/task_pool.h"
 #include "runtime/window_merge.h"
 #include "stream/executor.h"
 
@@ -212,12 +212,13 @@ class StreamProcessor {
   // switch program `pipelines`) and ends its levels coarse to fine. A
   // serial epilogue then, in plan order, installs winners on `switches`
   // and the winner sink, fills `window` and emits the journal events.
-  // `run` (default: inline) runs the tasks on up to `slots` threads; the
-  // window is the same for every runner.
+  // `run` (default: inline) runs the tasks on up to `slots` threads,
+  // starting with the query whose task took longest last window; the
+  // window is the same for every runner and every order.
   void close_window(WindowStats& window, std::span<const ShardOutput> shards,
                     std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
                     std::span<pisa::Switch* const> switches, std::size_t slots = 1,
-                    const TaskRunner& run = {});
+                    const util::TaskRunner& run = {});
 
   // Single-thread steps of the close, for drivers that deliver as they go:
   // one switch's polls into the reduce; close_window with no shards.
@@ -303,6 +304,10 @@ class StreamProcessor {
     std::uint64_t taken = 0, overflows = 0;  // records taken; accepted overflows
     std::vector<query::Tuple> outputs;               // finest level
     std::vector<std::vector<query::Tuple>> winners;  // per coarse level
+    // Close-task order keys: the plan estimate (SP tuples plus the register
+    // slots its polls fold) and the last close task's duration.
+    std::uint64_t estimate = 0;
+    std::uint64_t task_ns = 0;
   };
   static constexpr std::uint32_t kNoQuery = static_cast<std::uint32_t>(-1);
 
@@ -317,6 +322,7 @@ class StreamProcessor {
   bool deliver_to(std::size_t qi, pisa::EmitRecord&& rec);  // deliver() for query qi
   // Raw tuples into qs's feeds; the last feed moves them when `move_last`.
   void feed_raw(QueryState& qs, std::span<query::Tuple> sources, bool move_last);
+  void sort_close_order();
   void close_query(std::size_t qi, std::span<const ShardOutput> shards,
                    std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
                    WindowMerge& merge);
@@ -324,7 +330,9 @@ class StreamProcessor {
   const planner::Plan* plan_;
   std::vector<QueryState> queries_;
   std::vector<std::uint32_t> query_of_;  // route table: qid -> index into queries_
-  std::vector<std::uint32_t> close_order_;  // queries by plan estimate, largest first
+  // Queries by last close-task time, longest first; ties (and the first
+  // window) by plan estimate, largest first.
+  std::vector<std::uint32_t> close_order_;
   std::size_t raw_feeds_ = 0;  // SP-kept pipelines, active or not
   // The one query with raw feeds, whose close task moves the raw tuples
   // (kNoQuery when several share them: all copy).

@@ -115,8 +115,8 @@ void DistinctEngine::configure(const query::StateSpec& spec) {
 StateUsage DistinctEngine::usage() const {
   StateUsage u;
   if (!sketch_) {
-    u.entries = exact_.size();
-    u.bytes = exact_.memory_bytes();
+    u.entries = words_.size() + exact_.size();
+    u.bytes = words_.memory_bytes() + exact_.memory_bytes();
     return u;
   }
   u.entries = sketch_entries_;
@@ -139,8 +139,9 @@ void ReduceEngine::configure(const query::StateSpec& spec, query::ReduceFn fn) {
 StateUsage ReduceEngine::usage() const {
   StateUsage u;
   if (!sketch_) {
-    u.entries = exact_.size();
-    u.bytes = exact_.memory_bytes();
+    u.entries = words_.size() + exact_.size();
+    u.bytes = words_.memory_bytes() + word_aggs_.capacity() * sizeof(std::uint64_t) +
+              exact_.memory_bytes();
     return u;
   }
   u.entries = sketch_->entries();

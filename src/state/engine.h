@@ -116,7 +116,7 @@ class DistinctEngine {
   // Returns true when the key was not seen before in this window. Sketch
   // mode may return false for a genuinely new key at rate <= eps.
   bool insert_new(const query::Tuple& t, std::uint64_t hash) {
-    if (!sketch_) return exact_.insert(t, hash);
+    if (!sketch_) return insert_exact(t, hash);
     const bool fresh = bloom_ ? bloom_->insert_new(hash) : cuckoo_->insert_new(hash);
     sketch_entries_ += fresh ? 1 : 0;
     return fresh;
@@ -124,6 +124,7 @@ class DistinctEngine {
 
   void clear() {
     if (!sketch_) {
+      words_.clear();
       exact_.clear();
     } else if (bloom_) {
       bloom_->clear();
@@ -137,14 +138,31 @@ class DistinctEngine {
   [[nodiscard]] bool exact() const noexcept { return !sketch_; }
   [[nodiscard]] StateUsage usage() const;
 
-  // Exact-mode set, for probe-depth/load obs (null in sketch mode).
+  // Exact-mode Tuple set (keys holding a string), for probe-depth/load obs
+  // (null in sketch mode).
   [[nodiscard]] const util::FlatSet* exact_set() const noexcept {
     return sketch_ ? nullptr : &exact_;
   }
   [[nodiscard]] util::FlatSet* exact_set() noexcept { return sketch_ ? nullptr : &exact_; }
 
  private:
+  // Exact mode keeps an all-numeric tuple as its words (8 B a column, plus
+  // its hash and index slot) and any other tuple whole; a tuple holding a
+  // string never equals an all-numeric one, so each key is in one set once.
+  bool insert_exact(const query::Tuple& t, std::uint64_t hash) {
+    probe_.clear();
+    for (const query::Value& v : t.values) {
+      if (!v.is_uint()) return exact_.insert(t, hash);
+      probe_.push_back(v.as_uint());
+    }
+    if (words_.empty()) words_.reset(probe_.size());
+    if (words_.arity() != probe_.size()) return exact_.insert(t, hash);
+    return words_.insert(probe_.data(), hash, [](std::size_t) { return true; }).second;
+  }
+
   bool sketch_ = false;
+  util::FlatWordSet words_;
+  std::vector<std::uint64_t> probe_;  // insert_exact's key words
   util::FlatSet exact_;
   std::unique_ptr<BloomFilter> bloom_;
   std::unique_ptr<CuckooFilter> cuckoo_;
@@ -160,28 +178,36 @@ class ReduceEngine {
 
   void update(query::Tuple&& key, std::uint64_t hash, std::uint64_t delta) {
     if (!sketch_) {
-      const auto [slot, inserted] = exact_.try_emplace(std::move(key), hash, delta);
-      if (!inserted) *slot = apply_reduce(fn_, *slot, delta);
+      if (tuple_keys_ || !update_words(key, hash, delta)) {
+        const auto [slot, inserted] = exact_.try_emplace(std::move(key), hash, delta);
+        if (!inserted) *slot = apply_reduce(fn_, *slot, delta);
+      }
       return;
     }
     sketch_->update(key, hash, delta);
   }
 
-  // Software-prefetch the exact table's first probe chunk for `hash` (a
+  // Software-prefetch the exact table's first probe slot for `hash` (a
   // no-op for sketches): batched callers that know their hashes ahead of
   // time overlap the index miss with the current update.
   void prefetch(std::uint64_t hash) const noexcept {
-    if (!sketch_) exact_.prefetch(hash);
+    if (sketch_) return;
+    if (tuple_keys_) {
+      exact_.prefetch(hash);
+    } else {
+      words_.prefetch(hash);
+    }
   }
 
   // Drain (key, value) pairs in the engine's canonical order. Exact mode
   // preserves PR 4's first-insertion order bit-for-bit; keys are moved out
-  // and the table is left cleared either way.
+  // (or rebuilt from their words) and the table is left cleared either way.
   template <typename Emit>
   void drain_and_clear(Emit&& emit) {
     if (!sketch_) {
+      for (std::size_t e = 0; e < words_.size(); ++e) emit(word_key(e), word_aggs_[e]);
       for (auto& e : exact_.entries()) emit(std::move(e.key), e.value);
-      exact_.clear();
+      clear();
       return;
     }
     sketch_->drain(emit);
@@ -190,7 +216,10 @@ class ReduceEngine {
 
   void clear() {
     if (!sketch_) {
+      words_.clear();
+      word_aggs_.clear();
       exact_.clear();
+      tuple_keys_ = false;
     } else {
       sketch_->clear();
     }
@@ -198,11 +227,12 @@ class ReduceEngine {
 
   [[nodiscard]] bool exact() const noexcept { return !sketch_; }
   [[nodiscard]] std::uint64_t size() const noexcept {
-    return sketch_ ? sketch_->entries() : exact_.size();
+    return sketch_ ? sketch_->entries() : words_.size() + exact_.size();
   }
   [[nodiscard]] StateUsage usage() const;
 
-  // Exact-mode map, for probe-depth/load obs (null in sketch mode).
+  // Exact-mode Tuple-keyed map, for probe-depth/load obs (null in sketch
+  // mode).
   [[nodiscard]] const util::FlatMap<std::uint64_t>* exact_map() const noexcept {
     return sketch_ ? nullptr : &exact_;
   }
@@ -211,7 +241,47 @@ class ReduceEngine {
   }
 
  private:
+  // Exact mode keeps all-numeric keys as words (8 B a column, plus hash,
+  // aggregate and index slot) until a window's first key holding a string;
+  // that key moves the window's entries to Tuple keys, in insertion order.
+  bool update_words(const query::Tuple& key, std::uint64_t hash, std::uint64_t delta) {
+    probe_.clear();
+    for (const query::Value& v : key.values) {
+      if (!v.is_uint()) return move_to_tuple_keys();
+      probe_.push_back(v.as_uint());
+    }
+    if (words_.empty()) words_.reset(probe_.size());
+    if (words_.arity() != probe_.size()) return move_to_tuple_keys();
+    const auto [at, inserted] = words_.insert(probe_.data(), hash, [](std::size_t) { return true; });
+    if (inserted) {
+      word_aggs_.push_back(delta);
+    } else {
+      word_aggs_[at] = apply_reduce(fn_, word_aggs_[at], delta);
+    }
+    return true;
+  }
+  bool move_to_tuple_keys() {
+    tuple_keys_ = true;
+    exact_.reserve(words_.size());
+    for (std::size_t e = 0; e < words_.size(); ++e) {
+      exact_.try_emplace(word_key(e), words_.hashes()[e], word_aggs_[e]);
+    }
+    words_.clear();
+    word_aggs_.clear();
+    return false;
+  }
+  [[nodiscard]] query::Tuple word_key(std::size_t e) const {
+    query::Tuple key;
+    key.values.reserve(words_.arity());
+    for (std::size_t c = 0; c < words_.arity(); ++c) key.values.emplace_back(words_.key(e)[c]);
+    return key;
+  }
+
   query::ReduceFn fn_ = query::ReduceFn::kSum;
+  bool tuple_keys_ = false;  // this window's keys moved to exact_
+  util::FlatWordSet words_;
+  std::vector<std::uint64_t> word_aggs_;  // by dense position in words_
+  std::vector<std::uint64_t> probe_;      // update_words' key words
   util::FlatMap<std::uint64_t> exact_;
   std::unique_ptr<SketchReduce> sketch_;  // null = exact mode
 };

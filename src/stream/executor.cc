@@ -1,5 +1,6 @@
 #include "stream/executor.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -104,6 +105,30 @@ void ChainExecutor::ingest_batch(std::span<Tuple> ts, std::size_t entry) {
   for (Tuple& t : ts) process(std::move(t), entry);
 }
 
+bool ChainExecutor::passes_filter_in(BoundOp& op, const Tuple& t) {
+  // The probe key is rebuilt into a reused scratch tuple (inline storage,
+  // no allocation) and hashed exactly once: the flat table reuses the hash
+  // for the group probe and the stored-hash compare.
+  Tuple& key = op.probe_scratch;
+  key.values.clear();
+  for (const auto& m : op.match) key.values.push_back(m(t));
+  return op.entries.contains(key, key.hash());
+}
+
+Tuple ChainExecutor::mapped(const BoundOp& op, const Tuple& t) {
+  Tuple next;
+  next.values.reserve(op.projections.size());
+  for (const auto& p : op.projections) next.values.push_back(p(t));
+  return next;
+}
+
+void ChainExecutor::fold(BoundOp& op, const Tuple& t) {
+  Tuple key = query::project(t, op.key_idx);
+  const std::uint64_t hash = key.hash();
+  const std::uint64_t delta = t.at(op.value_idx).as_uint();
+  op.agg.update(std::move(key), hash, delta);
+}
+
 void ChainExecutor::process(Tuple&& t, std::size_t i) {
   for (; i < ops_.size(); ++i) {
     BoundOp& op = ops_[i];
@@ -111,37 +136,46 @@ void ChainExecutor::process(Tuple&& t, std::size_t i) {
       case OpKind::kFilter:
         if (op.pred(t).as_uint() == 0) return;
         break;
-      case OpKind::kFilterIn: {
-        // The probe key is rebuilt into a reused scratch tuple (inline
-        // storage, no allocation) and hashed exactly once: the flat table
-        // reuses the hash for the group probe and the stored-hash compare.
-        Tuple& key = op.probe_scratch;
-        key.values.clear();
-        for (const auto& m : op.match) key.values.push_back(m(t));
-        if (!op.entries.contains(key, key.hash())) return;
+      case OpKind::kFilterIn:
+        if (!passes_filter_in(op, t)) return;
         break;
-      }
-      case OpKind::kMap: {
-        Tuple next;
-        next.values.reserve(op.projections.size());
-        for (const auto& p : op.projections) next.values.push_back(p(t));
-        t = std::move(next);
+      case OpKind::kMap:
+        t = mapped(op, t);
         break;
-      }
-      case OpKind::kDistinct: {
+      case OpKind::kDistinct:
         if (!op.seen.insert_new(t, t.hash())) return;  // duplicate within window
         break;
-      }
-      case OpKind::kReduce: {
-        Tuple key = query::project(t, op.key_idx);
-        const std::uint64_t hash = key.hash();
-        const std::uint64_t delta = t.at(op.value_idx).as_uint();
-        op.agg.update(std::move(key), hash, delta);
+      case OpKind::kReduce:
+        fold(op, t);
         return;  // consumed; flushed at window end
-      }
     }
   }
   pending_.push_back(std::move(t));
+}
+
+void ChainExecutor::ingest_view(const Tuple& t, std::size_t entry) {
+  ++ingested_;
+  for (std::size_t i = entry; i < ops_.size(); ++i) {
+    BoundOp& op = ops_[i];
+    switch (op.kind) {
+      case OpKind::kFilter:
+        if (op.pred(t).as_uint() == 0) return;
+        break;
+      case OpKind::kFilterIn:
+        if (!passes_filter_in(op, t)) return;
+        break;
+      case OpKind::kMap:
+        process(mapped(op, t), i + 1);  // the rest runs on the built row
+        return;
+      case OpKind::kDistinct:
+        if (!op.seen.insert_new(t, t.hash())) return;
+        break;
+      case OpKind::kReduce:
+        fold(op, t);
+        return;
+    }
+  }
+  pending_.push_back(t);
 }
 
 std::vector<Tuple> ChainExecutor::end_window() {
@@ -238,9 +272,20 @@ bool ChainExecutor::set_filter_entries(const std::string& table_name,
 
 NodeExecutor::NodeExecutor(const StreamNode& node, const query::StateSpec& spec)
     : node_(node), chain_(node, spec) {
-  if (node.kind == StreamNode::Kind::kJoin) {
-    left_ = std::make_unique<NodeExecutor>(*node.left, spec);
-    right_ = std::make_unique<NodeExecutor>(*node.right, spec);
+  if (node.kind != StreamNode::Kind::kJoin) return;
+  left_ = std::make_unique<NodeExecutor>(*node.left, spec);
+  right_ = std::make_unique<NodeExecutor>(*node.right, spec);
+  const Schema& ls = node_.left->output_schema();
+  const Schema& rs = node_.right->output_schema();
+  for (const auto& k : node_.join_keys) {
+    lkeys_.push_back(*ls.index_of(k));
+    rkeys_.push_back(*rs.index_of(k));
+  }
+  for (std::size_t i = 0; i < ls.size(); ++i) {
+    if (std::find(lkeys_.begin(), lkeys_.end(), i) == lkeys_.end()) lrest_.push_back(i);
+  }
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    if (std::find(rkeys_.begin(), rkeys_.end(), i) == rkeys_.end()) rrest_.push_back(i);
   }
 }
 
@@ -249,43 +294,36 @@ std::vector<Tuple> NodeExecutor::end_window() {
     const std::vector<Tuple> lhs = left_->end_window();
     const std::vector<Tuple> rhs = right_->end_window();
 
-    const Schema& ls = node_.left->output_schema();
-    const Schema& rs = node_.right->output_schema();
-    std::vector<std::size_t> lkeys, rkeys;
-    for (const auto& k : node_.join_keys) {
-      lkeys.push_back(*ls.index_of(k));
-      rkeys.push_back(*rs.index_of(k));
-    }
-    auto is_key = [&](const std::vector<std::size_t>& keys, std::size_t i) {
-      return std::find(keys.begin(), keys.end(), i) != keys.end();
-    };
-
     // Build on the right, probe with the left. The build key's hash is
-    // computed once and cached in the flat table's slot.
-    util::FlatMap<std::vector<const Tuple*>> built;
-    built.reserve(rhs.size());
-    for (const auto& r : rhs) {
-      Tuple key = query::project(r, rkeys);
+    // computed once and cached in the flat table's slot; a repeated key
+    // appends its row to the key's chain.
+    constexpr std::uint32_t kEnd = ~std::uint32_t{0};
+    join_index_.clear();
+    join_index_.reserve(rhs.size());
+    join_next_.assign(rhs.size(), kEnd);
+    for (std::uint32_t r = 0; r < rhs.size(); ++r) {
+      Tuple key = query::project(rhs[r], rkeys_);
       const std::uint64_t hash = key.hash();
-      built.try_emplace(std::move(key), hash, {}).first->push_back(&r);
+      auto [rows, inserted] = join_index_.try_emplace(std::move(key), hash, {r, r});
+      if (!inserted) {
+        join_next_[rows->second] = r;
+        rows->second = r;
+      }
     }
 
+    const std::size_t width = lkeys_.size() + lrest_.size() + rrest_.size();
     for (const auto& l : lhs) {
-      const Tuple key = query::project(l, lkeys);
-      const auto* rows = built.find(key, key.hash());
+      const Tuple key = query::project(l, lkeys_);
+      const auto* rows = join_index_.find(key, key.hash());
       if (rows == nullptr) continue;
-      for (const Tuple* r : *rows) {
+      for (std::uint32_t r = rows->first; r != kEnd; r = join_next_[r]) {
         // Output layout must match validate_node(): keys, left non-keys,
         // right non-keys.
         Tuple joined;
-        joined.values.reserve(ls.size() + rs.size());
-        for (std::size_t k : lkeys) joined.values.push_back(l.at(k));
-        for (std::size_t i = 0; i < ls.size(); ++i) {
-          if (!is_key(lkeys, i)) joined.values.push_back(l.at(i));
-        }
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-          if (!is_key(rkeys, i)) joined.values.push_back(r->at(i));
-        }
+        joined.values.reserve(width);
+        for (std::size_t k : lkeys_) joined.values.push_back(l.at(k));
+        for (std::size_t i : lrest_) joined.values.push_back(l.at(i));
+        for (std::size_t i : rrest_) joined.values.push_back(rhs[r].at(i));
         chain_.ingest(std::move(joined), 0);
       }
     }
@@ -338,7 +376,7 @@ void QueryExecutor::ingest_packet(const net::Packet& p) {
 }
 
 void QueryExecutor::ingest_source_tuple(const Tuple& source_tuple) {
-  for (auto* src : sources_) src->chain().ingest(source_tuple, 0);
+  for (auto* src : sources_) src->chain().ingest_view(source_tuple, 0);
 }
 
 std::vector<Tuple> QueryExecutor::end_window() { return root_->end_window(); }

@@ -43,6 +43,12 @@ class ChainExecutor {
   // buffered for end_window().
   void ingest(query::Tuple t, std::size_t entry);
 
+  // Run `t` through ops[entry..) reading it in place: filters, filter_in
+  // and distinct probe it where it is, and only what a map builds, a
+  // distinct or reduce keeps, or the chain end buffers is copied. The
+  // planner's replays of training tuples enter here.
+  void ingest_view(const query::Tuple& t, std::size_t entry);
+
   // Batched ingest: every tuple in `ts` is MOVED through ops[entry..) —
   // the batched data path hands whole shard buffers over without copying
   // a tuple. Callers must treat `ts` as consumed.
@@ -95,6 +101,10 @@ class ChainExecutor {
   };
 
   void process(query::Tuple&& t, std::size_t i);
+  // Per-op steps shared by process() and ingest_view().
+  static bool passes_filter_in(BoundOp& op, const query::Tuple& t);
+  static query::Tuple mapped(const BoundOp& op, const query::Tuple& t);
+  static void fold(BoundOp& op, const query::Tuple& t);
   void publish_table_obs();
 
   const query::StreamNode& node_;
@@ -142,6 +152,12 @@ class NodeExecutor {
   std::unique_ptr<NodeExecutor> left_;
   std::unique_ptr<NodeExecutor> right_;
   ChainExecutor chain_;
+  // Join nodes: key and non-key column indices of each side, and the build
+  // side's index, reused every window: a build key maps to the (head, tail)
+  // of its rows' chain through join_next_, so a key's rows stay in rhs order.
+  std::vector<std::size_t> lkeys_, rkeys_, lrest_, rrest_;
+  util::FlatMap<std::pair<std::uint32_t, std::uint32_t>> join_index_;
+  std::vector<std::uint32_t> join_next_;
 };
 
 // Stream-processor-side execution of one query. Sources are indexed in the
@@ -166,7 +182,8 @@ class QueryExecutor {
   }
 
   // Convenience for unpartitioned (All-SP) execution: materialize the
-  // packet once and feed every source at entry 0.
+  // packet once and feed every source at entry 0. ingest_source_tuple reads
+  // the tuple in place (ChainExecutor::ingest_view).
   void ingest_packet(const net::Packet& p);
   void ingest_source_tuple(const query::Tuple& source_tuple);
 

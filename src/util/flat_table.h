@@ -424,6 +424,12 @@ class FlatWordSet {
 
   [[nodiscard]] std::size_t size() const noexcept { return hashes_.size(); }
   [[nodiscard]] bool empty() const noexcept { return hashes_.empty(); }
+  [[nodiscard]] std::size_t arity() const noexcept { return arity_; }
+  // Heap footprint of the key words, hashes and index.
+  [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
+    return (words_.capacity() + hashes_.capacity()) * sizeof(std::uint64_t) +
+           index_.capacity() * sizeof(std::uint32_t);
+  }
 
   // Forget every entry, keeping the capacity. A set far below its index
   // size (one reused for differently sized key sets) unlinks its entries

@@ -309,8 +309,8 @@ TEST(ParallelClose, QuarantinedShardMatchesInlineClose) {
 }
 
 // Runs close tasks on `threads` fresh threads that claim from one counter.
-TaskRunner threaded_runner(std::size_t threads) {
-  return [threads](std::size_t count, const CloseTask& task) {
+util::TaskRunner threaded_runner(std::size_t threads) {
+  return [threads](std::size_t count, const util::Task& task) {
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
     for (std::size_t slot = 0; slot < threads; ++slot) {

@@ -156,6 +156,48 @@ TEST(QueryExecutor, JoinCombinesSubQueries) {
   EXPECT_EQ(out[0].at(0).as_uint(), victim);
 }
 
+// Build keys repeat on the right: every left row meets each matching right
+// row, left rows in arrival order and, per key, right rows in arrival order.
+TEST(QueryExecutor, JoinWithDuplicateBuildKeysKeepsArrivalOrder) {
+  auto syns = QueryBuilder::packet_stream()
+                  .filter(col("tcp.flags") == lit(std::uint64_t{net::tcp_flags::kSyn}))
+                  .map({{"dIP", col("dIP")}, {"sIP", col("sIP")}});
+  auto acks = QueryBuilder::packet_stream()
+                  .filter(col("tcp.flags") == lit(std::uint64_t{net::tcp_flags::kAck}))
+                  .map({{"dIP", col("dIP")}, {"sPort", col("sPort")}});
+  auto q = std::move(syns).join({"dIP"}, std::move(acks)).build("dup_join", 1);
+  ASSERT_EQ(q.validate(), "");
+  QueryExecutor exec(q);
+  const auto ack = [](std::uint32_t d, std::uint16_t sport) {
+    return net::Packet::tcp(0, ipv4(9, 9, 9, 9), d, sport, 80, net::tcp_flags::kAck, 40);
+  };
+  const auto a = ipv4(10, 0, 0, 1);
+  const auto b = ipv4(10, 0, 0, 2);
+  exec.ingest_packet(ack(a, 1));
+  exec.ingest_packet(ack(b, 2));
+  exec.ingest_packet(ack(a, 3));
+  exec.ingest_packet(ack(a, 4));
+  exec.ingest_packet(syn(ipv4(1, 0, 0, 1), b));
+  exec.ingest_packet(syn(ipv4(1, 0, 0, 2), a));
+  exec.ingest_packet(syn(ipv4(1, 0, 0, 3), ipv4(10, 0, 0, 3)));  // no match
+  exec.ingest_packet(syn(ipv4(1, 0, 0, 4), a));
+  const auto out = exec.end_window();
+  // (dIP, sIP, sPort): keys, left non-keys, right non-keys.
+  const std::vector<std::vector<std::uint64_t>> want = {
+      {b, ipv4(1, 0, 0, 1), 2},
+      {a, ipv4(1, 0, 0, 2), 1}, {a, ipv4(1, 0, 0, 2), 3}, {a, ipv4(1, 0, 0, 2), 4},
+      {a, ipv4(1, 0, 0, 4), 1}, {a, ipv4(1, 0, 0, 4), 3}, {a, ipv4(1, 0, 0, 4), 4},
+  };
+  ASSERT_EQ(out.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(out[i].size(), 3u) << i;
+    for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(out[i].at(c).as_uint(), want[i][c]) << i;
+  }
+  // The reused build table starts empty next window.
+  exec.ingest_packet(syn(ipv4(1, 0, 0, 5), a));
+  EXPECT_TRUE(exec.end_window().empty());
+}
+
 TEST(QueryExecutor, ThreeWayJoin) {
   queries::Thresholds th;
   th.syn_flood = 10;

@@ -1,7 +1,7 @@
-// runtime::TaskPool, the window close's task runner: every task of every
-// round runs exactly once, no two running tasks share a slot, rounds
-// larger than the cursor's 16-bit fields split correctly, and a pool whose
-// helpers are parked shuts down promptly.
+// util::TaskPool, the task runner of the window close and the planner's
+// estimator build: every task of every round runs exactly once, no two
+// running tasks share a slot, rounds larger than the cursor's 16-bit fields
+// split correctly, and a pool whose helpers are parked shuts down promptly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,9 +11,9 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/task_pool.h"
+#include "util/task_pool.h"
 
-namespace sonata::runtime {
+namespace sonata::util {
 namespace {
 
 // Runs `rounds` back-to-back rounds of `count` tasks; checks each task ran
@@ -91,4 +91,4 @@ TEST(TaskPool, DestroyingParkedHelpersReturnsPromptly) {
 }
 
 }  // namespace
-}  // namespace sonata::runtime
+}  // namespace sonata::util
