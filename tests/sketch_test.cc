@@ -259,6 +259,43 @@ TEST(ReduceEngine, MinStaysExactUnderSketchSpec) {
   EXPECT_EQ(got, 3u);
 }
 
+// Exact mode keeps all-numeric keys as words and moves the window to Tuple
+// keys at its first key holding a string: the drain must still be first
+// insertion order with every aggregate, and the next window starts over.
+TEST(ReduceEngine, ExactDrainKeepsInsertionOrderAcrossKeyKinds) {
+  state::ReduceEngine eng;
+  const std::vector<Tuple> keys = {key_of(7), key_of(3), Tuple{{Value{std::string("x.org")}}},
+                                   key_of(9)};
+  for (int round = 0; round < 2; ++round) {
+    for (const std::size_t i : {0u, 1u, 0u, 2u, 3u, 1u}) {
+      Tuple k = keys[i];
+      const std::uint64_t h = k.hash();
+      eng.update(std::move(k), h, i + 1);
+    }
+    EXPECT_EQ(eng.size(), 4u);
+    std::vector<std::pair<Tuple, std::uint64_t>> got;
+    eng.drain_and_clear([&](Tuple&& k, std::uint64_t v) { got.emplace_back(std::move(k), v); });
+    const std::vector<std::pair<Tuple, std::uint64_t>> want = {
+        {keys[0], 2}, {keys[1], 4}, {keys[2], 3}, {keys[3], 4}};
+    EXPECT_EQ(got, want) << "round " << round;
+    EXPECT_EQ(eng.size(), 0u);
+  }
+}
+
+TEST(DistinctEngine, ExactCountsEachKeyOnceAcrossKeyKinds) {
+  state::DistinctEngine eng;
+  const Tuple num = key_of(4);
+  const Tuple str{{Value{std::string("x.org")}}};
+  EXPECT_TRUE(eng.insert_new(num, num.hash()));
+  EXPECT_TRUE(eng.insert_new(str, str.hash()));
+  EXPECT_FALSE(eng.insert_new(num, num.hash()));
+  EXPECT_FALSE(eng.insert_new(str, str.hash()));
+  EXPECT_EQ(eng.usage().entries, 2u);
+  eng.clear();
+  EXPECT_TRUE(eng.insert_new(num, num.hash()));
+  EXPECT_EQ(eng.usage().entries, 1u);
+}
+
 TEST(ReduceEngine, UsageReportsBytesAndErrorBound) {
   state::ReduceEngine exact;
   Tuple k = key_of(1);
