@@ -83,6 +83,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nAttack confirmed. Total control-plane update latency: %.1f ms\n",
-              rt.data_plane().stats().control_update_millis);
+              rt.data_plane(0).stats().control_update_millis);
   return 0;
 }

@@ -113,7 +113,7 @@ int main() {
     }
   }
 
-  const auto& st = rt.data_plane().stats();
+  const auto& st = rt.data_plane(0).stats();
   std::printf("\nSwitch stats: %llu packets, %llu mirrored records (%llu overflow),\n",
               static_cast<unsigned long long>(st.packets_processed),
               static_cast<unsigned long long>(st.records_emitted),

@@ -5,9 +5,9 @@
 //     processor; per-switch register state merges at the reduce, so a
 //     victim whose per-switch counts stay below threshold is still caught
 //     when the network-wide sum crosses it;
-//   * a mitigation policy turns detections into line-rate drop rules,
-//     closing the loop: the attack disappears from the data plane one
-//     window after detection.
+//   * a mitigation policy turns detections into line-rate drop rules on
+//     every switch, closing the loop: the attack disappears from the data
+//     plane one window after detection.
 //
 // Build & run:  ./build/examples/closed_loop
 #include <cstdio>
@@ -15,7 +15,6 @@
 #include "planner/planner.h"
 #include "queries/catalog.h"
 #include "runtime/fleet.h"
-#include "runtime/runtime.h"
 #include "trace/trace.h"
 #include "util/ip.h"
 
@@ -74,14 +73,15 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // Part 3: closed loop on a single switch — detections install drop
-  // rules; the flood vanishes from the data plane the next window.
+  // Part 3: the closed loop on the same fleet — detections over the
+  // merged state install a drop rule on every switch; the flood vanishes
+  // from the data plane the next window.
   // ------------------------------------------------------------------
-  std::printf("\nClosed loop (single switch, drop rule on detection):\n");
-  runtime::Runtime rt(plan);
-  rt.enable_mitigation({.qid = 1, .output_column = "dIP", .packet_field = "dIP"});
+  std::printf("\nClosed loop (3 switches, drop rule on detection):\n");
+  runtime::Fleet guarded(plan, 3, /*worker_threads=*/3);
+  guarded.enable_mitigation({.qid = 1, .output_column = "dIP", .packet_field = "dIP"});
   std::printf("%-8s %-10s %-10s %s\n", "window", "packets", "dropped", "victim detected?");
-  for (const auto& ws : rt.run_trace(trace)) {
+  for (const auto& ws : guarded.run_trace(trace)) {
     bool hit = false;
     for (const auto& r : ws.results) {
       for (const auto& t : r.outputs) hit = hit || t.at(0).as_uint() == victim;
@@ -91,6 +91,10 @@ int main() {
                 static_cast<unsigned long long>(ws.packets),
                 static_cast<unsigned long long>(ws.dropped_packets), hit ? "yes" : "");
   }
-  std::printf("\nGuard table: %zu blocked key(s)\n", rt.data_plane().blocked_keys());
+  std::printf("\nGuard tables:");
+  for (std::size_t i = 0; i < guarded.data_plane_count(); ++i) {
+    std::printf(" switch %zu: %zu blocked key(s);", i, guarded.data_plane(i).blocked_keys());
+  }
+  std::printf("\n");
   return 0;
 }

@@ -751,7 +751,7 @@ int Switch::update_filter_entries(const std::string& table_name,
     if (p->set_filter_entries(table_name, entries)) {
       ++updated;
       stats_.filter_entry_updates += entries.size();
-      stats_.control_update_millis += kMillisPerEntryUpdate * static_cast<double>(entries.size());
+      derive_control_latency();
     }
   }
   if (updated > 0 && obs::enabled()) {
@@ -771,14 +771,14 @@ bool Switch::block(const std::string& field, const query::Value& key) {
     if (col == *idx) {
       if (keys.insert(key).second) {
         ++stats_.filter_entry_updates;
-        stats_.control_update_millis += kMillisPerEntryUpdate;
+        derive_control_latency();
       }
       return true;
     }
   }
   blocks_.push_back({*idx, {key}});
   ++stats_.filter_entry_updates;
-  stats_.control_update_millis += kMillisPerEntryUpdate;
+  derive_control_latency();
   return true;
 }
 
@@ -794,7 +794,13 @@ void Switch::reset_all_registers() {
   publish_obs();  // occupancy gauges must see the pre-reset register state
   for (auto& p : pipelines_) p->reset_registers();
   ++stats_.register_resets;
-  stats_.control_update_millis += kMillisPerRegisterReset;
+  derive_control_latency();
+}
+
+void Switch::derive_control_latency() noexcept {
+  stats_.control_update_millis =
+      kMillisPerEntryUpdate * static_cast<double>(stats_.filter_entry_updates) +
+      kMillisPerRegisterReset * static_cast<double>(stats_.register_resets);
 }
 
 }  // namespace sonata::pisa

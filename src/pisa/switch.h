@@ -322,7 +322,10 @@ struct SwitchStats {
   std::uint64_t dropped_packets = 0;   // closed-loop mitigation drops
   std::uint64_t filter_entry_updates = 0;
   std::uint64_t register_resets = 0;
-  double control_update_millis = 0.0;  // modelled driver latency
+  // Modelled driver latency, a function of the two counts above (never
+  // accumulated), so a window's delta does not depend on whether its
+  // register reset ran before or after its filter installs.
+  double control_update_millis = 0.0;
 };
 
 class Switch {
@@ -391,6 +394,8 @@ class Switch {
   // global registry (called from reset_all_registers, before clearing).
   void init_obs_handles();
   void publish_obs();
+  // Recompute stats_.control_update_millis from the update and reset counts.
+  void derive_control_latency() noexcept;
   // One block (at most kernel::kBlock tuples) through every pipeline.
   void process_block(std::span<const query::Tuple> block, EmitSink& sink);
   // Move the block's staged records into the sink in packet-then-pipeline

@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <utility>
 
@@ -10,7 +11,6 @@
 #include "runtime/control_plane.h"
 #include "runtime/fleet.h"
 #include "runtime/limits.h"
-#include "runtime/runtime.h"
 #include "util/log.h"
 #include "util/time.h"
 
@@ -58,6 +58,14 @@ TelemetryEngine::~TelemetryEngine() = default;
 WindowStats TelemetryEngine::close_window() {
   WindowStats w = do_close_window();
   w.plan_version = plan().version;
+  // The window-end policies, on this window's results and before any swap.
+  if (!mitigations_.empty()) mitigate(w);
+  watch_overflow(w);
+  if (replan_recommended_ && auto_replan_) replan(w);
+  if (auto_replan_) {
+    history_.emplace_back();
+    while (history_.size() > auto_replan_cfg_.history_windows) history_.pop_front();
+  }
   if (control_ != nullptr && control_->dirty()) {
     // Apply pending submissions/withdrawals at the barrier: the plan is a
     // versioned object, and the swap lands between windows so window N is
@@ -66,7 +74,7 @@ WindowStats TelemetryEngine::close_window() {
     SONATA_INFO("engine", "control-plane swap after window %llu: %zu queries, plan v%llu",
                 static_cast<unsigned long long>(w.window_index), next.queries.size(),
                 static_cast<unsigned long long>(next.version));
-    apply_plan(std::move(next));
+    swap_plan(std::move(next));
     control_->free_retired();
     w.plan_swapped = true;
     obs::Journal::global().emit(obs::EventType::kPlanSwap, w.window_index, 0, 0,
@@ -75,6 +83,116 @@ WindowStats TelemetryEngine::close_window() {
                                 "control-plane swap");
   }
   return w;
+}
+
+void TelemetryEngine::mitigate(WindowStats& w) {
+  // Each policy's detection column in its query's finest-level output.
+  std::vector<std::pair<const MitigationPolicy*, std::size_t>> columns;
+  for (const MitigationPolicy& policy : mitigations_) {
+    for (const planner::PlannedQuery& pq : plan().queries) {
+      if (pq.base->id() != policy.qid) continue;
+      const auto& schema = pq.exec_queries.at(pq.chain.back()).root()->output_schema();
+      if (const auto col = schema.index_of(policy.output_column)) {
+        columns.emplace_back(&policy, *col);
+      }
+    }
+  }
+  // Every contributing switch gets the same rules; a quarantined one is
+  // consumer-owned until its resync and misses this window's, as it misses
+  // its winners. The switches update in parallel, so the window's control
+  // latency grows by the busiest switch's installs.
+  std::uint64_t most = 0;
+  for (std::size_t i = 0; i < data_plane_count() && i < 64; ++i) {
+    if ((w.contribution_mask >> i & 1) == 0) continue;
+    pisa::Switch& sw = mutable_data_plane(i);
+    const std::uint64_t before = sw.stats().filter_entry_updates;
+    for (const auto& [policy, col] : columns) {
+      for (const QueryResult& result : w.results) {
+        if (result.qid != policy->qid) continue;
+        for (const query::Tuple& t : result.outputs) {
+          if (sw.blocked_keys() >= policy->max_entries) break;
+          sw.block(policy->packet_field, t.at(col));
+        }
+      }
+    }
+    most = std::max(most, sw.stats().filter_entry_updates - before);
+  }
+  w.control_update_millis += pisa::Switch::kMillisPerEntryUpdate * static_cast<double>(most);
+}
+
+void TelemetryEngine::watch_overflow(const WindowStats& w) {
+  // Sustained collision overflow means the registers were sized for
+  // different traffic (paper §5). The fraction is over *processed*
+  // packets: mitigation-dropped packets never reach the registers, so
+  // counting them in the denominator deflated the fraction exactly when a
+  // drop storm coincided with register pressure — the moment the trigger
+  // matters most.
+  const std::uint64_t processed = w.packets - std::min(w.dropped_packets, w.packets);
+  const double fraction = processed == 0 ? 0.0
+                                         : static_cast<double>(w.overflow_records) /
+                                               static_cast<double>(processed);
+  overflow_streak_ = fraction > replan_policy_.overflow_threshold ? overflow_streak_ + 1 : 0;
+  if (overflow_streak_ >= replan_policy_.consecutive_windows && !replan_recommended_) {
+    replan_recommended_ = true;
+    obs::Journal::global().emit(obs::EventType::kReplanTriggered, w.window_index, 0, 0,
+                                static_cast<std::int64_t>(w.overflow_records), overflow_streak_,
+                                0, "overflow streak");
+  }
+}
+
+void TelemetryEngine::replan(WindowStats& w) {
+  // Consume the recommendation: re-run the planner against the retained
+  // live windows, whose key counts reflect the drifted traffic.
+  std::vector<net::Packet> training;
+  std::size_t total = 0;
+  for (const auto& window : history_) total += window.size();
+  if (total == 0) {
+    SONATA_WARN("engine", "auto-replan after window %llu has no retained traffic: only "
+                "process_window and run_trace windows are kept",
+                static_cast<unsigned long long>(w.window_index));
+    return;
+  }
+  training.reserve(total);
+  for (const auto& window : history_) {
+    training.insert(training.end(), window.begin(), window.end());
+  }
+  planner::Planner planner(auto_replan_cfg_.planner);
+  swap_plan(planner.plan(*auto_replan_cfg_.queries, training));
+  ++replans_;
+  replans_ctr_->add(1);
+  w.plan_swapped = true;
+  obs::Journal::global().emit(obs::EventType::kReplanApplied, w.window_index, 0, 0,
+                              static_cast<std::int64_t>(replans_),
+                              static_cast<std::int64_t>(training.size()), 0, "auto-replan");
+}
+
+void TelemetryEngine::swap_plan(planner::Plan plan) {
+  apply_plan(std::move(plan));
+  overflow_streak_ = 0;
+  replan_recommended_ = false;
+}
+
+void TelemetryEngine::enable_mitigation(MitigationPolicy policy) {
+  mitigations_.push_back(std::move(policy));
+}
+
+void TelemetryEngine::enable_auto_replan(AutoReplanConfig cfg) {
+  assert(cfg.queries != nullptr);
+  auto_replan_cfg_ = std::move(cfg);
+  if (auto_replan_cfg_.history_windows == 0) auto_replan_cfg_.history_windows = 1;
+  auto_replan_ = true;
+  history_.clear();
+  history_.emplace_back();
+  replans_ctr_ = &obs::Registry::global().counter("sonata_runtime_replans_total");
+}
+
+double TelemetryEngine::overflow_fraction() const noexcept {
+  std::uint64_t records = 0, overflows = 0;
+  for (std::size_t i = 0; i < data_plane_count(); ++i) {
+    records += data_plane(i).stats().records_emitted;
+    overflows += data_plane(i).stats().overflow_records;
+  }
+  return records == 0 ? 0.0 : static_cast<double>(overflows) / static_cast<double>(records);
 }
 
 util::Expected<QueryHandle, planner::AdmissionDiagnostic> TelemetryEngine::submit(
@@ -91,6 +209,7 @@ util::Expected<util::Ok, planner::AdmissionDiagnostic> TelemetryEngine::withdraw
 WindowStats TelemetryEngine::process_window(std::span<const net::Packet> packets) {
   const bool tracing = obs::TraceRecorder::global().enabled();
   const std::uint64_t start = tracing ? obs::now_ns() : 0;
+  if (auto_replan_) history_.back().insert(history_.back().end(), packets.begin(), packets.end());
   for (const auto& p : packets) ingest(p);
   WindowStats w = close_window();
   if (tracing) {
@@ -252,13 +371,8 @@ EngineBuilder::build() {
   if (!planned) return planned.error();
   auto control = std::move(planned->control);
   planner::Plan plan = std::move(planned->plan);
-  std::unique_ptr<TelemetryEngine> engine;
-  if (switches_ <= 1 && worker_threads_ == 0) {
-    engine = std::make_unique<Runtime>(std::move(plan), batch_size_, faults_);
-  } else {
-    engine = std::make_unique<Fleet>(std::move(plan), switches_, worker_threads_, batch_size_,
-                                     faults_, pin_workers_);
-  }
+  std::unique_ptr<TelemetryEngine> engine = std::make_unique<Fleet>(
+      std::move(plan), switches_, worker_threads_, batch_size_, faults_, pin_workers_);
   engine->control_ = std::move(control);
   return engine;
 }

@@ -1,10 +1,10 @@
 // The unified driver interface.
 //
-// Every execution driver — single-switch `Runtime`, serial or parallel
-// `Fleet` — is a TelemetryEngine: packets go in via ingest(), windows close
-// via close_window(), and run_trace() provides the shared trace-replay
-// window loop. Tools, examples, benchmarks and tests program against this
-// interface.
+// Every execution driver — the single-switch `Runtime` and the serial or
+// parallel `Fleet` it specializes — is a TelemetryEngine: packets go in via
+// ingest(), windows close via close_window(), and run_trace() provides the
+// shared trace-replay window loop. Tools, examples, benchmarks and tests
+// program against this interface.
 //
 // Engines are built with EngineBuilder, which owns the whole setup story:
 // topology, batching, fault injection, training traffic, tenants, and the
@@ -19,10 +19,17 @@
 // per-tenant switch budgets make rejection real, and the structured
 // AdmissionDiagnostic says which constraint bound and what budget would
 // have admitted the query.
+//
+// The window-end policies live here too, after the driver's close:
+// closed-loop mitigation installs drop rules on every switch, the
+// re-planning trigger watches the collision-overflow fraction, and an
+// auto-replan swaps its plan in through apply_plan, the same swap a
+// control-plane mutation takes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -83,20 +90,100 @@ class TelemetryEngine {
   // size. Returns per-window stats.
   std::vector<WindowStats> run_trace(std::span<const net::Packet> trace);
 
+  // Fraction of the switches' mirrored records caused by register-chain
+  // overflow since start; the paper's runtime triggers re-planning when
+  // this spikes.
+  [[nodiscard]] double overflow_fraction() const noexcept;
+
+  // -- closed-loop mitigation (paper Section 8's long-term goal) -------
+  // When enabled, every finest-level detection of `qid` installs a drop
+  // rule on every switch that contributed to the window: packets whose
+  // `packet_field` equals the detection's `output_column` value are
+  // dropped from the next window on. The installs count toward the
+  // window's control_update_millis. Drop rules survive plan swaps.
+  struct MitigationPolicy {
+    query::QueryId qid = 0;
+    std::string output_column;       // detection column carrying the key
+    std::string packet_field;        // packet field to block on (e.g. "dIP")
+    std::size_t max_entries = 1024;  // guard-table budget, per switch
+  };
+  void enable_mitigation(MitigationPolicy policy);
+
+  // -- re-planning trigger (paper §5) ----------------------------------
+  // "When it detects too many hash collisions, the runtime triggers the
+  // query planner to re-run the ILP with the new data." The engine tracks
+  // the per-window collision-overflow fraction; when it exceeds
+  // `overflow_threshold` for `consecutive_windows` windows, the traffic has
+  // drifted past the training data's key-count estimates and the caller
+  // should re-plan on recent windows (see Replan tests).
+  struct ReplanPolicy {
+    double overflow_threshold = 0.01;  // overflow records per packet processed
+    int consecutive_windows = 2;
+  };
+  void set_replan_policy(ReplanPolicy policy) noexcept { replan_policy_ = policy; }
+  [[nodiscard]] bool replan_recommended() const noexcept { return replan_recommended_; }
+
+  // -- acted-on re-planning (paper §5, closing the loop) ---------------
+  // When enabled, a fired replan recommendation is consumed automatically:
+  // the planner re-runs against the last `history_windows` windows of live
+  // traffic (so its key-count estimates reflect the drifted traffic, not
+  // the stale training trace) and the new plan is swapped in through
+  // apply_plan between windows. The history is the packets of the windows
+  // replayed through process_window() or run_trace(). Register-pressure
+  // faults (shrink/hash_seed) are deliberately NOT re-applied to the new
+  // plan: re-planning is the recovery from them.
+  struct AutoReplanConfig {
+    const std::vector<query::Query>* queries = nullptr;  // must outlive the engine
+    planner::PlannerConfig planner;
+    std::size_t history_windows = 2;  // ingest history kept for re-training
+  };
+  void enable_auto_replan(AutoReplanConfig cfg);
+  [[nodiscard]] std::uint64_t replans_performed() const noexcept { return replans_; }
+
  protected:
-  // Driver-specific window close (the old close_window bodies).
+  // Driver-specific window close: the data planes' barrier, polls, the
+  // stream processor's close and the register resets.
   virtual WindowStats do_close_window() = 0;
   // Swap `plan` in at a window barrier: rebuild the switch program(s) —
   // reusing unchanged compiled pipelines — and the stream executors.
+  // Register-pressure faults are not re-applied; a swap installs clean.
   virtual void apply_plan(planner::Plan plan) = 0;
+  // The switch behind data_plane(i), for the window-end policies. They
+  // touch it only between do_close_window and the next ingest, and only
+  // when its bit is set in the closed window's contribution mask.
+  [[nodiscard]] virtual pisa::Switch& mutable_data_plane(std::size_t i) = 0;
 
  private:
   friend class EngineBuilder;
+  // Block this window's detections on every contributing switch.
+  void mitigate(WindowStats& w);
+  // Advance the overflow streak over `w`; fires the recommendation.
+  void watch_overflow(const WindowStats& w);
+  // Re-plan on the retained history and swap the plan in.
+  void replan(WindowStats& w);
+  // apply_plan, then restart the overflow streak: the old plan's overflow
+  // history says nothing about the new register sizing.
+  void swap_plan(planner::Plan plan);
+
   std::unique_ptr<ControlPlane> control_;
+
+  std::vector<MitigationPolicy> mitigations_;
+  ReplanPolicy replan_policy_;
+  int overflow_streak_ = 0;
+  bool replan_recommended_ = false;
+
+  // Auto-replan state: per-window ingest history (newest last), kept only
+  // while enabled.
+  bool auto_replan_ = false;
+  AutoReplanConfig auto_replan_cfg_;
+  std::deque<std::vector<net::Packet>> history_;
+  std::uint64_t replans_ = 0;
+  obs::Counter* replans_ctr_ = nullptr;
 };
 
-// Builds a TelemetryEngine: single-switch Runtime for {switches == 1,
-// worker_threads == 0}, a (possibly parallel) Fleet otherwise.
+// Builds a TelemetryEngine: a Fleet of `switches` shards on
+// `worker_threads` workers for every topology ({1, 0} is the single-switch
+// Runtime's shape).
 //
 //   auto engine = runtime::EngineBuilder()
 //                     .topology(4, 2)
@@ -125,7 +212,7 @@ class EngineBuilder {
   // Deterministic fault injection (DESIGN.md "Fault model & degradation").
   EngineBuilder& faults(fault::FaultSpec spec);
   // Pin fleet workers to cores (round-robin over the process's allowed
-  // set); no effect on the single-switch Runtime or with 0 worker threads.
+  // set); no effect with 0 worker threads.
   EngineBuilder& pin_workers(bool pin);
   EngineBuilder& planner(planner::PlannerConfig cfg);
   // Training traffic for the planner's cost estimators (required).

@@ -467,6 +467,8 @@ WindowStats Fleet::do_close_window() {
   //    from the first healthy one (every switch runs the identical program).
   //    Off the faulty wire, the records arrive as one stream after the
   //    shards' raw tuples: every executor source sees them in wire order.
+  //    A quarantined shard's guard-table drops count in its next healthy
+  //    window.
   outputs_.clear();
   std::vector<pisa::Switch*> switches;
   for (Shard* s : healthy_) {
@@ -475,6 +477,9 @@ WindowStats Fleet::do_close_window() {
     switches.push_back(&s->exec.sw());
     current_.tuples_to_sp += s->exec.tuples_to_sp();
     current_.raw_mirror_packets += s->exec.raw_mirror_packets();
+    const std::uint64_t dropped = s->exec.sw().stats().dropped_packets;
+    current_.dropped_packets += dropped - s->dropped_mark;
+    s->dropped_mark = dropped;
   }
   if (wire_) outputs_.push_back({wired_, {}, nullptr});
   sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);

@@ -11,7 +11,8 @@
 // switch is still detected when the network-wide sum crosses it — the
 // headline capability of network-wide telemetry. Dynamic-refinement winner
 // keys are computed once (over merged state) and installed on every
-// switch.
+// switch. The single-switch Runtime (runtime/runtime.h) is a Fleet of one
+// shard with no workers.
 //
 // Threading model (DESIGN.md "Parallel fleet execution"). Each switch is a
 // *shard*: the switch itself, a bounded SPSC ingest queue fed by the
@@ -79,7 +80,7 @@
 
 namespace sonata::runtime {
 
-class Fleet final : public TelemetryEngine {
+class Fleet : public TelemetryEngine {
  public:
   // Deploys `plan` on `switch_count` identical switches, processed by
   // `worker_threads` workers (0 = inline in the calling thread; capped at
@@ -138,6 +139,9 @@ class Fleet final : public TelemetryEngine {
   // during a quarantine resync, and the swap must not race it.
   // Register-pressure faults are not re-applied; a swap installs clean.
   void apply_plan(planner::Plan plan) override;
+  [[nodiscard]] pisa::Switch& mutable_data_plane(std::size_t i) override {
+    return shards_.at(i)->exec.sw();
+  }
 
  private:
   struct Shard {
@@ -168,6 +172,7 @@ class Fleet final : public TelemetryEngine {
     // finishing an older one.
     std::atomic<std::uint64_t> resync_to{0};
     std::uint64_t barrier_mark = 0;  // driver-only: enqueued at last barrier
+    std::uint64_t dropped_mark = 0;  // driver-only: switch drops at last healthy close
     bool shedding = false;           // driver-only: ring stayed full past budget
 
     // Consumer-side phase clock (ingest/compute), written by the claim

@@ -1,10 +1,11 @@
 // One switch's per-window data path (paper §3, Figure 6), the one copy every
-// driver runs: the Fleet's shards (inline and on workers), the SwitchNode's
-// owned shards and the single-switch Runtime. Per window, each packet is
-// parsed into a source tuple and run through the installed pipelines
-// (match-action, register updates); mirrored records and raw-mirror tuples
-// collect here on their way to the stream processor; at the window's end
-// every pipeline's registers are polled into packed blocks and reset.
+// driver runs: the Fleet's shards (inline and on workers; the single-switch
+// Runtime is a one-shard Fleet) and the SwitchNode's owned shards. Per
+// window, each packet is parsed into a source tuple and run through the
+// installed pipelines (match-action, register updates); mirrored records
+// and raw-mirror tuples collect here on their way to the stream processor;
+// at the window's end every pipeline's registers are polled into packed
+// blocks and reset.
 //
 // Packets arrive one at a time (stage, then flush a gathered batch) or as a
 // span processed in place (run, the threaded Fleet's zero-copy ring drain).

@@ -4,10 +4,9 @@
 // it: per-(query, level) stream executors, the per-level source remapping,
 // mirrored-record routing + accounting (the emitter), end-of-window
 // register polls, and the coarse-to-fine close that installs each level's
-// winner keys into the next level's dynamic filter tables. `Runtime` (one
-// switch) and `Fleet` (many switches) used to duplicate all of it; the
-// StreamProcessor is now the single source of truth, and the drivers only
-// own their data planes and the window loop.
+// winner keys into the next level's dynamic filter tables. The drivers
+// (Fleet, of which Runtime is the one-shard case, and the distributed
+// Collector) only own their data planes and the window loop.
 #pragma once
 
 #include <cstdint>
@@ -161,6 +160,14 @@ class StreamProcessor {
 
   StreamProcessor(const StreamProcessor&) = delete;
   StreamProcessor& operator=(const StreamProcessor&) = delete;
+
+  // -- single-thread entry points ------------------------------------------
+  // deliver, deliver_batch, deliver_raw_batch, poll_switch and close_levels
+  // feed the SP as records are emitted, then close it. No driver uses them:
+  // their callers are perfbench's LayeredRuntime (the benchmark's
+  // layer-by-layer re-composition of the single-switch loop),
+  // bench/micro_components, and the serial oracles of
+  // tests/parallel_close_test and tests/window_merge_test.
 
   // Route one mirrored record into the right executor (key reports only
   // notify the SP which registers to poll; they count but do not ingest).

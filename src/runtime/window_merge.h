@@ -1,7 +1,7 @@
 // The end-of-window merge of polled register aggregates (DESIGN.md
 // "Parallel window merge"), the one fold of every driver's close: the
-// Fleet folds its shards' polls, the Collector the polls its switch nodes
-// ship, and Runtime the polls of its one switch.
+// Fleet folds its shards' polls (one for the single-switch Runtime), and the
+// Collector the polls its switch nodes ship.
 //
 // Per pipeline with a stateful tail, the shards' PolledBlocks fold key-wise
 // in ascending shard order into a reused word-keyed dense table

@@ -183,25 +183,57 @@ TEST(Mitigation, DetectionsInstallDropRulesAndCutLoad) {
   cfg.mode = PlanMode::kMaxDP;
   const Plan plan = Planner(cfg).plan(qs, sc.trace);
 
-  Runtime rt(plan);
-  rt.enable_mitigation({.qid = 1, .output_column = "dIP", .packet_field = "dIP"});
-  const auto windows = rt.run_trace(sc.trace);
+  // One switch, and 4 switches on 2 workers: the rule lands on every
+  // switch, and the threaded fleet's windows equal the inline fleet's.
+  std::vector<std::vector<WindowStats>> runs;
+  for (const auto& [switches, workers] : {std::pair{1, 0}, {4, 2}, {4, 0}}) {
+    SCOPED_TRACE(std::to_string(switches) + " switches, " + std::to_string(workers) + " workers");
+    std::unique_ptr<Fleet> engine = switches == 1 ? std::make_unique<Runtime>(plan)
+                                                  : std::make_unique<Fleet>(plan, 4, workers, 256);
+    engine->enable_mitigation({.qid = 1, .output_column = "dIP", .packet_field = "dIP"});
+    const auto& windows = runs.emplace_back(engine->run_trace(sc.trace));
 
-  // First detection window installs the drop rule; later windows drop the
-  // flood at line rate and stop re-detecting the (now silenced) victim.
-  std::size_t first_detect = windows.size();
-  for (std::size_t w = 0; w < windows.size(); ++w) {
-    if (detections_for(windows[w], 1).contains(sc.syn_victim)) {
-      first_detect = std::min(first_detect, w);
+    // First detection window installs the drop rule; later windows drop
+    // the flood at line rate and stop re-detecting the (now silenced)
+    // victim.
+    std::size_t first_detect = windows.size();
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      if (detections_for(windows[w], 1).contains(sc.syn_victim)) {
+        first_detect = std::min(first_detect, w);
+      }
     }
+    ASSERT_LT(first_detect, windows.size());
+    EXPECT_EQ(windows[first_detect].dropped_packets, 0u);  // rule installs at window end
+    ASSERT_LT(first_detect + 1, windows.size());
+    EXPECT_GT(windows[first_detect + 1].dropped_packets, 1000u);
+    EXPECT_FALSE(detections_for(windows[first_detect + 1], 1).contains(sc.syn_victim));
+    std::uint64_t window_drops = 0, switch_drops = 0;
+    for (const auto& w : windows) window_drops += w.dropped_packets;
+    for (std::size_t i = 0; i < engine->data_plane_count(); ++i) {
+      EXPECT_GE(engine->data_plane(i).blocked_keys(), 1u) << "switch " << i;
+      switch_drops += engine->data_plane(i).stats().dropped_packets;
+    }
+    EXPECT_GT(switch_drops, 0u);
+    EXPECT_EQ(window_drops, switch_drops);
   }
-  ASSERT_LT(first_detect, windows.size());
-  EXPECT_EQ(windows[first_detect].dropped_packets, 0u);  // rule installs at window end
-  ASSERT_LT(first_detect + 1, windows.size());
-  EXPECT_GT(windows[first_detect + 1].dropped_packets, 1000u);
-  EXPECT_FALSE(detections_for(windows[first_detect + 1], 1).contains(sc.syn_victim));
-  EXPECT_GT(rt.data_plane().stats().dropped_packets, 0u);
-  EXPECT_GE(rt.data_plane().blocked_keys(), 1u);
+
+  const auto& threaded = runs[1];
+  const auto& want = runs[2];
+  ASSERT_EQ(threaded.size(), want.size());
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    EXPECT_EQ(threaded[w].packets, want[w].packets);
+    EXPECT_EQ(threaded[w].tuples_to_sp, want[w].tuples_to_sp);
+    EXPECT_EQ(threaded[w].overflow_records, want[w].overflow_records);
+    EXPECT_EQ(threaded[w].dropped_packets, want[w].dropped_packets);
+    EXPECT_EQ(threaded[w].control_update_millis, want[w].control_update_millis);
+    EXPECT_EQ(threaded[w].contribution_mask, want[w].contribution_mask);
+    ASSERT_EQ(threaded[w].results.size(), want[w].results.size());
+    for (std::size_t r = 0; r < want[w].results.size(); ++r) {
+      EXPECT_EQ(threaded[w].results[r].outputs, want[w].results[r].outputs);
+    }
+    EXPECT_EQ(threaded[w].winners, want[w].winners);
+  }
 }
 
 TEST(Mitigation, GuardTableBudgetIsRespected) {
@@ -215,7 +247,7 @@ TEST(Mitigation, GuardTableBudgetIsRespected) {
   rt.enable_mitigation(
       {.qid = 1, .output_column = "dIP", .packet_field = "dIP", .max_entries = 2});
   (void)rt.run_trace(sc.trace);
-  EXPECT_LE(rt.data_plane().blocked_keys(), 2u);
+  EXPECT_LE(rt.data_plane(0).blocked_keys(), 2u);
 }
 
 TEST(Mitigation, SwitchBlockSemantics) {

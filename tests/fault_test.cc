@@ -424,36 +424,53 @@ TEST(FaultReplan, AutoReplanRecoversFromRegisterPressure) {
 
   // Register pressure: install the (well-sized) plan with registers shrunk
   // 64x, forcing a collision-overflow storm the trigger must detect and
-  // the auto-replan must recover from.
+  // the auto-replan must recover from. One switch, and 4 switches on 2
+  // workers, whose windows, swaps and replans equal the inline fleet's.
   fault::FaultSpec faults;
   faults.register_shrink = 64;
-  Runtime rt(plan, 256, faults);
-  rt.set_replan_policy({.overflow_threshold = 0.01, .consecutive_windows = 2});
-  Runtime::AutoReplanConfig ar;
-  ar.queries = &qs;
-  ar.planner = cfg;
-  ar.history_windows = 2;
-  rt.enable_auto_replan(ar);
+  std::vector<std::vector<WindowStats>> runs;
+  for (const auto& [switches, workers] : {std::pair{1, 0}, {4, 2}, {4, 0}}) {
+    SCOPED_TRACE(std::to_string(switches) + " switches, " + std::to_string(workers) + " workers");
+    std::unique_ptr<Fleet> engine =
+        switches == 1 ? std::make_unique<Runtime>(plan, 256, faults)
+                      : std::make_unique<Fleet>(plan, 4, workers, 256, faults);
+    engine->set_replan_policy({.overflow_threshold = 0.01, .consecutive_windows = 2});
+    Runtime::AutoReplanConfig ar;
+    ar.queries = &qs;
+    ar.planner = cfg;
+    ar.history_windows = 2;
+    engine->enable_auto_replan(ar);
 
-  std::vector<WindowStats> windows;
-  for (const auto& slice : slices) windows.push_back(rt.process_window(slice));
+    auto& windows = runs.emplace_back();
+    for (const auto& slice : slices) windows.push_back(engine->process_window(slice));
 
-  ASSERT_GE(rt.replans_performed(), 1u);
-  std::optional<std::size_t> swap_window;
-  for (const auto& w : windows) {
-    if (w.plan_swapped && !swap_window) swap_window = w.window_index;
+    EXPECT_EQ(engine->replans_performed(), 1u);
+    std::optional<std::size_t> swap_window;
+    for (const auto& w : windows) {
+      if (w.plan_swapped && !swap_window) swap_window = w.window_index;
+    }
+    ASSERT_TRUE(swap_window.has_value());
+    // The streak policy needs 2 overflowing windows before acting.
+    EXPECT_EQ(*swap_window, 1u);
+    // Post-swap windows run on right-sized registers: the overflow storm the
+    // shrunken install caused must be gone (same traffic, same queries).
+    const auto frac = [](const WindowStats& w) {
+      return static_cast<double>(w.overflow_records) / static_cast<double>(w.packets);
+    };
+    ASSERT_GT(frac(windows[*swap_window]), 0.01);
+    for (std::size_t w = *swap_window + 1; w < windows.size(); ++w) {
+      EXPECT_LT(frac(windows[w]), 0.01) << "window " << w << " after the swap";
+    }
   }
-  ASSERT_TRUE(swap_window.has_value());
-  // The streak policy needs 2 overflowing windows before acting.
-  EXPECT_EQ(*swap_window, 1u);
-  // Post-swap windows run on right-sized registers: the overflow storm the
-  // shrunken install caused must be gone (same traffic, same queries).
-  const auto frac = [](const WindowStats& w) {
-    return static_cast<double>(w.overflow_records) / static_cast<double>(w.packets);
-  };
-  ASSERT_GT(frac(windows[*swap_window]), 0.01);
-  for (std::size_t w = *swap_window + 1; w < windows.size(); ++w) {
-    EXPECT_LT(frac(windows[w]), 0.01) << "window " << w << " after the swap";
+
+  const auto& threaded = runs[1];
+  const auto& want = runs[2];
+  ASSERT_EQ(threaded.size(), want.size());
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    expect_identical_window(threaded[w], want[w]);
+    EXPECT_EQ(threaded[w].plan_swapped, want[w].plan_swapped);
+    EXPECT_EQ(threaded[w].control_update_millis, want[w].control_update_millis);
   }
 }
 

@@ -414,12 +414,18 @@ TEST(FleetParallel, EngineBuilderPicksDriverFromTopology) {
     return std::move(*built);
   };
 
+  // Every topology is a Fleet; {1, 0} is the single-switch Runtime's shape.
   const auto single = build(1, 0);
-  EXPECT_NE(dynamic_cast<Runtime*>(single.get()), nullptr);
+  const auto* single_fleet = dynamic_cast<Fleet*>(single.get());
+  ASSERT_NE(single_fleet, nullptr);
+  EXPECT_EQ(single_fleet->size(), 1u);
+  EXPECT_EQ(single_fleet->worker_threads(), 0u);
   EXPECT_EQ(single->data_plane_count(), 1u);
 
   const auto fleet = build(4, 2);
-  EXPECT_NE(dynamic_cast<Fleet*>(fleet.get()), nullptr);
+  const auto* multi_fleet = dynamic_cast<Fleet*>(fleet.get());
+  ASSERT_NE(multi_fleet, nullptr);
+  EXPECT_EQ(multi_fleet->worker_threads(), 2u);
   EXPECT_EQ(fleet->data_plane_count(), 4u);
 
   // Both drivers behind the same interface replay the same trace with the

@@ -11,6 +11,9 @@
 //     threads, against records delivered one by one in (shard, arrival)
 //     order before the close; this also compares the winner sink's
 //     install sequence;
+//   * the single-switch Runtime at batch 1, 7 and 256 against one switch
+//     whose records reach the StreamProcessor batch by batch as emitted,
+//     closed by poll_switch, close_levels and a register reset;
 //   * the Collector over shm, its close on its own task pool, against the
 //     inline Fleet for the Sonata plan, sketch state and duplicated or
 //     reordered frames.
@@ -38,6 +41,7 @@
 #include "runtime/distributed.h"
 #include "runtime/fleet.h"
 #include "runtime/plan_install.h"
+#include "runtime/runtime.h"
 #include "runtime/stream_processor.h"
 #include "test_trace.h"
 #include "trace/trace.h"
@@ -178,10 +182,13 @@ void expect_same(const std::vector<Observed>& want, const std::vector<Observed>&
     EXPECT_EQ(a.raw_mirror_packets, b.raw_mirror_packets);
     EXPECT_EQ(a.overflow_records, b.overflow_records);
     EXPECT_EQ(a.control_update_millis, b.control_update_millis);
+    EXPECT_EQ(a.dropped_packets, b.dropped_packets);
     EXPECT_EQ(a.contribution_mask, b.contribution_mask);
     EXPECT_EQ(a.partial, b.partial);
     EXPECT_EQ(a.late_packets, b.late_packets);
     EXPECT_EQ(a.shed_packets, b.shed_packets);
+    EXPECT_EQ(a.plan_swapped, b.plan_swapped);
+    EXPECT_EQ(a.plan_version, b.plan_version);
     EXPECT_TRUE(a.faults == b.faults);
     ASSERT_EQ(a.results.size(), b.results.size());
     for (std::size_t r = 0; r < a.results.size(); ++r) {
@@ -204,26 +211,30 @@ void expect_same(const std::vector<Observed>& want, const std::vector<Observed>&
   }
 }
 
-std::vector<Observed> run_fleet(const Plan& plan, std::size_t workers,
-                                const fault::FaultSpec& faults) {
-  Fleet fleet(plan, kShards, workers, 256, faults);
-  TuplesIn tuples_in(plan);
+std::vector<Observed> observe(TelemetryEngine& engine) {
+  TuplesIn tuples_in(engine.plan());
   std::uint64_t seen = obs::Journal::global().emitted();
   std::vector<Observed> out;
   for (const auto& window : windows()) {
-    for (const net::Packet& p : window) fleet.ingest(p);
+    for (const net::Packet& p : window) engine.ingest(p);
     Observed o;
-    o.stats = fleet.close_window();
+    o.stats = engine.close_window();
     o.tuples_in = tuples_in.delta();
-    o.emitter = fleet.emitter().per_query();
-    o.emitter_total = fleet.emitter().total_tuples();
-    for (std::size_t i = 0; i < fleet.data_plane_count(); ++i) {
-      o.filter_updates.push_back(fleet.data_plane(i).stats().filter_entry_updates);
+    o.emitter = engine.emitter().per_query();
+    o.emitter_total = engine.emitter().total_tuples();
+    for (std::size_t i = 0; i < engine.data_plane_count(); ++i) {
+      o.filter_updates.push_back(engine.data_plane(i).stats().filter_entry_updates);
     }
     o.events = new_events(seen);
     out.push_back(std::move(o));
   }
   return out;
+}
+
+std::vector<Observed> run_fleet(const Plan& plan, std::size_t workers,
+                                const fault::FaultSpec& faults) {
+  Fleet fleet(plan, kShards, workers, 256, faults);
+  return observe(fleet);
 }
 
 // Fleet at 1, 2 and 4 workers against the inline Fleet; returns the
@@ -322,20 +333,54 @@ util::TaskRunner threaded_runner(std::size_t threads) {
   };
 }
 
-// The close alone: four switches routed like the Fleet's feed one
+// The close alone: `shards` switches routed like the Fleet's feed one
 // StreamProcessor, whose winner sink records every install. kSerial is the
 // reference: records and raw tuples enter through deliver() and
 // deliver_raw_batch() in (shard, arrival) order before the close, which
-// then only folds the polls and ends the levels.
+// then only folds the polls and ends the levels. With one switch the
+// serial reference is the single-switch loop itself: each batch of
+// kOneSwitchBatch packets is delivered as the switch emits it, and the
+// close is poll_switch, close_levels and a register reset.
 constexpr std::size_t kSerial = static_cast<std::size_t>(-1);
+constexpr std::size_t kOneSwitchBatch = 64;
+constexpr std::size_t kRegisterShrink = 4;  // shrunken registers overflow keys to the SP
 
-std::vector<Observed> run_sp(const Plan& plan, std::size_t threads) {
+void deliver_serially(StreamProcessor& sp, std::span<pisa::EmitRecord> records,
+                      WindowStats& stats) {
+  for (pisa::EmitRecord& rec : records) {
+    const bool overflow = rec.kind == pisa::EmitRecord::Kind::kOverflow;
+    if (sp.deliver(std::move(rec)) && overflow) ++stats.overflow_records;
+  }
+}
+
+// The single-switch loop's window up to its close: each batch runs through
+// `sw` and reaches the SP as it is emitted, then the registers are polled.
+void one_switch_window(StreamProcessor& sp, pisa::Switch& sw, pisa::EmitSink& sink,
+                       std::span<Tuple> tuples, WindowStats& stats) {
+  const bool raw_mirror = sp.wants_raw_mirror();
+  for (std::size_t off = 0; off < tuples.size(); off += kOneSwitchBatch) {
+    const std::span<Tuple> batch =
+        tuples.subspan(off, std::min(kOneSwitchBatch, tuples.size() - off));
+    sink.clear();
+    sw.process_batch(batch, sink);
+    stats.tuples_to_sp += raw_mirror ? batch.size() : sink.packets_with_records();
+    stats.raw_mirror_packets += raw_mirror ? batch.size() : 0;
+    deliver_serially(sp, sink.records(), stats);
+    if (raw_mirror) sp.deliver_raw_batch(batch);
+  }
+  stats.packets = tuples.size();
+  stats.contribution_mask = 1;
+  sp.poll_switch(sw);
+}
+
+std::vector<Observed> run_sp(const Plan& plan, std::size_t threads,
+                             std::size_t shards = kShards) {
+  const bool one_switch = shards == 1 && threads == kSerial;
   std::vector<std::unique_ptr<pisa::Switch>> switches;
   std::vector<pisa::Switch*> raw;
-  for (std::size_t i = 0; i < kShards; ++i) {
+  for (std::size_t i = 0; i < shards; ++i) {
     switches.push_back(std::make_unique<pisa::Switch>(plan.switch_config));
-    // Shrunken registers overflow keys to the SP as records.
-    PipelineBuild build = build_pipelines(plan, {}, {.register_shrink = 4});
+    PipelineBuild build = build_pipelines(plan, {}, {.register_shrink = kRegisterShrink});
     EXPECT_EQ(switches.back()->install(std::move(build.pipelines), build.resources), "");
     raw.push_back(switches.back().get());
   }
@@ -347,9 +392,9 @@ std::vector<Observed> run_sp(const Plan& plan, std::size_t threads) {
   TuplesIn tuples_in(plan);
   std::uint64_t seen = obs::Journal::global().emitted();
   std::vector<Observed> out;
-  std::vector<pisa::EmitSink> sinks(kShards);
-  std::vector<std::vector<Tuple>> tuples(kShards);
-  std::vector<std::vector<pisa::PolledBlock>> polls(kShards);
+  std::vector<pisa::EmitSink> sinks(shards);
+  std::vector<std::vector<Tuple>> tuples(shards);
+  std::vector<std::vector<pisa::PolledBlock>> polls(shards);
   for (std::size_t w = 0; w < windows().size(); ++w) {
     for (auto& t : tuples) t.clear();
     for (const net::Packet& p : windows()[w]) {
@@ -357,12 +402,18 @@ std::vector<Observed> run_sp(const Plan& plan, std::size_t threads) {
           util::hash_combine(p.src_ip, p.dst_ip),
           (static_cast<std::uint64_t>(p.src_port) << 24) ^
               (static_cast<std::uint64_t>(p.dst_port) << 8) ^ p.proto);
-      tuples[flow % kShards].push_back(query::materialize_tuple(p));
+      tuples[flow % shards].push_back(query::materialize_tuple(p));
     }
     Observed o;
     o.stats.window_index = w;
+    installs.clear();
+    const double control_before = switches[0]->stats().control_update_millis;
     std::vector<ShardOutput> outputs;
-    for (std::size_t i = 0; i < kShards; ++i) {
+    if (one_switch) {
+      one_switch_window(sp, *switches[0], sinks[0], tuples[0], o.stats);
+      sp.close_levels(o.stats, raw);
+    }
+    for (std::size_t i = 0; i < shards && !one_switch; ++i) {
       sinks[i].clear();
       switches[i]->process_batch(tuples[i], sinks[i]);
       const auto& pipelines = switches[i]->pipelines();
@@ -376,21 +427,22 @@ std::vector<Observed> run_sp(const Plan& plan, std::size_t threads) {
         outputs.push_back({sinks[i].records(), raws, &polls[i]});
         continue;
       }
-      for (pisa::EmitRecord& rec : sinks[i].records()) {
-        const bool overflow = rec.kind == pisa::EmitRecord::Kind::kOverflow;
-        if (sp.deliver(std::move(rec)) && overflow) ++o.stats.overflow_records;
-      }
+      deliver_serially(sp, sinks[i].records(), o.stats);
       sp.deliver_raw_batch(raws);
       outputs.push_back({{}, {}, &polls[i]});
     }
-    installs.clear();
-    if (threads == 0 || threads == kSerial) {
+    if (one_switch) {
+      // Closed above.
+    } else if (threads == 0 || threads == kSerial) {
       sp.close_window(o.stats, outputs, switches[0]->pipelines(), raw);
     } else {
       sp.close_window(o.stats, outputs, switches[0]->pipelines(), raw, threads,
                       threaded_runner(threads));
     }
     for (auto& sw : switches) sw->reset_all_registers();
+    if (one_switch) {
+      o.stats.control_update_millis = switches[0]->stats().control_update_millis - control_before;
+    }
     o.tuples_in = tuples_in.delta();
     o.emitter = sp.emitter().per_query();
     o.emitter_total = sp.emitter().total_tuples();
@@ -422,6 +474,46 @@ TEST(ParallelClose, TaskRunnersMatchSerialDelivery) {
       expect_same(want, run_sp(plan, threads),
                   std::string(sketch ? "sketch" : "sonata") + " runner " +
                       std::to_string(threads) + " threads");
+    }
+  }
+}
+
+TEST(ParallelClose, RuntimeMatchesOneSwitchSerialDelivery) {
+  // Runtime holds its records until the close, then runs the Fleet's
+  // close; the reference delivers them as they are emitted and closes the
+  // way the single-switch loop always has. Every deterministic field must
+  // agree, control_update_millis to the last bit. Runtime has no winner
+  // sink, and its re-planning trigger is a window-end policy the reference
+  // does not model.
+  ScopedObs obs_on;
+  fault::FaultSpec shrink;
+  shrink.register_shrink = kRegisterShrink;
+  for (const PlanMode mode : {PlanMode::kSonata, PlanMode::kAllSP}) {
+    for (const bool sketch : {false, true}) {
+      if (mode == PlanMode::kAllSP && sketch) continue;
+      const Plan plan = make_plan(sketch ? PlanMode::kMaxDP : mode, sketch, true);
+      auto want = run_sp(plan, kSerial, 1);
+      std::uint64_t overflows = 0, updates = 0;
+      for (auto& o : want) {
+        o.installs.clear();
+        overflows += o.stats.overflow_records;
+      }
+      updates = want.back().filter_updates.front();
+      const std::string label = mode == PlanMode::kAllSP ? "all-sp" : sketch ? "sketch" : "sonata";
+      if (mode == PlanMode::kSonata && !sketch) {
+        EXPECT_GT(overflows, 0u) << "no key overflowed its registers";
+        EXPECT_GT(updates, 0u) << "the refined plan installed no winners";
+      }
+      for (const std::size_t batch : {1u, 7u, 256u}) {
+        Runtime rt(plan, batch, shrink);
+        auto got = observe(rt);
+        for (auto& o : got) {
+          std::erase_if(o.events, [](const Event& e) {
+            return std::get<0>(e) == obs::EventType::kReplanTriggered;
+          });
+        }
+        expect_same(want, got, label + " runtime batch " + std::to_string(batch));
+      }
     }
   }
 }

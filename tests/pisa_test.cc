@@ -462,5 +462,38 @@ TEST_F(SwitchExecTest, DriverLatencyModel) {
   EXPECT_NEAR(sw.stats().control_update_millis, 131.0, 0.5);
 }
 
+TEST_F(SwitchExecTest, ControlLatencyDeltaIgnoresResetOrder) {
+  // One driver resets a window's registers before installing its winners,
+  // another after: the window's control-latency delta must be bit-equal.
+  auto q = QueryBuilder::packet_stream()
+               .filter_in({query::Expr::ip_prefix(col("dIP"), 8)}, "t")
+               .map({{"dIP", col("dIP")}})
+               .build("lat", 75);
+  ASSERT_EQ(q.validate(), "");
+  CompiledSwitchQuery::Options opts;
+  opts.partition = 2;
+  Switch install_first{SwitchConfig{}};
+  Switch reset_first{SwitchConfig{}};
+  for (Switch* sw : {&install_first, &reset_first}) {
+    std::vector<std::unique_ptr<CompiledSwitchQuery>> progs;
+    progs.push_back(std::make_unique<CompiledSwitchQuery>(*q.sources()[0], opts));
+    ASSERT_EQ(sw->install(std::move(progs), {build_resources(*q.sources()[0], 2, {}, 75, 0, 32)}),
+              "");
+  }
+  for (std::uint64_t window = 0; window < 64; ++window) {
+    std::vector<Tuple> entries;
+    for (std::uint64_t i = 0; i < 3 + (window * 7) % 23; ++i) entries.push_back(Tuple{{Value{i}}});
+    const double before_a = install_first.stats().control_update_millis;
+    install_first.update_filter_entries("t", entries);
+    install_first.reset_all_registers();
+    const double before_b = reset_first.stats().control_update_millis;
+    reset_first.reset_all_registers();
+    reset_first.update_filter_entries("t", entries);
+    EXPECT_EQ(install_first.stats().control_update_millis - before_a,
+              reset_first.stats().control_update_millis - before_b)
+        << "window " << window;
+  }
+}
+
 }  // namespace
 }  // namespace sonata::pisa

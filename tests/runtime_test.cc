@@ -163,8 +163,8 @@ TEST(Runtime, DynamicFilterUpdatesAreInstalledBetweenWindows) {
   Runtime rt(plan);
   const auto windows = rt.run_trace(scenario().trace);
   // Filter-table updates happened (driver latency recorded).
-  EXPECT_GT(rt.data_plane().stats().filter_entry_updates, 0u);
-  EXPECT_GT(rt.data_plane().stats().control_update_millis, 0.0);
+  EXPECT_GT(rt.data_plane(0).stats().filter_entry_updates, 0u);
+  EXPECT_GT(rt.data_plane(0).stats().control_update_millis, 0.0);
   // Control updates stay well under the window budget (paper: ~5% of W).
   for (const auto& ws : windows) {
     EXPECT_LT(ws.control_update_millis, 3000.0 * 0.5);
