@@ -2,51 +2,11 @@
 
 #include <algorithm>
 
+#include "util/bytes.h"
+
 namespace sonata::net {
 
 namespace {
-
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v & 0xff));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> data) : data_(data) {}
-
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-
-  std::uint8_t u8() noexcept {
-    if (pos_ + 1 > data_.size()) { ok_ = false; return 0; }
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint16_t u16() noexcept {
-    const auto hi = u8();
-    const auto lo = u8();
-    return static_cast<std::uint16_t>((hi << 8) | lo);
-  }
-  std::uint32_t u32() noexcept {
-    const auto hi = u16();
-    const auto lo = u16();
-    return (static_cast<std::uint32_t>(hi) << 16) | lo;
-  }
-  void skip(std::size_t n) noexcept {
-    if (pos_ + n > data_.size()) { ok_ = false; pos_ = data_.size(); return; }
-    pos_ += n;
-  }
-
- private:
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 // Encode a domain name as length-prefixed labels. No compression pointers.
 void encode_name(std::vector<std::byte>& out, std::string_view name) {
@@ -64,22 +24,20 @@ void encode_name(std::vector<std::byte>& out, std::string_view name) {
 
 // Decode a (non-compressed) domain name; compression pointers terminate the
 // name (we never emit them, but tolerate them on input).
-bool decode_name(Reader& r, std::string& out) {
+bool decode_name(util::ByteReader& r, std::string& out) {
   out.clear();
   for (int guard = 0; guard < 128; ++guard) {
     const std::uint8_t len = r.u8();
     if (!r.ok()) return false;
     if (len == 0) return true;
     if ((len & 0xc0) == 0xc0) {  // compression pointer: consume offset byte, stop
-      r.u8();
+      r.skip(1);
       return r.ok();
     }
     if (len > 63) return false;
     if (!out.empty()) out.push_back('.');
-    for (std::uint8_t i = 0; i < len; ++i) {
-      out.push_back(static_cast<char>(r.u8()));
-      if (!r.ok()) return false;
-    }
+    out += r.str(len);
+    if (!r.ok()) return false;
   }
   return false;
 }
@@ -108,35 +66,35 @@ std::string dns_name_prefix(std::string_view name, std::size_t levels) {
 std::vector<std::byte> dns_encode(const DnsMessage& msg) {
   std::vector<std::byte> out;
   out.reserve(64 + msg.qname.size() + msg.answer_addrs.size() * 16 + msg.extra_answer_bytes);
-  put_u16(out, msg.id);
+  util::put_u16(out, msg.id);
   std::uint16_t flags = 0;
   if (msg.is_response) flags |= 0x8000;
   if (msg.recursion_desired) flags |= 0x0100;
-  put_u16(out, flags);
-  put_u16(out, 1);  // QDCOUNT
+  util::put_u16(out, flags);
+  util::put_u16(out, 1);  // QDCOUNT
   const auto ancount =
       static_cast<std::uint16_t>(msg.answer_addrs.size() + (msg.extra_answer_bytes > 0 ? 1 : 0));
-  put_u16(out, msg.is_response ? std::max(msg.answer_count, ancount) : 0);
-  put_u16(out, 0);  // NSCOUNT
-  put_u16(out, 0);  // ARCOUNT
+  util::put_u16(out, msg.is_response ? std::max(msg.answer_count, ancount) : 0);
+  util::put_u16(out, 0);  // NSCOUNT
+  util::put_u16(out, 0);  // ARCOUNT
   encode_name(out, msg.qname);
-  put_u16(out, msg.qtype);
-  put_u16(out, msg.qclass);
+  util::put_u16(out, msg.qtype);
+  util::put_u16(out, msg.qclass);
   if (msg.is_response) {
     for (std::uint32_t addr : msg.answer_addrs) {
       encode_name(out, msg.qname);
-      put_u16(out, 1);  // TYPE A
-      put_u16(out, 1);  // CLASS IN
-      put_u32(out, 300);
-      put_u16(out, 4);  // RDLENGTH
-      put_u32(out, addr);
+      util::put_u16(out, 1);  // TYPE A
+      util::put_u16(out, 1);  // CLASS IN
+      util::put_u32(out, 300);
+      util::put_u16(out, 4);  // RDLENGTH
+      util::put_u32(out, addr);
     }
     if (msg.extra_answer_bytes > 0) {
       encode_name(out, msg.qname);
-      put_u16(out, 16);  // TYPE TXT (opaque padding record)
-      put_u16(out, 1);
-      put_u32(out, 300);
-      put_u16(out, msg.extra_answer_bytes);
+      util::put_u16(out, 16);  // TYPE TXT (opaque padding record)
+      util::put_u16(out, 1);
+      util::put_u32(out, 300);
+      util::put_u16(out, msg.extra_answer_bytes);
       out.insert(out.end(), msg.extra_answer_bytes, std::byte{0x41});
     }
   }
@@ -144,7 +102,7 @@ std::vector<std::byte> dns_encode(const DnsMessage& msg) {
 }
 
 std::optional<DnsMessage> dns_decode(std::span<const std::byte> data) {
-  Reader r(data);
+  util::ByteReader r(data);
   DnsMessage msg;
   msg.id = r.u16();
   const std::uint16_t flags = r.u16();
@@ -152,8 +110,7 @@ std::optional<DnsMessage> dns_decode(std::span<const std::byte> data) {
   msg.recursion_desired = (flags & 0x0100) != 0;
   const std::uint16_t qdcount = r.u16();
   const std::uint16_t ancount = r.u16();
-  r.u16();  // NSCOUNT
-  r.u16();  // ARCOUNT
+  r.skip(4);  // NSCOUNT, ARCOUNT
   if (!r.ok() || qdcount != 1) return std::nullopt;
   if (!decode_name(r, msg.qname)) return std::nullopt;
   msg.qtype = r.u16();
@@ -163,8 +120,7 @@ std::optional<DnsMessage> dns_decode(std::span<const std::byte> data) {
     std::string name;
     if (!decode_name(r, name)) return std::nullopt;
     const std::uint16_t type = r.u16();
-    r.u16();  // class
-    r.u32();  // ttl
+    r.skip(6);  // class, ttl
     const std::uint16_t rdlen = r.u16();
     if (!r.ok()) return std::nullopt;
     if (type == 1 && rdlen == 4) {

@@ -1,42 +1,31 @@
 #include "net/transport/frame.h"
 
-#include <cstring>
+#include "util/bytes.h"
 
 namespace sonata::net::transport {
 
 namespace {
 
-void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
-  out.push_back(static_cast<std::byte>(v));
-}
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v & 0xff));
-}
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xff));
-  }
-}
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xff));
-  }
+// The header after the datagram magic / stream length: type u8, source
+// u16, seq u64.
+void put_header(const Frame& f, std::vector<std::byte>& out) {
+  util::put_u8(out, static_cast<std::uint8_t>(f.type));
+  util::put_u16(out, f.source);
+  util::put_u64(out, f.seq);
 }
 
-[[nodiscard]] std::uint16_t get_u16(const std::byte* p) noexcept {
-  return static_cast<std::uint16_t>((std::to_integer<std::uint16_t>(p[0]) << 8) |
-                                    std::to_integer<std::uint16_t>(p[1]));
-}
-[[nodiscard]] std::uint32_t get_u32(const std::byte* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | std::to_integer<std::uint32_t>(p[i]);
-  return v;
-}
-[[nodiscard]] std::uint64_t get_u64(const std::byte* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | std::to_integer<std::uint64_t>(p[i]);
-  return v;
+// The frame whose header `r` is at; nullopt on a bad type. The payload is
+// `r`'s remaining `payload_bytes`.
+std::optional<Frame> read_frame(util::ByteReader& r, std::size_t payload_bytes) {
+  const std::uint8_t type = r.u8();
+  if (!valid_frame_type(type)) return std::nullopt;
+  Frame f;
+  f.type = static_cast<FrameType>(type);
+  f.source = r.u16();
+  f.seq = r.u64();
+  const auto payload = r.bytes(payload_bytes);
+  f.payload.assign(payload.begin(), payload.end());
+  return f;
 }
 
 }  // namespace
@@ -44,33 +33,23 @@ void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
 void encode_datagram(const Frame& f, std::vector<std::byte>& out) {
   out.clear();
   out.reserve(kFrameHeaderBytes + f.payload.size());
-  put_u32(out, kFrameMagic);
-  put_u8(out, static_cast<std::uint8_t>(f.type));
-  put_u16(out, f.source);
-  put_u64(out, f.seq);
+  util::put_u32(out, kFrameMagic);
+  put_header(f, out);
   out.insert(out.end(), f.payload.begin(), f.payload.end());
 }
 
 std::optional<Frame> decode_datagram(std::span<const std::byte> data) {
   if (data.size() < kFrameHeaderBytes) return std::nullopt;
-  if (get_u32(data.data()) != kFrameMagic) return std::nullopt;
-  const std::uint8_t type = std::to_integer<std::uint8_t>(data[4]);
-  if (!valid_frame_type(type)) return std::nullopt;
   if (data.size() - kFrameHeaderBytes > kMaxFramePayload) return std::nullopt;
-  Frame f;
-  f.type = static_cast<FrameType>(type);
-  f.source = get_u16(data.data() + 5);
-  f.seq = get_u64(data.data() + 7);
-  f.payload.assign(data.begin() + kFrameHeaderBytes, data.end());
-  return f;
+  util::ByteReader r(data);
+  if (r.u32() != kFrameMagic) return std::nullopt;
+  return read_frame(r, data.size() - kFrameHeaderBytes);
 }
 
 void encode_stream(const Frame& f, std::vector<std::byte>& out) {
   out.reserve(out.size() + kFrameHeaderBytes + f.payload.size());
-  put_u32(out, static_cast<std::uint32_t>(11 + f.payload.size()));
-  put_u8(out, static_cast<std::uint8_t>(f.type));
-  put_u16(out, f.source);
-  put_u64(out, f.seq);
+  util::put_u32(out, static_cast<std::uint32_t>(11 + f.payload.size()));
+  put_header(f, out);
   out.insert(out.end(), f.payload.begin(), f.payload.end());
 }
 
@@ -87,25 +66,19 @@ void StreamParser::feed(std::span<const std::byte> data) {
 
 std::optional<Frame> StreamParser::next() {
   if (error_) return std::nullopt;
-  const std::size_t avail = buf_.size() - pos_;
-  if (avail < 4) return std::nullopt;
-  const std::uint32_t len = get_u32(buf_.data() + pos_);
+  util::ByteReader r(std::span<const std::byte>(buf_).subspan(pos_));
+  const std::uint32_t len = r.u32();
+  if (!r.ok()) return std::nullopt;
   if (len < 11 || len - 11 > kMaxFramePayload) {
     error_ = true;  // framing lost: refuse to guess at a resync point
     return std::nullopt;
   }
-  if (avail < 4 + static_cast<std::size_t>(len)) return std::nullopt;  // torn read
-  const std::byte* p = buf_.data() + pos_ + 4;
-  const std::uint8_t type = std::to_integer<std::uint8_t>(p[0]);
-  if (!valid_frame_type(type)) {
+  if (buf_.size() - pos_ < 4 + static_cast<std::size_t>(len)) return std::nullopt;  // torn read
+  auto f = read_frame(r, len - 11);
+  if (!f) {
     error_ = true;
     return std::nullopt;
   }
-  Frame f;
-  f.type = static_cast<FrameType>(type);
-  f.source = get_u16(p + 1);
-  f.seq = get_u64(p + 3);
-  f.payload.assign(p + 11, p + len);
   pos_ += 4 + static_cast<std::size_t>(len);
   return f;
 }

@@ -1,31 +1,8 @@
 #include "net/wire.h"
 
-#include <cstring>
+#include "util/bytes.h"
 
 namespace sonata::net {
-
-namespace {
-
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v & 0xff));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-}
-
-[[nodiscard]] std::uint16_t get_u16(std::span<const std::byte> d, std::size_t off) noexcept {
-  return static_cast<std::uint16_t>((static_cast<std::uint16_t>(d[off]) << 8) |
-                                    static_cast<std::uint16_t>(d[off + 1]));
-}
-
-[[nodiscard]] std::uint32_t get_u32(std::span<const std::byte> d, std::size_t off) noexcept {
-  return (static_cast<std::uint32_t>(get_u16(d, off)) << 16) | get_u16(d, off + 2);
-}
-
-}  // namespace
 
 std::uint16_t internet_checksum(std::span<const std::byte> data) noexcept {
   std::uint32_t sum = 0;
@@ -62,7 +39,7 @@ std::vector<std::byte> serialize(const Packet& p) {
                                            std::byte{0}, std::byte{0}, std::byte{1}};
   out.insert(out.end(), std::begin(kDstMac), std::end(kDstMac));
   out.insert(out.end(), std::begin(kSrcMac), std::end(kSrcMac));
-  put_u16(out, kEtherTypeIpv4);
+  util::put_u16(out, kEtherTypeIpv4);
 
   // IPv4 header (no options).
   const std::size_t ip_start = out.size();
@@ -76,14 +53,14 @@ std::vector<std::byte> serialize(const Packet& p) {
       static_cast<std::uint16_t>(kIpv4MinHeaderLen + l4_len + payload_size);
   out.push_back(std::byte{0x45});  // version 4, IHL 5
   out.push_back(std::byte{0});     // DSCP/ECN
-  put_u16(out, ip_total);
-  put_u16(out, 0);       // identification
-  put_u16(out, 0x4000);  // flags: DF
+  util::put_u16(out, ip_total);
+  util::put_u16(out, 0);       // identification
+  util::put_u16(out, 0x4000);  // flags: DF
   out.push_back(static_cast<std::byte>(p.ttl));
   out.push_back(static_cast<std::byte>(p.proto));
-  put_u16(out, 0);  // checksum placeholder
-  put_u32(out, p.src_ip);
-  put_u32(out, p.dst_ip);
+  util::put_u16(out, 0);  // checksum placeholder
+  util::put_u32(out, p.src_ip);
+  util::put_u32(out, p.dst_ip);
   const std::uint16_t csum = internet_checksum(
       std::span{out.data() + ip_start, kIpv4MinHeaderLen});
   out[ip_start + 10] = static_cast<std::byte>(csum >> 8);
@@ -92,29 +69,29 @@ std::vector<std::byte> serialize(const Packet& p) {
   // L4 header.
   switch (static_cast<IpProto>(p.proto)) {
     case IpProto::kTcp: {
-      put_u16(out, p.src_port);
-      put_u16(out, p.dst_port);
-      put_u32(out, p.tcp_seq);
-      put_u32(out, 0);                 // ack
+      util::put_u16(out, p.src_port);
+      util::put_u16(out, p.dst_port);
+      util::put_u32(out, p.tcp_seq);
+      util::put_u32(out, 0);                 // ack
       out.push_back(std::byte{0x50});  // data offset 5
       out.push_back(static_cast<std::byte>(p.tcp_flags));
-      put_u16(out, 0xffff);  // window
-      put_u16(out, 0);       // checksum (not computed; parser ignores)
-      put_u16(out, 0);       // urgent
+      util::put_u16(out, 0xffff);  // window
+      util::put_u16(out, 0);       // checksum (not computed; parser ignores)
+      util::put_u16(out, 0);       // urgent
       break;
     }
     case IpProto::kUdp: {
-      put_u16(out, p.src_port);
-      put_u16(out, p.dst_port);
-      put_u16(out, static_cast<std::uint16_t>(kUdpHeaderLen + payload_size));
-      put_u16(out, 0);  // checksum optional for IPv4
+      util::put_u16(out, p.src_port);
+      util::put_u16(out, p.dst_port);
+      util::put_u16(out, static_cast<std::uint16_t>(kUdpHeaderLen + payload_size));
+      util::put_u16(out, 0);  // checksum optional for IPv4
       break;
     }
     case IpProto::kIcmp: {
       out.push_back(std::byte{8});  // echo request
       out.push_back(std::byte{0});
-      put_u16(out, 0);  // checksum
-      put_u32(out, 0);  // id/seq
+      util::put_u16(out, 0);  // checksum
+      util::put_u32(out, 0);  // id/seq
       break;
     }
   }
@@ -131,40 +108,48 @@ std::vector<std::byte> serialize(const Packet& p) {
 
 std::optional<Packet> parse(std::span<const std::byte> frame, const ParseOptions& opts) {
   if (frame.size() < kEthernetHeaderLen + kIpv4MinHeaderLen) return std::nullopt;
-  if (get_u16(frame, 12) != kEtherTypeIpv4) return std::nullopt;
+  util::ByteReader eth(frame);
+  eth.skip(12);  // MACs
+  if (eth.u16() != kEtherTypeIpv4) return std::nullopt;
 
   const std::size_t ip = kEthernetHeaderLen;
-  const auto ver_ihl = static_cast<std::uint8_t>(frame[ip]);
+  util::ByteReader r(frame.subspan(ip));
+  const std::uint8_t ver_ihl = r.u8();
   if ((ver_ihl >> 4) != 4) return std::nullopt;
   const std::size_t ihl = static_cast<std::size_t>(ver_ihl & 0x0f) * 4;
   if (ihl < kIpv4MinHeaderLen || frame.size() < ip + ihl) return std::nullopt;
 
   Packet p;
-  p.total_len = get_u16(frame, ip + 2);
-  p.ttl = static_cast<std::uint8_t>(frame[ip + 8]);
-  p.proto = static_cast<std::uint8_t>(frame[ip + 9]);
-  p.src_ip = get_u32(frame, ip + 12);
-  p.dst_ip = get_u32(frame, ip + 16);
+  r.skip(1);  // DSCP/ECN
+  p.total_len = r.u16();
+  r.skip(4);  // identification, flags
+  p.ttl = r.u8();
+  p.proto = r.u8();
+  r.skip(2);  // checksum
+  p.src_ip = r.u32();
+  p.dst_ip = r.u32();
   if (p.total_len < ihl || frame.size() < ip + p.total_len) return std::nullopt;
 
   const std::size_t l4 = ip + ihl;
   std::size_t payload_off = l4;
+  util::ByteReader l4r(frame.subspan(l4));
   switch (static_cast<IpProto>(p.proto)) {
     case IpProto::kTcp: {
       if (frame.size() < l4 + kTcpMinHeaderLen) return std::nullopt;
-      p.src_port = get_u16(frame, l4);
-      p.dst_port = get_u16(frame, l4 + 2);
-      p.tcp_seq = get_u32(frame, l4 + 4);
-      const std::size_t data_off = (static_cast<std::size_t>(frame[l4 + 12]) >> 4) * 4;
+      p.src_port = l4r.u16();
+      p.dst_port = l4r.u16();
+      p.tcp_seq = l4r.u32();
+      l4r.skip(4);  // ack
+      const std::size_t data_off = static_cast<std::size_t>(l4r.u8() >> 4) * 4;
       if (data_off < kTcpMinHeaderLen || frame.size() < l4 + data_off) return std::nullopt;
-      p.tcp_flags = static_cast<std::uint8_t>(frame[l4 + 13]) & 0x3f;
+      p.tcp_flags = l4r.u8() & 0x3f;
       payload_off = l4 + data_off;
       break;
     }
     case IpProto::kUdp: {
       if (frame.size() < l4 + kUdpHeaderLen) return std::nullopt;
-      p.src_port = get_u16(frame, l4);
-      p.dst_port = get_u16(frame, l4 + 2);
+      p.src_port = l4r.u16();
+      p.dst_port = l4r.u16();
       payload_off = l4 + kUdpHeaderLen;
       break;
     }

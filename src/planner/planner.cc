@@ -5,6 +5,7 @@
 #include <deque>
 
 #include "planner/install.h"
+#include "trace/trace.h"
 #include "util/hash.h"
 #include "util/log.h"
 #include "util/stats.h"
@@ -27,18 +28,10 @@ std::string_view to_string(PlanMode mode) noexcept {
 std::vector<TupleWindow> materialize_windows(std::span<const net::Packet> packets,
                                              util::Nanos window) {
   std::vector<TupleWindow> out;
-  std::size_t begin = 0;
-  while (begin < packets.size()) {
-    const std::uint64_t idx = util::window_index(packets[begin].ts, window);
-    TupleWindow tuples;
-    std::size_t end = begin;
-    while (end < packets.size() && util::window_index(packets[end].ts, window) == idx) ++end;
-    tuples.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      tuples.push_back(query::materialize_tuple(packets[i]));
-    }
-    out.push_back(std::move(tuples));
-    begin = end;
+  for (const auto slice : trace::split_windows(packets, window)) {
+    TupleWindow& tuples = out.emplace_back();
+    tuples.reserve(slice.size());
+    for (const net::Packet& p : slice) tuples.push_back(query::materialize_tuple(p));
   }
   return out;
 }

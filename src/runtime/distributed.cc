@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <map>
 #include <string_view>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/tracing.h"
@@ -13,6 +14,8 @@
 #include "query/tuple.h"
 #include "runtime/limits.h"
 #include "runtime/report.h"
+#include "trace/trace.h"
+#include "util/bytes.h"
 #include "util/cpu.h"
 #include "util/log.h"
 #include "util/time.h"
@@ -37,79 +40,21 @@ constexpr int kBarrierTimeoutMs = 60000;
 constexpr int kCollectorPollMs = 100;
 constexpr int kCollectorIdleTimeoutMs = 120000;
 
-// -- payload codec helpers (big endian, matching report.cc) --------------
-
-void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
-  out.push_back(static_cast<std::byte>(v));
+// Reads the items of a chunked payload (kRecords, kRaw, kPartial, and a
+// kWinners install's keys) after its header: a u32 count, then per item a
+// u64 value when `with_value` (kPartial), a u32 length and the item's
+// bytes. `item(value, bytes)` returns false to stop. False on a payload
+// that ends early or a stopped read.
+template <typename Fn>
+bool read_items(util::ByteReader& r, bool with_value, Fn&& item) {
+  const std::uint32_t count = r.u32();
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+    const std::uint64_t value = with_value ? r.u64() : 0;
+    const auto bytes = r.bytes(r.u32());
+    if (!r.ok() || !item(value, bytes)) return false;
+  }
+  return r.ok();
 }
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v & 0xff));
-}
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xff));
-  }
-}
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xff));
-  }
-}
-// Count fields are written as a 0 placeholder and patched once the chunk
-// is full (frames are built incrementally against the payload budget).
-void patch_u32(std::vector<std::byte>& out, std::size_t pos, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[pos + i] = static_cast<std::byte>((v >> (24 - 8 * i)) & 0xff);
-  }
-}
-
-class PayloadReader {
- public:
-  explicit PayloadReader(std::span<const std::byte> data) : data_(data) {}
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
-
-  std::uint8_t u8() noexcept {
-    if (pos_ + 1 > data_.size()) {
-      ok_ = false;
-      return 0;
-    }
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint16_t u16() noexcept {
-    const auto hi = u8();
-    return static_cast<std::uint16_t>((hi << 8) | u8());
-  }
-  std::uint32_t u32() noexcept {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v = (v << 8) | u8();
-    return v;
-  }
-  std::uint64_t u64() noexcept {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | u8();
-    return v;
-  }
-  std::span<const std::byte> bytes(std::size_t n) noexcept {
-    if (pos_ + n > data_.size()) {
-      ok_ = false;
-      return {};
-    }
-    const auto s = data_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  std::string str(std::size_t n) noexcept {
-    const auto b = bytes(n);
-    return {reinterpret_cast<const char*>(b.data()), b.size()};
-  }
-
- private:
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 // Milliseconds (>= 1) until `when`, for poll timeouts.
 int ms_until(steady_clock::time_point when) {
@@ -131,6 +76,69 @@ void counter_add(const char* name, std::uint64_t current, std::uint64_t& publish
 }
 
 }  // namespace
+
+// Writes one chunked payload stream: every frame's payload is the stream's
+// header, a u32 item count, then items, as many as fit `max_payload`. A
+// kPartial item leads with a u64 value; kRecords, kRaw and kPartial items
+// are u32-length-prefixed; a kWinners install is self-delimiting and goes
+// in as is. A full frame goes to `emit` as soon as the next item does not
+// fit it, and the last one at finish().
+class ChunkWriter {
+ public:
+  using Emit = std::function<void(nt::Frame&&)>;
+
+  ChunkWriter(nt::FrameType type, std::vector<std::byte> header, std::size_t max_payload,
+              const char* what, Emit emit)
+      : type_(type),
+        header_(std::move(header)),
+        max_payload_(max_payload),
+        what_(what),
+        emit_(std::move(emit)) {}
+
+  // False, with error() set, when the item cannot fit even an empty frame:
+  // it would go out oversized (EMSGSIZE on UDP, a wedged shm ring).
+  [[nodiscard]] bool add(std::span<const std::byte> item, std::uint64_t value = 0) {
+    const std::size_t framing =
+        (type_ == nt::FrameType::kPartial ? 8 : 0) + (type_ == nt::FrameType::kWinners ? 0 : 4);
+    const std::size_t size = framing + item.size();
+    if (count_ > 0 && payload_.size() + size > max_payload_) finish();
+    if (count_ == 0) {
+      if (header_.size() + 4 + size > max_payload_) {
+        error_ = std::string("encoded ") + what_ + " exceeds the transport's max frame payload";
+        return false;
+      }
+      payload_ = header_;
+      util::put_u32(payload_, 0);
+    }
+    if (type_ == nt::FrameType::kPartial) util::put_u64(payload_, value);
+    if (type_ != nt::FrameType::kWinners) {
+      util::put_u32(payload_, static_cast<std::uint32_t>(item.size()));
+    }
+    payload_.insert(payload_.end(), item.begin(), item.end());
+    ++count_;
+    return true;
+  }
+
+  // Patch the open frame's count and emit it.
+  void finish() {
+    if (count_ == 0) return;
+    util::patch_u32(payload_, header_.size(), count_);
+    count_ = 0;
+    emit_({.type = type_, .payload = std::exchange(payload_, {})});
+  }
+
+  [[nodiscard]] const std::string& error() const noexcept { return error_; }
+
+ private:
+  nt::FrameType type_;
+  std::vector<std::byte> header_;
+  std::size_t max_payload_;
+  const char* what_;
+  Emit emit_;
+  std::vector<std::byte> payload_;  // the open frame's
+  std::uint32_t count_ = 0;         // items in the open frame
+  std::string error_;
+};
 
 // ======================================================================
 // SwitchNode
@@ -168,26 +176,17 @@ std::string SwitchNode::run(std::span<const net::Packet> trace) {
   if (std::string err = switch_count_error(cfg_.switches); !err.empty()) return err;
   std::string err = handshake();
   if (!err.empty()) return err;
-  // Identical window split to TelemetryEngine::run_trace: every role
-  // iterates the full shared trace, so window boundaries line up even for
-  // a node that owns no packets in some window.
-  const util::Nanos w = plan_.window;
-  std::size_t begin = 0;
-  std::uint64_t window = 0;
-  while (begin < trace.size()) {
-    const std::uint64_t idx = util::window_index(trace[begin].ts, w);
-    std::size_t end = begin;
-    while (end < trace.size() && util::window_index(trace[end].ts, w) == idx) ++end;
-    for (std::size_t i = begin; i < end; ++i) ingest(trace[i]);
-    err = close_window(window++, end == trace.size());
-    if (!err.empty()) return err;
-    begin = end;
-  }
-  if (window == 0) {
-    // Empty trace: one final (empty) barrier so the collector terminates.
-    err = close_window(0, true);
+  // TelemetryEngine::run_trace's window split: every role iterates the
+  // full shared trace, so window boundaries line up even for a node that
+  // owns no packets in some window.
+  const auto windows = trace::split_windows(trace, plan_.window);
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    for (const net::Packet& packet : windows[w]) ingest(packet);
+    err = close_window(w, w + 1 == windows.size());
     if (!err.empty()) return err;
   }
+  // Empty trace: one final (empty) barrier so the collector terminates.
+  if (windows.empty()) return close_window(0, true);
   return "";
 }
 
@@ -197,17 +196,17 @@ std::string SwitchNode::handshake() {
   nt::Frame hello;
   hello.type = nt::FrameType::kHello;
   hello.source = cfg_.node_index;
-  put_u16(hello.payload, cfg_.node_index);
-  put_u16(hello.payload, cfg_.nodes);
-  put_u16(hello.payload, static_cast<std::uint16_t>(cfg_.switches));
-  put_u16(hello.payload, kDistributedProto);
-  put_u64(hello.payload, fingerprint_);
+  util::put_u16(hello.payload, cfg_.node_index);
+  util::put_u16(hello.payload, cfg_.nodes);
+  util::put_u16(hello.payload, static_cast<std::uint16_t>(cfg_.switches));
+  util::put_u16(hello.payload, kDistributedProto);
+  util::put_u64(hello.payload, fingerprint_);
   const auto deadline = steady_clock::now() + milliseconds(kConnectTimeoutMs);
   for (;;) {
     if (!raw_send(hello)) return "transport send failed during handshake";
     nt::Frame in;
     if (transport_->poll(in, kHelloRetransmitMs) && in.type == nt::FrameType::kHelloAck) {
-      PayloadReader r(in.payload);
+      util::ByteReader r(in.payload);
       const std::uint16_t node = r.u16();
       const std::uint16_t proto = r.u16();
       const std::uint64_t fingerprint = r.u64();
@@ -288,116 +287,78 @@ void SwitchNode::note_send_failure(const char* frame_kind) {
   }
 }
 
+ChunkWriter SwitchNode::data_writer(nt::FrameType type, std::size_t shard, const char* what,
+                                    std::uint32_t pipeline) {
+  std::vector<std::byte> header;
+  util::put_u16(header, static_cast<std::uint16_t>(shard));
+  if (type == nt::FrameType::kPartial) util::put_u32(header, pipeline);
+  return ChunkWriter(type, std::move(header), nt::max_frame_payload(transport_->kind()), what,
+                     [this, what](nt::Frame&& f) {
+                       f.source = cfg_.node_index;
+                       if (!send_data(std::move(f))) note_send_failure(what);
+                     });
+}
+
 void SwitchNode::send_records(OwnedShard& shard) {
   if (!send_err_.empty()) return;
-  const std::size_t max_payload = nt::max_frame_payload(transport_->kind());
-  const auto recs = shard.exec.records();
-  std::size_t i = 0;
-  while (i < recs.size()) {
-    nt::Frame f;
-    f.type = nt::FrameType::kRecords;
-    f.source = cfg_.node_index;
-    put_u16(f.payload, static_cast<std::uint16_t>(shard.global));
-    put_u32(f.payload, 0);
-    std::uint32_t count = 0;
-    while (i < recs.size()) {
-      record_scratch_.clear();
-      encode_report_into(recs[i], record_scratch_);
-      if (record_faults_) {
-        // Per-record wire faults inside the frame, mirroring the
-        // in-process WireChannel: the record's length prefix stays
-        // consistent, so exactly this record fails (or mis-)decodes.
-        const double u = rng_.uniform01();
-        if (u < cfg_.faults.corrupt_rate) {
-          const std::size_t bit = rng_.uniform(record_scratch_.size() * 8);
-          record_scratch_[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-          ++stats_.corrupted;
-        } else if (u < cfg_.faults.corrupt_rate + cfg_.faults.truncate_rate &&
-                   record_scratch_.size() > 1) {
-          record_scratch_.resize(rng_.uniform(record_scratch_.size() - 1) + 1);
-          ++stats_.truncated;
-        }
+  ChunkWriter out = data_writer(nt::FrameType::kRecords, shard.global, "record");
+  for (const pisa::EmitRecord& rec : shard.exec.records()) {
+    record_scratch_.clear();
+    encode_report_into(rec, record_scratch_);
+    if (record_faults_) {
+      // Per-record wire faults inside the frame, mirroring the in-process
+      // WireChannel: the record's length prefix stays consistent, so
+      // exactly this record fails (or mis-)decodes.
+      const double u = rng_.uniform01();
+      if (u < cfg_.faults.corrupt_rate) {
+        const std::size_t bit = rng_.uniform(record_scratch_.size() * 8);
+        record_scratch_[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+        ++stats_.corrupted;
+      } else if (u < cfg_.faults.corrupt_rate + cfg_.faults.truncate_rate &&
+                 record_scratch_.size() > 1) {
+        record_scratch_.resize(rng_.uniform(record_scratch_.size() - 1) + 1);
+        ++stats_.truncated;
       }
-      if (f.payload.size() + 4 + record_scratch_.size() > max_payload) {
-        if (count > 0) break;  // frame full: ship it, start the next one
-        // A single record that cannot fit even an empty frame would be sent
-        // oversized (EMSGSIZE on UDP, a stuck shm ring): hard protocol error.
-        send_err_ = "encoded record exceeds the transport's max frame payload";
-        return;
-      }
-      put_u32(f.payload, static_cast<std::uint32_t>(record_scratch_.size()));
-      f.payload.insert(f.payload.end(), record_scratch_.begin(), record_scratch_.end());
-      ++count;
-      ++i;
-      ++stats_.records_sent;
     }
-    patch_u32(f.payload, 2, count);
-    if (!send_data(std::move(f))) note_send_failure("kRecords");
+    if (!out.add(record_scratch_)) {
+      send_err_ = out.error();
+      return;
+    }
+    ++stats_.records_sent;
   }
+  out.finish();
 }
 
 void SwitchNode::send_raw(OwnedShard& shard) {
   if (!send_err_.empty()) return;
-  const std::size_t max_payload = nt::max_frame_payload(transport_->kind());
-  const auto raws = shard.exec.raw_sources();
-  std::size_t i = 0;
-  while (i < raws.size()) {
-    nt::Frame f;
-    f.type = nt::FrameType::kRaw;
-    f.source = cfg_.node_index;
-    put_u16(f.payload, static_cast<std::uint16_t>(shard.global));
-    put_u32(f.payload, 0);
-    std::uint32_t count = 0;
-    while (i < raws.size()) {
-      record_scratch_.clear();
-      encode_tuple(raws[i], record_scratch_);
-      if (f.payload.size() + 4 + record_scratch_.size() > max_payload) {
-        if (count > 0) break;
-        send_err_ = "encoded raw tuple exceeds the transport's max frame payload";
-        return;
-      }
-      put_u32(f.payload, static_cast<std::uint32_t>(record_scratch_.size()));
-      f.payload.insert(f.payload.end(), record_scratch_.begin(), record_scratch_.end());
-      ++count;
-      ++i;
-      ++stats_.raw_sent;
+  ChunkWriter out = data_writer(nt::FrameType::kRaw, shard.global, "raw tuple");
+  for (const Tuple& raw : shard.exec.raw_sources()) {
+    record_scratch_.clear();
+    encode_tuple(raw, record_scratch_);
+    if (!out.add(record_scratch_)) {
+      send_err_ = out.error();
+      return;
     }
-    patch_u32(f.payload, 2, count);
-    if (!send_data(std::move(f))) note_send_failure("kRaw");
+    ++stats_.raw_sent;
   }
+  out.finish();
 }
 
 void SwitchNode::send_partials(const OwnedShard& shard, std::size_t pipeline,
                                const pisa::PolledBlock& block) {
   if (!send_err_.empty()) return;
-  const std::size_t max_payload = nt::max_frame_payload(transport_->kind());
-  std::size_t i = 0;
-  while (i < block.size()) {
-    nt::Frame f;
-    f.type = nt::FrameType::kPartial;
-    f.source = cfg_.node_index;
-    put_u16(f.payload, static_cast<std::uint16_t>(shard.global));
-    put_u32(f.payload, static_cast<std::uint32_t>(pipeline));
-    put_u32(f.payload, 0);
-    std::uint32_t count = 0;
-    while (i < block.size()) {
-      record_scratch_.clear();
-      encode_polled_key(block, i, record_scratch_);
-      if (f.payload.size() + 12 + record_scratch_.size() > max_payload) {
-        if (count > 0) break;
-        send_err_ = "encoded partial entry exceeds the transport's max frame payload";
-        return;
-      }
-      put_u64(f.payload, block.value(i));
-      put_u32(f.payload, static_cast<std::uint32_t>(record_scratch_.size()));
-      f.payload.insert(f.payload.end(), record_scratch_.begin(), record_scratch_.end());
-      ++count;
-      ++i;
-      ++stats_.partial_entries_sent;
+  ChunkWriter out = data_writer(nt::FrameType::kPartial, shard.global, "partial entry",
+                                static_cast<std::uint32_t>(pipeline));
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    record_scratch_.clear();
+    encode_polled_key(block, i, record_scratch_);
+    if (!out.add(record_scratch_, block.value(i))) {
+      send_err_ = out.error();
+      return;
     }
-    patch_u32(f.payload, 6, count);
-    if (!send_data(std::move(f))) note_send_failure("kPartial");
+    ++stats_.partial_entries_sent;
   }
+  out.finish();
 }
 
 std::string SwitchNode::close_window(std::uint64_t window, bool final) {
@@ -432,12 +393,12 @@ std::string SwitchNode::close_window(std::uint64_t window, bool final) {
   end.type = nt::FrameType::kWindowEnd;
   end.source = cfg_.node_index;
   end.seq = data_seq_;  // next data seq: finalizes the collector's gap accounting
-  put_u64(end.payload, window);
-  put_u64(end.payload, packets);
-  put_u64(end.payload, tuples);
-  put_u64(end.payload, raw);
-  put_u64(end.payload, stats_.tx_dropped);  // cumulative, for the loss-accounting gate
-  put_u8(end.payload, final ? 1 : 0);
+  util::put_u64(end.payload, window);
+  util::put_u64(end.payload, packets);
+  util::put_u64(end.payload, tuples);
+  util::put_u64(end.payload, raw);
+  util::put_u64(end.payload, stats_.tx_dropped);  // cumulative, for the loss-accounting gate
+  util::put_u8(end.payload, final ? 1 : 0);
   if (!raw_send(end)) return "transport send failed at the window barrier";
   const std::string err = await_feedback(window, end);
   if (!err.empty()) return err;
@@ -462,7 +423,7 @@ std::string SwitchNode::await_feedback(std::uint64_t window, const nt::Frame& en
     nt::Frame in;
     if (transport_->poll(in, ms_until(std::min(next_retx, deadline)))) {
       if (in.type == nt::FrameType::kWindowAck) {
-        PayloadReader r(in.payload);
+        util::ByteReader r(in.payload);
         const std::uint64_t w = r.u64();
         const std::uint32_t exp = r.u32();
         (void)r.u8();  // collector's partial flag (informational)
@@ -471,7 +432,7 @@ std::string SwitchNode::await_feedback(std::uint64_t window, const nt::Frame& en
           expected = exp;
         }
       } else if (in.type == nt::FrameType::kWinners) {
-        PayloadReader r(in.payload);
+        util::ByteReader r(in.payload);
         if (r.u64() == window && r.ok()) winners.emplace(in.seq, std::move(in.payload));
       }
       // kHelloAck / stale-window frames: ignore.
@@ -485,22 +446,18 @@ std::string SwitchNode::await_feedback(std::uint64_t window, const nt::Frame& en
   // close_levels applied to the in-process switches, including empty
   // winner sets (which clear a table).
   for (auto& [seq, payload] : winners) {
-    PayloadReader r(payload);
-    (void)r.u64();  // window
+    util::ByteReader r(payload);
+    r.skip(8);  // window
     const std::uint32_t installs = r.u32();
     for (std::uint32_t k = 0; k < installs && r.ok(); ++k) {
-      const std::uint16_t table_len = r.u16();
-      const std::string table = r.str(table_len);
-      const std::uint32_t nkeys = r.u32();
+      const std::string table = r.str(r.u16());
       std::vector<Tuple> keys;
-      keys.reserve(nkeys);
-      for (std::uint32_t j = 0; j < nkeys && r.ok(); ++j) {
-        const std::uint32_t len = r.u32();
-        auto decoded = decode_tuple(r.bytes(len));
-        if (!decoded) return "malformed winner key in collector feedback";
-        keys.push_back(std::move(*decoded));
-      }
-      if (!r.ok()) return "malformed winner install in collector feedback";
+      const bool ok = read_items(r, false, [&](std::uint64_t, std::span<const std::byte> bytes) {
+        auto key = decode_tuple(bytes);
+        if (key) keys.push_back(std::move(*key));
+        return key.has_value();
+      });
+      if (!ok) return "malformed winner install in collector feedback";
       for (auto& shard_ptr : shards_) shard_ptr->exec.sw().update_filter_entries(table, keys);
       ++stats_.winner_installs;
     }
@@ -561,10 +518,6 @@ std::string Collector::listen() {
   return endpoint_->listen();
 }
 
-std::uint64_t Collector::full_mask() const noexcept {
-  return cfg_.switches >= 64 ? ~0ull : ((1ull << cfg_.switches) - 1);
-}
-
 bool Collector::all_ended() const {
   bool any = false;
   for (const auto& n : nodes_) {
@@ -613,7 +566,7 @@ std::string Collector::handle(nt::Frame& f) {
   NodeState& node = nodes_[f.source];
   switch (f.type) {
     case nt::FrameType::kHello: {
-      PayloadReader r(f.payload);
+      util::ByteReader r(f.payload);
       const std::uint16_t n = r.u16();
       const std::uint16_t nodes = r.u16();
       const std::uint16_t switches = r.u16();
@@ -634,9 +587,9 @@ std::string Collector::handle(nt::Frame& f) {
       nt::Frame ack;
       ack.type = nt::FrameType::kHelloAck;
       ack.source = f.source;
-      put_u16(ack.payload, f.source);
-      put_u16(ack.payload, kDistributedProto);
-      put_u64(ack.payload, fingerprint_);
+      util::put_u16(ack.payload, f.source);
+      util::put_u16(ack.payload, kDistributedProto);
+      util::put_u64(ack.payload, fingerprint_);
       if (!endpoint_->send_to(f.source, ack)) {
         // Idempotent: the node retransmits its hello until acked.
         SONATA_WARN("collector", "hello ack to node %u failed",
@@ -650,77 +603,40 @@ std::string Collector::handle(nt::Frame& f) {
       node.hello = true;
       return "";
     }
-    case nt::FrameType::kRecords: {
-      PayloadReader r(f.payload);
-      const std::uint16_t shard = r.u16();
-      const std::uint32_t count = r.u32();
-      if (!r.ok() || shard >= cfg_.switches || shard % cfg_.nodes != f.source) {
-        return "malformed records frame";
-      }
-      ShardBuffer& sb = shards_[shard];
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t len = r.u32();
-        const auto bytes = r.bytes(len);
-        if (!r.ok()) return "malformed records frame";
-        if (auto rec = decode_report(bytes)) {
-          sb.records.push_back(std::move(*rec));
-          ++stats_.records;
-        } else {
-          // Wire-corrupted record: counted, never delivered — the same
-          // boundary behaviour as the in-process WireChannel.
-          ++stats_.decode_failures;
-        }
-      }
-      return "";
-    }
-    case nt::FrameType::kRaw: {
-      PayloadReader r(f.payload);
-      const std::uint16_t shard = r.u16();
-      const std::uint32_t count = r.u32();
-      if (!r.ok() || shard >= cfg_.switches || shard % cfg_.nodes != f.source) {
-        return "malformed raw frame";
-      }
-      ShardBuffer& sb = shards_[shard];
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t len = r.u32();
-        const auto bytes = r.bytes(len);
-        if (!r.ok()) return "malformed raw frame";
-        if (auto t = decode_tuple(bytes)) {
-          sb.raws.push_back(std::move(*t));
-          ++stats_.raw_tuples;
-        } else {
-          ++stats_.decode_failures;
-        }
-      }
-      return "";
-    }
+    case nt::FrameType::kRecords:
+    case nt::FrameType::kRaw:
     case nt::FrameType::kPartial: {
-      PayloadReader r(f.payload);
+      util::ByteReader r(f.payload);
       const std::uint16_t shard = r.u16();
-      const std::uint32_t pipeline = r.u32();
-      const std::uint32_t count = r.u32();
-      if (!r.ok() || shard >= cfg_.switches || shard % cfg_.nodes != f.source ||
-          pipeline >= ref_pipelines_.size()) {
-        return "malformed partial frame";
-      }
-      pisa::PolledBlock& block = shards_[shard].polls[pipeline];
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint64_t value = r.u64();
-        const std::uint32_t len = r.u32();
-        const auto bytes = r.bytes(len);
-        if (!r.ok()) return "malformed partial frame";
-        // A key that does not decode, or not to the pipeline's key layout,
-        // is counted and dropped like a corrupted record.
-        if (auto t = decode_tuple(bytes); t && block.append(*t, value)) {
-          ++stats_.partial_entries;
-        } else {
-          ++stats_.decode_failures;
-        }
-      }
-      return "";
+      const bool partial = f.type == nt::FrameType::kPartial;
+      const std::uint32_t pipeline = partial ? r.u32() : 0;
+      const bool ok =
+          r.ok() && shard < cfg_.switches && shard % cfg_.nodes == f.source &&
+          (!partial || pipeline < ref_pipelines_.size()) &&
+          read_items(r, partial, [&](std::uint64_t value, std::span<const std::byte> bytes) {
+            // An item that does not decode (for a partial, not to the
+            // pipeline's key layout) is counted and dropped — the same
+            // boundary behaviour as the in-process WireChannel.
+            ShardBuffer& sb = shards_[shard];
+            if (f.type == nt::FrameType::kRecords) {
+              auto rec = decode_report(bytes);
+              if (rec) sb.records.push_back(std::move(*rec));
+              ++(rec ? stats_.records : stats_.decode_failures);
+            } else if (f.type == nt::FrameType::kRaw) {
+              auto t = decode_tuple(bytes);
+              if (t) sb.raws.push_back(std::move(*t));
+              ++(t ? stats_.raw_tuples : stats_.decode_failures);
+            } else {
+              auto t = decode_tuple(bytes);
+              const bool appended = t && sb.polls[pipeline].append(*t, value);
+              ++(appended ? stats_.partial_entries : stats_.decode_failures);
+            }
+            return true;
+          });
+      return ok ? "" : "malformed data frame";
     }
     case nt::FrameType::kWindowEnd: {
-      PayloadReader r(f.payload);
+      util::ByteReader r(f.payload);
       const std::uint64_t w = r.u64();
       const std::uint64_t packets = r.u64();
       const std::uint64_t tuples = r.u64();
@@ -752,7 +668,7 @@ std::string Collector::close_current(const WindowFn& on_window) {
   WindowStats ws;
   ws.window_index = window_counter_;
   ws.plan_version = plan_.version;
-  std::uint64_t mask = full_mask();
+  std::uint64_t mask = full_contribution_mask(cfg_.switches);
   std::uint64_t peer_dropped = 0;
   for (std::uint16_t i = 0; i < cfg_.nodes; ++i) {
     NodeState& node = nodes_[i];
@@ -770,7 +686,7 @@ std::string Collector::close_current(const WindowFn& on_window) {
     }
   }
   ws.contribution_mask = mask;
-  ws.partial = mask != full_mask();
+  ws.partial = mask != full_contribution_mask(cfg_.switches);
   // 1. The Fleet's shared close, its tasks on the pool while the nodes
   //    wait, over every shard in ascending global shard order. No local
   //    switches — the winner sink encodes every install, and the nodes
@@ -781,9 +697,18 @@ std::string Collector::close_current(const WindowFn& on_window) {
   outputs_.clear();
   for (auto& sb : shards_) outputs_.push_back({sb.records, sb.raws, &sb.polls});
   winner_chunks_.clear();
+  std::vector<std::byte> header;
+  util::put_u64(header, window_counter_);
+  winners_ = std::make_unique<ChunkWriter>(
+      nt::FrameType::kWinners, std::move(header), nt::max_frame_payload(endpoint_->kind()),
+      "winner install", [this](nt::Frame&& chunk) {
+        chunk.seq = winner_chunks_.size();
+        winner_chunks_.push_back(std::move(chunk));
+      });
   sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
   sp_->close_window(ws, outputs_, ref_pipelines_, {}, pool_.slots(),
                     [this](std::size_t count, const util::Task& task) { pool_.run(count, task); });
+  winners_->finish();
   for (auto& sb : shards_) {
     sb.records.clear();
     sb.raws.clear();
@@ -795,9 +720,9 @@ std::string Collector::close_current(const WindowFn& on_window) {
     node.feedback.assign(winner_chunks_.begin(), winner_chunks_.end());
     nt::Frame ack;
     ack.type = nt::FrameType::kWindowAck;
-    put_u64(ack.payload, window_counter_);
-    put_u32(ack.payload, static_cast<std::uint32_t>(node.feedback.size()));
-    put_u8(ack.payload, ws.partial ? 1 : 0);
+    util::put_u64(ack.payload, window_counter_);
+    util::put_u32(ack.payload, static_cast<std::uint32_t>(node.feedback.size()));
+    util::put_u8(ack.payload, ws.partial ? 1 : 0);
     node.feedback.push_back(std::move(ack));
     for (nt::Frame& fb : node.feedback) fb.source = i;
     send_feedback(node, i);
@@ -831,36 +756,17 @@ std::string Collector::close_current(const WindowFn& on_window) {
 void Collector::encode_install(const std::string& table, std::span<const Tuple> keys) {
   if (!install_err_.empty()) return;
   install_.clear();
-  put_u16(install_, static_cast<std::uint16_t>(table.size()));
-  for (const char c : table) install_.push_back(static_cast<std::byte>(c));
-  put_u32(install_, static_cast<std::uint32_t>(keys.size()));
+  util::put_u16(install_, static_cast<std::uint16_t>(table.size()));
+  const auto* name = reinterpret_cast<const std::byte*>(table.data());
+  install_.insert(install_.end(), name, name + table.size());
+  util::put_u32(install_, static_cast<std::uint32_t>(keys.size()));
   for (const Tuple& key : keys) {
     const std::size_t at = install_.size();
-    put_u32(install_, 0);
+    util::put_u32(install_, 0);
     encode_tuple(key, install_);
-    patch_u32(install_, at, static_cast<std::uint32_t>(install_.size() - at - 4));
+    util::patch_u32(install_, at, static_cast<std::uint32_t>(install_.size() - at - 4));
   }
-  // 12 = the kWinners chunk header (window u64 + count u32). An install
-  // that cannot fit even an empty chunk would go out as an oversized frame
-  // (EMSGSIZE on UDP, a wedged shm ring): hard error.
-  const std::size_t max_payload = nt::max_frame_payload(endpoint_->kind());
-  if (12 + install_.size() > max_payload) {
-    install_err_ = "winner install for table '" + table +
-                   "' exceeds the transport's max frame payload";
-    return;
-  }
-  if (winner_chunks_.empty() ||
-      winner_chunks_.back().payload.size() + install_.size() > max_payload) {
-    nt::Frame& chunk = winner_chunks_.emplace_back();
-    chunk.type = nt::FrameType::kWinners;
-    chunk.seq = winner_chunks_.size() - 1;
-    put_u64(chunk.payload, window_counter_);
-    put_u32(chunk.payload, 0);
-  }
-  nt::Frame& chunk = winner_chunks_.back();
-  chunk.payload.insert(chunk.payload.end(), install_.begin(), install_.end());
-  PayloadReader installs(std::span<const std::byte>(chunk.payload).subspan(8, 4));
-  patch_u32(chunk.payload, 8, installs.u32() + 1);
+  if (!winners_->add(install_)) install_err_ = winners_->error() + " (table '" + table + "')";
 }
 
 void Collector::send_feedback(NodeState& node, std::uint16_t index) {

@@ -68,6 +68,9 @@ namespace sonata::runtime {
 // 2: kHello and kHelloAck carry Plan::fingerprint().
 inline constexpr std::uint16_t kDistributedProto = 2;
 
+// Writes one chunked payload stream (distributed.cc).
+class ChunkWriter;
+
 struct DistributedConfig {
   std::size_t switches = 2;      // total data-plane shards across all nodes (<= kMaxSwitches)
   std::uint16_t nodes = 1;       // switch-node process count
@@ -128,6 +131,10 @@ class SwitchNode {
   [[nodiscard]] std::string handshake();
   void ingest(const net::Packet& packet);
   [[nodiscard]] std::string close_window(std::uint64_t window, bool final);
+  // Chunked data frames of `shard` (and, for kPartial, `pipeline`) for
+  // send_data; `what` names an item in errors.
+  [[nodiscard]] ChunkWriter data_writer(net::transport::FrameType type, std::size_t shard,
+                                        const char* what, std::uint32_t pipeline = 0);
   void send_records(OwnedShard& shard);
   void send_raw(OwnedShard& shard);
   // One pipeline's polled register block, as kPartial frames.
@@ -227,7 +234,6 @@ class Collector {
   void send_feedback(NodeState& node, std::uint16_t index);
   [[nodiscard]] bool all_ended() const;
   [[nodiscard]] bool all_done() const;
-  [[nodiscard]] std::uint64_t full_mask() const noexcept;
   void publish_obs();
 
   const planner::Plan& plan_;
@@ -244,6 +250,7 @@ class Collector {
   std::vector<ShardOutput> outputs_;  // the close's input, reused
   // This window's kWinners chunks, encoded once and copied to every node.
   std::vector<net::transport::Frame> winner_chunks_;
+  std::unique_ptr<ChunkWriter> winners_;  // writes winner_chunks_, one per window
   std::vector<std::byte> install_;  // encode_install's scratch, reused
   std::string install_err_;         // an install too large for any chunk
   util::TaskPool pool_;  // the close's tasks: min(available cores, queries) threads

@@ -11,6 +11,7 @@
 #include "runtime/control_plane.h"
 #include "runtime/fleet.h"
 #include "runtime/limits.h"
+#include "trace/trace.h"
 #include "util/log.h"
 #include "util/time.h"
 
@@ -86,34 +87,34 @@ WindowStats TelemetryEngine::close_window() {
 }
 
 void TelemetryEngine::mitigate(WindowStats& w) {
-  // Each policy's detection column in its query's finest-level output.
-  std::vector<std::pair<const MitigationPolicy*, std::size_t>> columns;
-  for (const MitigationPolicy& policy : mitigations_) {
+  // Each policy's detections: its query's finest-level output column.
+  for (Mitigation& m : mitigations_) {
     for (const planner::PlannedQuery& pq : plan().queries) {
-      if (pq.base->id() != policy.qid) continue;
+      if (pq.base->id() != m.policy.qid) continue;
       const auto& schema = pq.exec_queries.at(pq.chain.back()).root()->output_schema();
-      if (const auto col = schema.index_of(policy.output_column)) {
-        columns.emplace_back(&policy, *col);
+      const auto col = schema.index_of(m.policy.output_column);
+      if (!col) continue;
+      for (const QueryResult& result : w.results) {
+        if (result.qid != m.policy.qid) continue;
+        for (const query::Tuple& t : result.outputs) {
+          if (m.keys.size() >= m.policy.max_entries) break;
+          m.keys.insert(t.at(*col));
+        }
       }
     }
   }
-  // Every contributing switch gets the same rules; a quarantined one is
-  // consumer-owned until its resync and misses this window's, as it misses
-  // its winners. The switches update in parallel, so the window's control
-  // latency grows by the busiest switch's installs.
+  // Every contributing switch holds every blocked key (Switch::block is
+  // idempotent). A quarantined switch is consumer-owned until its resync
+  // and misses this close, as it misses its winners; it catches up at the
+  // next close it contributes to. The switches update in parallel, so the
+  // window's control latency grows by the busiest switch's installs.
   std::uint64_t most = 0;
-  for (std::size_t i = 0; i < data_plane_count() && i < 64; ++i) {
+  for (std::size_t i = 0; i < data_plane_count() && i < kMaxSwitches; ++i) {
     if ((w.contribution_mask >> i & 1) == 0) continue;
     pisa::Switch& sw = mutable_data_plane(i);
     const std::uint64_t before = sw.stats().filter_entry_updates;
-    for (const auto& [policy, col] : columns) {
-      for (const QueryResult& result : w.results) {
-        if (result.qid != policy->qid) continue;
-        for (const query::Tuple& t : result.outputs) {
-          if (sw.blocked_keys() >= policy->max_entries) break;
-          sw.block(policy->packet_field, t.at(col));
-        }
-      }
+    for (const Mitigation& m : mitigations_) {
+      for (const query::Value& key : m.keys) sw.block(m.policy.packet_field, key);
     }
     most = std::max(most, sw.stats().filter_entry_updates - before);
   }
@@ -173,7 +174,7 @@ void TelemetryEngine::swap_plan(planner::Plan plan) {
 }
 
 void TelemetryEngine::enable_mitigation(MitigationPolicy policy) {
-  mitigations_.push_back(std::move(policy));
+  mitigations_.push_back({std::move(policy), {}});
 }
 
 void TelemetryEngine::enable_auto_replan(AutoReplanConfig cfg) {
@@ -265,14 +266,8 @@ WindowStats TelemetryEngine::process_window(std::span<const net::Packet> packets
 
 std::vector<WindowStats> TelemetryEngine::run_trace(std::span<const net::Packet> trace) {
   std::vector<WindowStats> out;
-  const util::Nanos w = plan().window;
-  std::size_t begin = 0;
-  while (begin < trace.size()) {
-    const std::uint64_t idx = util::window_index(trace[begin].ts, w);
-    std::size_t end = begin;
-    while (end < trace.size() && util::window_index(trace[end].ts, w) == idx) ++end;
-    out.push_back(process_window(trace.subspan(begin, end - begin)));
-    begin = end;
+  for (const auto window : trace::split_windows(trace, plan().window)) {
+    out.push_back(process_window(window));
   }
   return out;
 }

@@ -34,6 +34,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "fault/fault.h"
@@ -97,15 +98,17 @@ class TelemetryEngine {
 
   // -- closed-loop mitigation (paper Section 8's long-term goal) -------
   // When enabled, every finest-level detection of `qid` installs a drop
-  // rule on every switch that contributed to the window: packets whose
-  // `packet_field` equals the detection's `output_column` value are
-  // dropped from the next window on. The installs count toward the
-  // window's control_update_millis. Drop rules survive plan swaps.
+  // rule: packets whose `packet_field` equals the detection's
+  // `output_column` value are dropped from the next window on. The engine
+  // keeps each policy's blocked keys, and each window close brings every
+  // contributing switch up to them, so a quarantined switch catches up at
+  // its next close. The installs count toward the window's
+  // control_update_millis. Drop rules survive plan swaps.
   struct MitigationPolicy {
     query::QueryId qid = 0;
     std::string output_column;       // detection column carrying the key
     std::string packet_field;        // packet field to block on (e.g. "dIP")
-    std::size_t max_entries = 1024;  // guard-table budget, per switch
+    std::size_t max_entries = 1024;  // the policy's guard-table budget, per switch
   };
   void enable_mitigation(MitigationPolicy policy);
 
@@ -155,7 +158,8 @@ class TelemetryEngine {
 
  private:
   friend class EngineBuilder;
-  // Block this window's detections on every contributing switch.
+  // Add this window's detections to the blocked keys, and block every
+  // blocked key on every contributing switch.
   void mitigate(WindowStats& w);
   // Advance the overflow streak over `w`; fires the recommendation.
   void watch_overflow(const WindowStats& w);
@@ -167,7 +171,11 @@ class TelemetryEngine {
 
   std::unique_ptr<ControlPlane> control_;
 
-  std::vector<MitigationPolicy> mitigations_;
+  struct Mitigation {
+    MitigationPolicy policy;
+    std::unordered_set<query::Value, query::ValueHasher> keys;  // at most policy.max_entries
+  };
+  std::vector<Mitigation> mitigations_;
   ReplanPolicy replan_policy_;
   int overflow_streak_ = 0;
   bool replan_recommended_ = false;

@@ -332,7 +332,7 @@ void Fleet::drain_barrier() {
   for (std::size_t i = 0; i < shards_.size(); ++i) flush_shard(i);
   std::fill(quarantined_.begin(), quarantined_.end(), std::uint8_t{0});
   if (workers_.empty()) {
-    current_.contribution_mask = full_contribution_mask();
+    current_.contribution_mask = full_contribution_mask(shards_.size());
     return;
   }
   const bool watchdog = injector_ != nullptr && injector_->spec().watchdog_ms > 0;
@@ -387,7 +387,7 @@ void Fleet::drain_barrier() {
     s.barrier_mark = s.enqueued;
   }
   current_.contribution_mask = mask;
-  current_.partial = mask != full_contribution_mask();
+  current_.partial = mask != full_contribution_mask(shards_.size());
 }
 
 WindowStats Fleet::do_close_window() {

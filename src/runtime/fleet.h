@@ -225,9 +225,6 @@ class Fleet : public TelemetryEngine {
   [[nodiscard]] bool stalled(const Shard& shard) const noexcept;
   // Account one packet shed at ingest (ring full past the watchdog budget).
   void shed_packet(Shard& shard);
-  [[nodiscard]] std::uint64_t full_contribution_mask() const noexcept {
-    return shards_.size() >= 64 ? ~0ull : ((1ull << shards_.size()) - 1);
-  }
 
   planner::Plan plan_;
   // unique_ptr (not a value) so a control-plane swap can rebuild it; sp_

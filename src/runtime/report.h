@@ -3,13 +3,15 @@
 // in the mirrored packet; the emitter parses them by qid and forwards
 // tuples to the stream processor.
 //
-// Layout (big endian):
+// Layout (big endian, written and read through util/bytes.h):
 //   magic   u16  = 0x50A7 ("SONATA")
 //   kind    u8   (EmitRecord::Kind)
 //   qid     u16
 //   source  u8
 //   level   u16  (0xffff encodes level -1; never used in practice)
 //   op      u16  (operator index where the tuple re-enters the SP chain)
+//   ingest  u64  (EmitRecord::ingest_ns; 0 when obs is off)
+//   the tuple, as encode_tuple writes it:
 //   ncols   u8
 //   per column:
 //     tag   u8   0 = uint64, 1 = string

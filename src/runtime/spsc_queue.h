@@ -97,22 +97,12 @@ class SpscQueue {
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
 
-  // Producer side. Returns false when the ring is full.
-  bool try_push(const T& v) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head - tail_.load(std::memory_order_acquire) == slots_.size()) return false;
-    slots_[head & (slots_.size() - 1)] = v;
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
   // Producer side, deferred: write `v` into the next ring slot WITHOUT
   // publishing it. Staged slots become visible to the consumer only at the
   // next publish() — the ring itself is the batch buffer, so a batched
   // producer pays one release store (and zero extra copies) per run.
   // Returns false when the ring is full of published + staged elements;
   // the producer must then publish() and let the consumer drain.
-  // Must not be mixed with try_push/try_push_batch on the same queue.
   bool try_stage(const T& v) {
     if (staged_head_ - cached_tail_ == slots_.size()) {
       cached_tail_ = tail_.load(std::memory_order_acquire);
@@ -131,30 +121,6 @@ class SpscQueue {
     const bool was_empty = tail_.load(std::memory_order_acquire) == head;
     if (staged_head_ != head) head_.store(staged_head_, std::memory_order_release);
     return was_empty;
-  }
-
-  // Producer side, batched: moves as many elements of `xs` as fit into the
-  // ring and publishes them with a single release store. Returns how many
-  // were pushed (a prefix of `xs`); moved-from elements must be discarded.
-  std::size_t try_push_batch(std::span<T> xs) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t free = slots_.size() - (head - tail_.load(std::memory_order_acquire));
-    const std::size_t n = xs.size() < free ? xs.size() : free;
-    if (n == 0) return 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      slots_[(head + i) & (slots_.size() - 1)] = std::move(xs[i]);
-    }
-    head_.store(head + n, std::memory_order_release);
-    return n;
-  }
-
-  // Consumer side. Returns false when the ring is empty.
-  bool try_pop(T& out) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_.load(std::memory_order_acquire)) return false;
-    out = std::move(slots_[tail & (slots_.size() - 1)]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
   }
 
   // Consumer side, zero-copy: a view of up to `max` available elements,
@@ -181,27 +147,6 @@ class SpscQueue {
   void retire(std::size_t n) {
     tail_.store(tail_.load(std::memory_order_relaxed) + n, std::memory_order_release);
   }
-
-  // Consumer side, batched: moves up to `max` available elements into
-  // `out` (appending) and retires them with a single release store.
-  // Returns how many were popped.
-  std::size_t try_pop_batch(std::vector<T>& out, std::size_t max) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t avail = head_.load(std::memory_order_acquire) - tail;
-    const std::size_t n = avail < max ? avail : max;
-    if (n == 0) return 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(slots_[(tail + i) & (slots_.size() - 1)]));
-    }
-    tail_.store(tail + n, std::memory_order_release);
-    return n;
-  }
-
-  [[nodiscard]] bool empty() const {
-    return tail_.load(std::memory_order_acquire) == head_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
  private:
   std::vector<T> slots_;

@@ -43,12 +43,8 @@ class WireChannel {
   template <typename Deliver>
   void transmit(const pisa::EmitRecord& rec, Deliver&& deliver) {
     const bool had_held = held_.has_value();
-    send(rec, deliver);
-    if (had_held) {
-      pisa::EmitRecord delayed = std::move(*held_);
-      held_.reset();
-      deliver(std::move(delayed));
-    }
+    send(rec, deliver);  // holds `rec` only when nothing was held
+    if (had_held) flush(deliver);
   }
 
   // Release a still-held record at the end of the window's merge.
@@ -64,7 +60,8 @@ class WireChannel {
  private:
   template <typename Deliver>
   void send(const pisa::EmitRecord& rec, Deliver&& deliver) {
-    bytes_ = encode_report(rec);
+    bytes_.clear();
+    encode_report_into(rec, bytes_);
     const fault::WireOutcome out = injector_->apply_wire(bytes_, !held_.has_value());
     switch (out.kind) {
       case fault::WireOutcome::Kind::kDrop:

@@ -85,8 +85,6 @@ std::size_t available_cores() noexcept {
   return hw > 0 ? hw : 1;
 }
 
-const std::vector<int>& allowed_cores() noexcept { return cores_impl(); }
-
 int pin_thread_to_core(std::size_t worker_index) noexcept {
 #if defined(__linux__)
   const std::vector<int>& cores = cores_impl();

@@ -46,9 +46,6 @@ void force_scalar_for_test(bool force_scalar, bool reset_to_env = false);
 // unreadable. Never returns 0.
 [[nodiscard]] std::size_t available_cores() noexcept;
 
-// The allowed core ids, ascending (empty if unreadable).
-[[nodiscard]] const std::vector<int>& allowed_cores() noexcept;
-
 // Pin the calling thread to the worker_index-th allowed core (round-robin
 // over the affinity mask). Returns the core id on success, -1 on failure
 // or when pinning is pointless (a single allowed core already implies it).

@@ -236,6 +236,61 @@ TEST(Mitigation, DetectionsInstallDropRulesAndCutLoad) {
   }
 }
 
+// A switch quarantined in the window that first detects the victim
+// misses that close's drop rule. It must get the rule at the next close it
+// contributes to, even when the attack pauses and nothing re-detects the
+// victim.
+TEST(Mitigation, QuarantinedSwitchCatchesUpOnDropRules) {
+  const auto& sc = testing::make_scenario();
+  std::vector<query::Query> qs;
+  qs.push_back(queries::make_newly_opened_tcp(sc.thresholds, util::seconds(3)));
+  PlannerConfig cfg;
+  cfg.mode = PlanMode::kMaxDP;
+  const Plan plan = Planner(cfg).plan(qs, sc.trace);
+  const Fleet::MitigationPolicy policy{.qid = 1, .output_column = "dIP", .packet_field = "dIP"};
+
+  Fleet healthy(plan, 3, 2, 256);
+  healthy.enable_mitigation(policy);
+  const auto windows = healthy.run_trace(sc.trace);
+  std::size_t detect = 0;
+  while (detect < windows.size() &&
+         !detections_for(windows[detect], 1).contains(sc.syn_victim)) {
+    ++detect;
+  }
+  ASSERT_LT(detect + 1, windows.size());
+
+  fault::FaultSpec stall;
+  stall.stall_switch = 1;
+  stall.stall_from_window = detect;
+  stall.stall_windows = 1;
+  stall.watchdog_ms = 1000;  // generous: sanitizer builds drain slowly
+  Fleet fleet(plan, 3, 2, 256, stall);
+  fleet.enable_mitigation(policy);
+  const auto slices = trace::split_windows(sc.trace, plan.window);
+  for (std::size_t w = 0; w <= detect; ++w) {
+    const WindowStats ws = fleet.process_window(slices[w]);
+    if (w < detect) continue;
+    // The fixture: switch 1 is quarantined while the others detect.
+    EXPECT_EQ(ws.contribution_mask, 0b101u);
+    EXPECT_TRUE(detections_for(ws, 1).contains(sc.syn_victim));
+  }
+  EXPECT_EQ(fleet.data_plane(1).blocked_keys(), 0u);
+  EXPECT_GE(fleet.data_plane(0).blocked_keys(), 1u);
+
+  // The next window, stall over, without the victim's traffic.
+  std::vector<net::Packet> paused;
+  for (const net::Packet& p : slices[detect + 1]) {
+    if (p.dst_ip != sc.syn_victim) paused.push_back(p);
+  }
+  const WindowStats after = fleet.process_window(paused);
+  EXPECT_EQ(after.contribution_mask, 0b111u);
+  EXPECT_FALSE(detections_for(after, 1).contains(sc.syn_victim));
+  for (std::size_t i = 1; i < fleet.data_plane_count(); ++i) {
+    EXPECT_EQ(fleet.data_plane(i).blocked_keys(), fleet.data_plane(0).blocked_keys())
+        << "switch " << i;
+  }
+}
+
 TEST(Mitigation, GuardTableBudgetIsRespected) {
   const auto& sc = testing::make_scenario();
   std::vector<query::Query> qs;

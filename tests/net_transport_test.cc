@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "runtime/distributed.h"
 #include "runtime/fleet.h"
 #include "test_trace.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -458,9 +460,59 @@ namespace {
 
 namespace nt = net::transport;
 
+// Forwards to a real switch-node transport and digests, with FNV-1a, what
+// passes through it: every data frame sent (type, seq, payload), and the
+// first copy of each kWinners chunk received (a retransmitted bundle
+// repeats its chunks).
+class RecordingTransport final : public nt::ReportTransport {
+ public:
+  explicit RecordingTransport(std::unique_ptr<nt::ReportTransport> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string connect(int timeout_ms) override { return inner_->connect(timeout_ms); }
+  bool send(const nt::Frame& f) override {
+    if (nt::is_data_frame(f.type)) {
+      sent_ = digest(sent_, f);
+      ++data_frames_;
+    }
+    return inner_->send(f);
+  }
+  bool poll(nt::Frame& out, int timeout_ms) override {
+    if (!inner_->poll(out, timeout_ms)) return false;
+    if (out.type == nt::FrameType::kWinners && out.payload.size() >= 8) {
+      std::uint64_t window = 0;
+      for (int i = 0; i < 8; ++i) window = window << 8 | std::to_integer<std::uint64_t>(out.payload[i]);
+      if (winner_chunks_.insert({window, out.seq}).second) winners_ = digest(winners_, out);
+    }
+    return true;
+  }
+  const nt::TransportCounters& counters() const noexcept override { return inner_->counters(); }
+  nt::TransportKind kind() const noexcept override { return inner_->kind(); }
+
+  std::uint64_t sent_digest() const noexcept { return sent_; }
+  std::uint64_t winners_digest() const noexcept { return winners_; }
+  std::size_t data_frames() const noexcept { return data_frames_; }
+  std::size_t winner_chunks() const noexcept { return winner_chunks_.size(); }
+
+ private:
+  static std::uint64_t digest(std::uint64_t h, const nt::Frame& f) {
+    std::byte head[9] = {static_cast<std::byte>(f.type)};
+    for (int i = 0; i < 8; ++i) head[1 + i] = static_cast<std::byte>(f.seq >> (56 - 8 * i));
+    return util::fnv1a64(f.payload, util::fnv1a64(head, h));
+  }
+
+  std::unique_ptr<nt::ReportTransport> inner_;
+  std::uint64_t sent_ = 0xcbf29ce484222325ULL;
+  std::uint64_t winners_ = 0xcbf29ce484222325ULL;
+  std::size_t data_frames_ = 0;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> winner_chunks_;  // (window, seq)
+};
+
 // A collector plus two switch-node threads over a real shm transport must
 // reproduce the in-process Fleet's windows bit for bit: same detections,
 // same winner tables, same packet/tuple accounting, full contribution mask.
+// Obs is off, so records carry no clock stamps and every byte each node
+// sends and receives is fixed: the digests pin the wire format.
 TEST(DistributedE2E, ShmDeploymentIsBitIdenticalToFleet) {
   const testing::Scenario sc = testing::make_scenario(11, 120.0);
   const auto qs = queries::evaluation_queries(sc.thresholds, util::seconds(3));
@@ -495,6 +547,10 @@ TEST(DistributedE2E, ShmDeploymentIsBitIdenticalToFleet) {
       [&] { collector_err = collector.run([&](const WindowStats& ws) { got.push_back(ws); }); });
 
   std::string node_err[kNodes];
+  std::uint64_t sent_digest[kNodes] = {};
+  std::uint64_t winners_digest[kNodes] = {};
+  std::size_t data_frames[kNodes] = {};
+  std::size_t winner_chunks[kNodes] = {};
   std::vector<std::thread> node_threads;
   for (std::uint16_t n = 0; n < kNodes; ++n) {
     node_threads.emplace_back([&, n] {
@@ -505,8 +561,14 @@ TEST(DistributedE2E, ShmDeploymentIsBitIdenticalToFleet) {
         node_err[n] = transport.error();
         return;
       }
-      SwitchNode node(plan, ncfg, std::move(*transport));
+      auto recording = std::make_unique<RecordingTransport>(std::move(*transport));
+      const RecordingTransport& rec = *recording;
+      SwitchNode node(plan, ncfg, std::move(recording));
       node_err[n] = node.run(sc.trace);
+      sent_digest[n] = rec.sent_digest();
+      winners_digest[n] = rec.winners_digest();
+      data_frames[n] = rec.data_frames();
+      winner_chunks[n] = rec.winner_chunks();
     });
   }
   for (auto& t : node_threads) t.join();
@@ -535,10 +597,88 @@ TEST(DistributedE2E, ShmDeploymentIsBitIdenticalToFleet) {
   EXPECT_EQ(collector.stats().windows, ref.size());
   EXPECT_EQ(collector.stats().lost_frames, 0u);
 
+  // Recorded from the codec this test was written against; a change to any
+  // payload or frame byte moves them.
+  constexpr std::uint64_t kSentDigest[kNodes] = {0x778c6a01157c4ac6ULL, 0x247d1254840b0995ULL};
+  constexpr std::uint64_t kWinnersDigest = 0x723bda647f0cf046ULL;
+  for (std::uint16_t n = 0; n < kNodes; ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    EXPECT_EQ(data_frames[n], 134u);
+    EXPECT_EQ(sent_digest[n], kSentDigest[n]);
+    EXPECT_EQ(winner_chunks[n], 5u);
+    EXPECT_EQ(winners_digest[n], kWinnersDigest);
+  }
+
   for (std::uint16_t n = 0; n < kNodes; ++n) {
     ::unlink((prefix + ".n" + std::to_string(n) + ".up").c_str());
     ::unlink((prefix + ".n" + std::to_string(n) + ".down").c_str());
   }
+}
+
+// Per-record corruption and truncation inside kRecords frames over shm:
+// the collector's item reader meets mutated bytes end to end. Every role
+// still finishes, every window closes, and each failed decode traces back
+// to an injected fault (a truncated record never decodes; a bit flip may).
+TEST(DistributedE2E, ShmRecordFaultsAreCountedNotFatal) {
+  const testing::Scenario sc = testing::make_scenario(11, 120.0);
+  const auto qs = queries::evaluation_queries(sc.thresholds, util::seconds(3));
+  planner::PlannerConfig pcfg;
+  pcfg.mode = planner::PlanMode::kSonata;
+  pcfg.window = util::seconds(3);
+  const planner::Plan plan = planner::Planner(pcfg).plan(qs, sc.trace);
+
+  constexpr std::uint16_t kNodes = 2;
+  Fleet fleet(plan, 4);
+  const std::size_t fleet_windows = fleet.run_trace(sc.trace).size();
+
+  const std::string prefix = "/tmp/sonata_nt_faults." + std::to_string(::getpid());
+  const auto spec = nt::parse_endpoint("shm:" + prefix);
+  ASSERT_TRUE(spec.has_value());
+  DistributedConfig dcfg;
+  dcfg.switches = 4;
+  dcfg.nodes = kNodes;
+  auto ep = nt::make_collector_endpoint(*spec, kNodes);
+  ASSERT_TRUE(ep.has_value()) << ep.error();
+  Collector collector(plan, dcfg, std::move(*ep));
+  ASSERT_EQ(collector.listen(), "");
+  std::string collector_err;
+  std::thread collector_thread([&] { collector_err = collector.run({}); });
+
+  std::string node_err[kNodes];
+  SwitchNode::Stats node_stats[kNodes];
+  std::vector<std::thread> node_threads;
+  for (std::uint16_t n = 0; n < kNodes; ++n) {
+    node_threads.emplace_back([&, n] {
+      DistributedConfig ncfg = dcfg;
+      ncfg.node_index = n;
+      ncfg.faults.seed = 7;
+      ncfg.faults.corrupt_rate = 0.02;
+      ncfg.faults.truncate_rate = 0.01;
+      auto transport = nt::make_switch_transport(*spec, n);
+      if (!transport) {
+        node_err[n] = transport.error();
+        return;
+      }
+      SwitchNode node(plan, ncfg, std::move(*transport));
+      node_err[n] = node.run(sc.trace);
+      node_stats[n] = node.stats();
+    });
+  }
+  for (auto& t : node_threads) t.join();
+  collector_thread.join();
+  for (std::uint16_t n = 0; n < kNodes; ++n) {
+    ::unlink((prefix + ".n" + std::to_string(n) + ".up").c_str());
+    ::unlink((prefix + ".n" + std::to_string(n) + ".down").c_str());
+  }
+
+  EXPECT_EQ(collector_err, "");
+  for (std::uint16_t n = 0; n < kNodes; ++n) EXPECT_EQ(node_err[n], "") << "node " << n;
+  EXPECT_EQ(collector.stats().windows, fleet_windows);
+  const std::uint64_t corrupted = node_stats[0].corrupted + node_stats[1].corrupted;
+  const std::uint64_t truncated = node_stats[0].truncated + node_stats[1].truncated;
+  EXPECT_GT(corrupted + truncated, 0u);
+  EXPECT_LE(truncated, collector.stats().decode_failures);
+  EXPECT_LE(collector.stats().decode_failures, corrupted + truncated);
 }
 
 // A node that planned a different query set must be turned away at kHello
