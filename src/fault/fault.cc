@@ -27,6 +27,33 @@ bool parse_u64(std::string_view v, std::uint64_t& out) {
   return end && *end == '\0' && !s.empty();
 }
 
+// The wire's band table, in draw order: frame bands, then report bands.
+enum Band : std::size_t { kDropBand, kDupBand, kReorderBand, kCorruptBand, kTruncateBand, kBands };
+
+// One uniform over the bands [first, last), carved into cumulative bands,
+// so each frame or report suffers at most one fault and the decisions are
+// a pure function of the seed and the send order. `last` when the uniform
+// falls past them; no draw when they are all zero.
+std::size_t draw_band(util::Rng& rng, const FaultSpec& spec, std::size_t first, std::size_t last) {
+  const double rates[kBands] = {spec.drop_rate, spec.dup_rate, spec.reorder_rate,
+                                spec.corrupt_rate, spec.truncate_rate};
+  double total = 0.0;
+  for (std::size_t b = first; b < last; ++b) total += rates[b];
+  if (total <= 0.0) return last;
+  const double u = rng.uniform01();
+  double band = 0.0;
+  for (std::size_t b = first; b < last; ++b) {
+    band += rates[b];
+    if (u < band) return b;
+  }
+  return last;
+}
+
+void add(std::atomic<std::uint64_t>& count, obs::Counter* ctr, std::uint64_t n) noexcept {
+  count.fetch_add(n, std::memory_order_relaxed);
+  ctr->add(n);
+}
+
 }  // namespace
 
 std::string FaultSpec::to_string() const {
@@ -140,74 +167,56 @@ Injector::Injector(FaultSpec spec) : spec_(spec), rng_(spec.seed) {
   shed_packets_ctr_ = &reg.counter("sonata_fault_shed_packets_total");
 }
 
-WireOutcome Injector::apply_wire(std::vector<std::byte>& bytes, bool can_hold) {
-  // One uniform draw per record, carved into cumulative bands, so each
-  // record suffers at most one wire fault and the decision sequence is a
-  // pure function of the seed and the delivery order.
-  const double u = rng_.uniform01();
-  double band = spec_.drop_rate;
-  if (u < band) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    dropped_ctr_->add(1);
-    return {WireOutcome::Kind::kDrop, false};
-  }
-  band += spec_.dup_rate;
-  if (u < band) {
-    duplicated_.fetch_add(1, std::memory_order_relaxed);
-    duplicated_ctr_->add(1);
-    return {WireOutcome::Kind::kDuplicate, false};
-  }
-  band += spec_.corrupt_rate;
-  if (u < band && !bytes.empty()) {
-    bytes[rng_.uniform(bytes.size())] ^= static_cast<std::byte>(1u << rng_.uniform(8));
-    corrupted_.fetch_add(1, std::memory_order_relaxed);
-    corrupted_ctr_->add(1);
-    return {WireOutcome::Kind::kDeliver, true};
-  }
-  band += spec_.truncate_rate;
-  if (u < band && !bytes.empty()) {
-    bytes.resize(rng_.uniform(bytes.size()));
-    truncated_.fetch_add(1, std::memory_order_relaxed);
-    truncated_ctr_->add(1);
-    return {WireOutcome::Kind::kDeliver, true};
-  }
-  band += spec_.reorder_rate;
-  if (u < band && can_hold) {
-    reordered_.fetch_add(1, std::memory_order_relaxed);
-    reordered_ctr_->add(1);
-    return {WireOutcome::Kind::kHold, false};
-  }
-  return {WireOutcome::Kind::kDeliver, false};
+void Injector::count_band(std::size_t band) noexcept {
+  std::atomic<std::uint64_t>* const counts[kBands] = {&dropped_, &duplicated_, &reordered_,
+                                                      &corrupted_, &truncated_};
+  obs::Counter* const ctrs[kBands] = {dropped_ctr_, duplicated_ctr_, reordered_ctr_,
+                                      corrupted_ctr_, truncated_ctr_};
+  add(*counts[band], ctrs[band], 1);
 }
 
-void Injector::note_decode_failure() noexcept {
-  decode_failures_.fetch_add(1, std::memory_order_relaxed);
-  decode_failures_ctr_->add(1);
+FrameFate Injector::frame_fate(bool can_hold) {
+  const std::size_t band = draw_band(rng_, spec_, kDropBand, kCorruptBand);
+  if (band == kCorruptBand || (band == kReorderBand && !can_hold)) return FrameFate::kSend;
+  count_band(band);
+  return band == kDropBand ? FrameFate::kDrop
+         : band == kDupBand ? FrameFate::kDuplicate
+                            : FrameFate::kHold;
 }
 
-void Injector::note_corrupted_delivered() noexcept {
-  corrupted_delivered_.fetch_add(1, std::memory_order_relaxed);
-  corrupted_delivered_ctr_->add(1);
+bool Injector::mutate_report(std::vector<std::byte>& report) {
+  const std::size_t band =
+      report.empty() ? kBands : draw_band(rng_, spec_, kCorruptBand, kBands);
+  if (band == kCorruptBand) {
+    const std::size_t bit = rng_.uniform(report.size() * 8);
+    report[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  } else if (band == kTruncateBand) {
+    report.resize(rng_.uniform(report.size()));
+  } else {
+    return false;
+  }
+  count_band(band);
+  return true;
 }
 
-void Injector::note_slowdown() noexcept {
-  slowdowns_.fetch_add(1, std::memory_order_relaxed);
-  slowdowns_ctr_->add(1);
+void Injector::note_decode_failures(std::uint64_t reports) noexcept {
+  add(decode_failures_, decode_failures_ctr_, reports);
 }
 
-void Injector::note_watchdog_fire() noexcept {
-  watchdog_fires_.fetch_add(1, std::memory_order_relaxed);
-  watchdog_fires_ctr_->add(1);
+void Injector::note_corrupted_delivered(std::uint64_t reports) noexcept {
+  add(corrupted_delivered_, corrupted_delivered_ctr_, reports);
 }
+
+void Injector::note_slowdown() noexcept { add(slowdowns_, slowdowns_ctr_, 1); }
+
+void Injector::note_watchdog_fire() noexcept { add(watchdog_fires_, watchdog_fires_ctr_, 1); }
 
 void Injector::note_late(std::uint64_t packets) noexcept {
-  late_packets_.fetch_add(packets, std::memory_order_relaxed);
-  late_packets_ctr_->add(packets);
+  add(late_packets_, late_packets_ctr_, packets);
 }
 
 void Injector::note_shed(std::uint64_t packets) noexcept {
-  shed_packets_.fetch_add(packets, std::memory_order_relaxed);
-  shed_packets_ctr_->add(packets);
+  add(shed_packets_, shed_packets_ctr_, packets);
 }
 
 FaultAccount Injector::account() const noexcept {

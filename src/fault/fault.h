@@ -8,11 +8,11 @@
 // partial windows, auto-replan) are exercised by real end-to-end faults
 // instead of unit mocks:
 //
-//   - wire faults: mirrored reports are corrupted, truncated, dropped,
-//     duplicated or reordered between the switch's monitoring port and the
-//     stream processor (runtime::WireChannel round-trips every record
-//     through the report codec, so the decoder's bounds checks run on every
-//     mutated byte stream);
+//   - wire faults: report data frames are dropped, duplicated or
+//     reordered, and single encoded reports in them corrupted or truncated,
+//     on every driver's one wire (runtime::FrameSender, reassembly,
+//     runtime::read_data_frame), so the decoder's bounds checks run on
+//     every mutated byte stream;
 //   - worker faults: a fleet worker is slowed (slow_ns per drained run) or
 //     stalled outright for a window range, driving real SPSC-ring
 //     backpressure against the driver;
@@ -22,12 +22,12 @@
 //     the re-planning trigger.
 //
 // Everything is deterministic given the spec's seed: wire decisions are
-// drawn from one PRNG on the merge thread in delivery order, and
-// stall/slowdown schedules are pure functions of (switch, window). Every
-// injected fault is counted twice — in the Injector's own account and in
-// obs counters (sonata_fault_*_total, live while obs::enabled()) — so a
-// chaos run with obs on can assert that nothing was dropped silently
-// (bench/ext_chaos_soak invariant 3).
+// drawn from one PRNG on one thread in send order (the Fleet's driver, or a
+// switch node's one thread), and stall/slowdown schedules are pure
+// functions of (switch, window). Every injected fault is counted twice —
+// in the Injector's own account and in obs counters (sonata_fault_*_total,
+// live while obs::enabled()) — so a chaos run with obs on can assert that
+// nothing was dropped silently (bench/ext_chaos_soak invariant 3).
 #pragma once
 
 #include <atomic>
@@ -44,17 +44,18 @@
 namespace sonata::fault {
 
 // What to inject. Parsed from `--fault-spec k=v,...`; all fields default to
-// "no fault". Rates are per mirrored record; wire rates must sum to <= 1
-// (each record draws one uniform and suffers at most one wire fault).
+// "no fault". drop/dup/reorder are per data frame, corrupt/truncate per
+// encoded report; wire rates must sum to <= 1 (a frame, and a report, draws
+// one uniform and suffers at most one wire fault).
 struct FaultSpec {
   std::uint64_t seed = 1;  // drives every random fault decision
 
   // -- wire faults (switch -> stream processor report channel) ---------
-  double corrupt_rate = 0.0;   // flip one random bit of the encoded report
-  double truncate_rate = 0.0;  // cut the encoded report at a random offset
-  double drop_rate = 0.0;      // lose the report entirely
-  double dup_rate = 0.0;       // deliver the report twice
-  double reorder_rate = 0.0;   // delay the report past its successor
+  double corrupt_rate = 0.0;   // flip one random bit of an encoded report
+  double truncate_rate = 0.0;  // cut an encoded report at a random offset
+  double drop_rate = 0.0;      // lose a data frame entirely
+  double dup_rate = 0.0;       // send a data frame twice
+  double reorder_rate = 0.0;   // send a data frame after its successor
 
   // -- worker faults (fleet only) --------------------------------------
   std::uint64_t slow_ns = 0;         // sleep per drained run, on every thread that drains
@@ -97,24 +98,24 @@ struct FaultSpec {
 // Cumulative injected-fault counts, snapshot-able and subtractable so the
 // drivers can report a per-window delta in WindowStats::faults.
 struct FaultAccount {
-  // Wire faults (merge-thread writes).
+  // Wire faults (written by the one thread that sends).
   std::uint64_t corrupted = 0;            // reports with a flipped bit
-  std::uint64_t corrupted_delivered = 0;  // ...that still decoded (bad data in)
+  std::uint64_t corrupted_delivered = 0;  // mutated reports delivered that decode and route
   std::uint64_t truncated = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t reordered = 0;
-  std::uint64_t decode_failures = 0;  // corrupt/truncated reports the codec rejected
+  std::uint64_t dropped = 0;     // data frames lost
+  std::uint64_t duplicated = 0;  // data frames sent twice
+  std::uint64_t reordered = 0;   // data frames sent after their successor
+  std::uint64_t decode_failures = 0;  // reports that did not decode, or route nowhere
   // Worker faults and degradation (worker + driver writes).
   std::uint64_t slowdowns = 0;       // runs delayed by slow_ns
   std::uint64_t watchdog_fires = 0;  // shards quarantined at a window barrier
   std::uint64_t late_packets = 0;    // packets lost with a quarantined shard
   std::uint64_t shed_packets = 0;    // packets shed at ingest (ring full past budget)
 
-  // Faults that can change window output (slowdowns only cost time).
+  // Faults that can change window output. Slowdowns only cost time, and
+  // the receiver's reassembly repairs duplicated and reordered frames.
   [[nodiscard]] std::uint64_t output_affecting() const noexcept {
-    return corrupted + truncated + dropped + duplicated + reordered + watchdog_fires +
-           late_packets + shed_packets;
+    return corrupted + truncated + dropped + watchdog_fires + late_packets + shed_packets;
   }
   [[nodiscard]] std::uint64_t total() const noexcept { return output_affecting() + slowdowns; }
 
@@ -122,21 +123,17 @@ struct FaultAccount {
   friend bool operator==(const FaultAccount&, const FaultAccount&) = default;
 };
 
-// Outcome of pushing one encoded report through the faulty wire.
-struct WireOutcome {
-  enum class Kind : std::uint8_t {
-    kDeliver,    // pass the (possibly mutated) bytes to the decoder
-    kDrop,       // lost on the wire
-    kDuplicate,  // deliver twice
-    kHold,       // delay past the next record (reorder)
-  };
-  Kind kind = Kind::kDeliver;
-  bool mutated = false;  // bytes were corrupted or truncated
+// The fate of one data frame on the faulty wire.
+enum class FrameFate : std::uint8_t {
+  kSend,
+  kDrop,       // lost on the wire
+  kDuplicate,  // sent twice
+  kHold,       // sent after the next frame (reorder)
 };
 
 // The injector: owns the spec, the fault PRNG and the cumulative account.
-// Wire decisions must come from a single thread (the drivers' merge thread)
-// so they are deterministic in delivery order; the note_* hooks are
+// Wire decisions must come from a single thread (the one that sends the
+// frames) so they are deterministic in send order; the note_* hooks are
 // relaxed-atomic and safe from worker threads.
 class Injector {
  public:
@@ -144,10 +141,12 @@ class Injector {
 
   [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }
 
-  // Decide the fate of one encoded report, mutating `bytes` in place for
-  // corruption/truncation. `can_hold` is false while a previous record is
-  // still held for reordering (at most one in flight). Merge thread only.
-  WireOutcome apply_wire(std::vector<std::byte>& bytes, bool can_hold);
+  // The wire's two draws over one band table, each counting the fault it
+  // picks; sending thread only. A frame draws over drop/dup/reorder (no
+  // hold unless `can_hold`: one held frame at most), a report over
+  // corrupt/truncate, mutating it in place (true when it did).
+  FrameFate frame_fate(bool can_hold);
+  bool mutate_report(std::vector<std::byte>& report);
 
   // Is `switch_index`'s worker stalled during `window`? Pure function of
   // the spec; safe from any thread.
@@ -159,8 +158,8 @@ class Injector {
   }
 
   // Accounting hooks (each also bumps the matching obs counter).
-  void note_decode_failure() noexcept;
-  void note_corrupted_delivered() noexcept;
+  void note_decode_failures(std::uint64_t reports) noexcept;
+  void note_corrupted_delivered(std::uint64_t reports) noexcept;
   void note_slowdown() noexcept;
   void note_watchdog_fire() noexcept;
   void note_late(std::uint64_t packets) noexcept;
@@ -172,7 +171,9 @@ class Injector {
 
  private:
   FaultSpec spec_;
-  util::Rng rng_;  // merge-thread only
+  void count_band(std::size_t band) noexcept;  // one fault of a wire band
+
+  util::Rng rng_;  // sending thread only
 
   std::atomic<std::uint64_t> corrupted_{0};
   std::atomic<std::uint64_t> corrupted_delivered_{0};

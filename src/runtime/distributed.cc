@@ -40,22 +40,6 @@ constexpr int kBarrierTimeoutMs = 60000;
 constexpr int kCollectorPollMs = 100;
 constexpr int kCollectorIdleTimeoutMs = 120000;
 
-// Reads the items of a chunked payload (kRecords, kRaw, kPartial, and a
-// kWinners install's keys) after its header: a u32 count, then per item a
-// u64 value when `with_value` (kPartial), a u32 length and the item's
-// bytes. `item(value, bytes)` returns false to stop. False on a payload
-// that ends early or a stopped read.
-template <typename Fn>
-bool read_items(util::ByteReader& r, bool with_value, Fn&& item) {
-  const std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    const std::uint64_t value = with_value ? r.u64() : 0;
-    const auto bytes = r.bytes(r.u32());
-    if (!r.ok() || !item(value, bytes)) return false;
-  }
-  return r.ok();
-}
-
 // Milliseconds (>= 1) until `when`, for poll timeouts.
 int ms_until(steady_clock::time_point when) {
   const auto now = steady_clock::now();
@@ -77,69 +61,6 @@ void counter_add(const char* name, std::uint64_t current, std::uint64_t& publish
 
 }  // namespace
 
-// Writes one chunked payload stream: every frame's payload is the stream's
-// header, a u32 item count, then items, as many as fit `max_payload`. A
-// kPartial item leads with a u64 value; kRecords, kRaw and kPartial items
-// are u32-length-prefixed; a kWinners install is self-delimiting and goes
-// in as is. A full frame goes to `emit` as soon as the next item does not
-// fit it, and the last one at finish().
-class ChunkWriter {
- public:
-  using Emit = std::function<void(nt::Frame&&)>;
-
-  ChunkWriter(nt::FrameType type, std::vector<std::byte> header, std::size_t max_payload,
-              const char* what, Emit emit)
-      : type_(type),
-        header_(std::move(header)),
-        max_payload_(max_payload),
-        what_(what),
-        emit_(std::move(emit)) {}
-
-  // False, with error() set, when the item cannot fit even an empty frame:
-  // it would go out oversized (EMSGSIZE on UDP, a wedged shm ring).
-  [[nodiscard]] bool add(std::span<const std::byte> item, std::uint64_t value = 0) {
-    const std::size_t framing =
-        (type_ == nt::FrameType::kPartial ? 8 : 0) + (type_ == nt::FrameType::kWinners ? 0 : 4);
-    const std::size_t size = framing + item.size();
-    if (count_ > 0 && payload_.size() + size > max_payload_) finish();
-    if (count_ == 0) {
-      if (header_.size() + 4 + size > max_payload_) {
-        error_ = std::string("encoded ") + what_ + " exceeds the transport's max frame payload";
-        return false;
-      }
-      payload_ = header_;
-      util::put_u32(payload_, 0);
-    }
-    if (type_ == nt::FrameType::kPartial) util::put_u64(payload_, value);
-    if (type_ != nt::FrameType::kWinners) {
-      util::put_u32(payload_, static_cast<std::uint32_t>(item.size()));
-    }
-    payload_.insert(payload_.end(), item.begin(), item.end());
-    ++count_;
-    return true;
-  }
-
-  // Patch the open frame's count and emit it.
-  void finish() {
-    if (count_ == 0) return;
-    util::patch_u32(payload_, header_.size(), count_);
-    count_ = 0;
-    emit_({.type = type_, .payload = std::exchange(payload_, {})});
-  }
-
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
-
- private:
-  nt::FrameType type_;
-  std::vector<std::byte> header_;
-  std::size_t max_payload_;
-  const char* what_;
-  Emit emit_;
-  std::vector<std::byte> payload_;  // the open frame's
-  std::uint32_t count_ = 0;         // items in the open frame
-  std::string error_;
-};
-
 // ======================================================================
 // SwitchNode
 // ======================================================================
@@ -150,13 +71,18 @@ SwitchNode::SwitchNode(const planner::Plan& plan, DistributedConfig cfg,
       fingerprint_(plan.fingerprint()),
       cfg_(std::move(cfg)),
       transport_(std::move(transport)),
-      rng_(cfg_.faults.seed * 0x9e3779b97f4a7c15ull + cfg_.node_index + 1) {
+      injector_([&] {
+        // The node's own fault stream: the spec, seeded per node.
+        fault::FaultSpec spec = cfg_.faults;
+        spec.seed = spec.seed * 0x9e3779b97f4a7c15ull + cfg_.node_index + 1;
+        return spec;
+      }()),
+      sender_(cfg_.node_index, nt::max_frame_payload(transport_->kind()), injector_,
+              [this](const nt::Frame& f) { send_data(f); }) {
   assert(cfg_.nodes >= 1 && cfg_.node_index < cfg_.nodes);
   assert(cfg_.switches >= 1);
   cfg_.batch = std::max<std::size_t>(cfg_.batch, 1);
   const fault::FaultSpec& f = cfg_.faults;
-  frame_faults_ = f.drop_rate > 0 || f.dup_rate > 0 || f.reorder_rate > 0;
-  record_faults_ = f.corrupt_rate > 0 || f.truncate_rate > 0;
   // Owned shards: the fleet-wide numbering striped across nodes. Every
   // node compiles the identical per-shard switch program the in-process
   // Fleet would have installed (including the register-pressure faults).
@@ -203,7 +129,7 @@ std::string SwitchNode::handshake() {
   util::put_u64(hello.payload, fingerprint_);
   const auto deadline = steady_clock::now() + milliseconds(kConnectTimeoutMs);
   for (;;) {
-    if (!raw_send(hello)) return "transport send failed during handshake";
+    if (!transport_->send(hello)) return "transport send failed during handshake";
     nt::Frame in;
     if (transport_->poll(in, kHelloRetransmitMs) && in.type == nt::FrameType::kHelloAck) {
       util::ByteReader r(in.payload);
@@ -235,103 +161,32 @@ void SwitchNode::ingest(const net::Packet& packet) {
   if (shard.exec.stage(packet) >= cfg_.batch) shard.exec.flush();
 }
 
-bool SwitchNode::raw_send(const nt::Frame& f) { return transport_->send(f); }
-
-bool SwitchNode::send_data(nt::Frame f) {
-  // Every data frame consumes a sequence number FIRST — an injected drop
-  // leaves a real gap the collector's reassembly accounts exactly once.
-  f.seq = data_seq_++;
-  if (frame_faults_) {
-    const double u = rng_.uniform01();
-    double p = cfg_.faults.drop_rate;
-    if (u < p) {
-      ++stats_.tx_dropped;
-      return true;
-    }
-    p += cfg_.faults.dup_rate;
-    if (u < p) {
-      ++stats_.tx_duplicated;
-      return raw_send(f) && raw_send(f);
-    }
-    p += cfg_.faults.reorder_rate;
-    if (u < p && !held_) {
-      // Hold this frame past its successor; flush_held() bounds the delay
-      // to the window barrier.
-      ++stats_.tx_reordered;
-      held_ = std::move(f);
-      return true;
-    }
-  }
-  if (held_) {
-    const bool ok = raw_send(f) && raw_send(*held_);
-    held_.reset();
-    return ok;
-  }
-  return raw_send(f);
-}
-
-void SwitchNode::flush_held() {
-  if (!held_) return;
-  if (!raw_send(*held_)) note_send_failure("reorder-held data");
-  held_.reset();
-}
-
-void SwitchNode::note_send_failure(const char* frame_kind) {
-  SONATA_WARN("switch", "node %u: %s frame send failed",
-              static_cast<unsigned>(cfg_.node_index), frame_kind);
+void SwitchNode::send_data(const nt::Frame& f) {
+  if (transport_->send(f)) return;
+  SONATA_WARN("switch", "node %u: data frame send failed (frame type %u)",
+              static_cast<unsigned>(cfg_.node_index), static_cast<unsigned>(f.type));
   // On a datagram transport a failed send is indistinguishable from wire
   // loss and the collector's gap accounting covers it; in-order transports
   // never lose frames, so a failed send there is fatal for the window.
   if (transport_->kind() != nt::TransportKind::kUdp && send_err_.empty()) {
-    send_err_ = std::string("transport send failed (") + frame_kind + " frame)";
+    send_err_ = "transport send failed (data frame type " +
+                std::to_string(static_cast<unsigned>(f.type)) + ")";
   }
-}
-
-ChunkWriter SwitchNode::data_writer(nt::FrameType type, std::size_t shard, const char* what,
-                                    std::uint32_t pipeline) {
-  std::vector<std::byte> header;
-  util::put_u16(header, static_cast<std::uint16_t>(shard));
-  if (type == nt::FrameType::kPartial) util::put_u32(header, pipeline);
-  return ChunkWriter(type, std::move(header), nt::max_frame_payload(transport_->kind()), what,
-                     [this, what](nt::Frame&& f) {
-                       f.source = cfg_.node_index;
-                       if (!send_data(std::move(f))) note_send_failure(what);
-                     });
 }
 
 void SwitchNode::send_records(OwnedShard& shard) {
   if (!send_err_.empty()) return;
-  ChunkWriter out = data_writer(nt::FrameType::kRecords, shard.global, "record");
-  for (const pisa::EmitRecord& rec : shard.exec.records()) {
-    record_scratch_.clear();
-    encode_report_into(rec, record_scratch_);
-    if (record_faults_) {
-      // Per-record wire faults inside the frame, mirroring the in-process
-      // WireChannel: the record's length prefix stays consistent, so
-      // exactly this record fails (or mis-)decodes.
-      const double u = rng_.uniform01();
-      if (u < cfg_.faults.corrupt_rate) {
-        const std::size_t bit = rng_.uniform(record_scratch_.size() * 8);
-        record_scratch_[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-        ++stats_.corrupted;
-      } else if (u < cfg_.faults.corrupt_rate + cfg_.faults.truncate_rate &&
-                 record_scratch_.size() > 1) {
-        record_scratch_.resize(rng_.uniform(record_scratch_.size() - 1) + 1);
-        ++stats_.truncated;
-      }
-    }
-    if (!out.add(record_scratch_)) {
-      send_err_ = out.error();
-      return;
-    }
-    ++stats_.records_sent;
+  ChunkWriter out = sender_.writer(nt::FrameType::kRecords, shard.global, "record");
+  if (!sender_.send_records(out, shard.exec.records())) {
+    send_err_ = out.error();
+    return;
   }
-  out.finish();
+  stats_.records_sent += shard.exec.records().size();
 }
 
 void SwitchNode::send_raw(OwnedShard& shard) {
   if (!send_err_.empty()) return;
-  ChunkWriter out = data_writer(nt::FrameType::kRaw, shard.global, "raw tuple");
+  ChunkWriter out = sender_.writer(nt::FrameType::kRaw, shard.global, "raw tuple");
   for (const Tuple& raw : shard.exec.raw_sources()) {
     record_scratch_.clear();
     encode_tuple(raw, record_scratch_);
@@ -347,8 +202,8 @@ void SwitchNode::send_raw(OwnedShard& shard) {
 void SwitchNode::send_partials(const OwnedShard& shard, std::size_t pipeline,
                                const pisa::PolledBlock& block) {
   if (!send_err_.empty()) return;
-  ChunkWriter out = data_writer(nt::FrameType::kPartial, shard.global, "partial entry",
-                                static_cast<std::uint32_t>(pipeline));
+  ChunkWriter out = sender_.writer(nt::FrameType::kPartial, shard.global, "partial entry",
+                                   static_cast<std::uint32_t>(pipeline));
   for (std::size_t i = 0; i < block.size(); ++i) {
     record_scratch_.clear();
     encode_polled_key(block, i, record_scratch_);
@@ -383,7 +238,7 @@ std::string SwitchNode::close_window(std::uint64_t window, bool final) {
     shard.packets = 0;
     shard.exec.clear();
   }
-  flush_held();
+  sender_.flush();
   if (!send_err_.empty()) {
     std::string err = std::move(send_err_);
     send_err_.clear();
@@ -392,14 +247,14 @@ std::string SwitchNode::close_window(std::uint64_t window, bool final) {
   nt::Frame end;
   end.type = nt::FrameType::kWindowEnd;
   end.source = cfg_.node_index;
-  end.seq = data_seq_;  // next data seq: finalizes the collector's gap accounting
+  end.seq = sender_.next_seq();  // finalizes the collector's gap accounting
   util::put_u64(end.payload, window);
   util::put_u64(end.payload, packets);
   util::put_u64(end.payload, tuples);
   util::put_u64(end.payload, raw);
-  util::put_u64(end.payload, stats_.tx_dropped);  // cumulative, for the loss-accounting gate
+  util::put_u64(end.payload, injector_.account().dropped);  // cumulative, for the loss gate
   util::put_u8(end.payload, final ? 1 : 0);
-  if (!raw_send(end)) return "transport send failed at the window barrier";
+  if (!transport_->send(end)) return "transport send failed at the window barrier";
   const std::string err = await_feedback(window, end);
   if (!err.empty()) return err;
   ++stats_.windows;
@@ -438,7 +293,7 @@ std::string SwitchNode::await_feedback(std::uint64_t window, const nt::Frame& en
       // kHelloAck / stale-window frames: ignore.
     } else if (steady_clock::now() >= next_retx) {
       // Stop-and-wait: either our kWindowEnd or the feedback got lost.
-      raw_send(end);
+      transport_->send(end);
       next_retx = steady_clock::now() + milliseconds(kEndRetransmitMs);
     }
   }
@@ -473,12 +328,7 @@ void SwitchNode::publish_obs() {
   counter_add("sonata_net_tx_bytes_total", tc.tx_bytes, tc_pub_.tx_bytes);
   counter_add("sonata_net_rx_frames_total", tc.rx_frames, tc_pub_.rx_frames);
   counter_add("sonata_net_rx_bytes_total", tc.rx_bytes, tc_pub_.rx_bytes);
-  counter_add("sonata_net_tx_dropped_total", stats_.tx_dropped, obs_pub_.tx_dropped);
-  counter_add("sonata_net_tx_duplicated_total", stats_.tx_duplicated, obs_pub_.tx_duplicated);
-  counter_add("sonata_net_tx_reordered_total", stats_.tx_reordered, obs_pub_.tx_reordered);
   counter_add("sonata_net_records_sent_total", stats_.records_sent, obs_pub_.records_sent);
-  counter_add("sonata_net_corrupted_total", stats_.corrupted, obs_pub_.corrupted);
-  counter_add("sonata_net_truncated_total", stats_.truncated, obs_pub_.truncated);
 }
 
 // ======================================================================
@@ -605,36 +455,8 @@ std::string Collector::handle(nt::Frame& f) {
     }
     case nt::FrameType::kRecords:
     case nt::FrameType::kRaw:
-    case nt::FrameType::kPartial: {
-      util::ByteReader r(f.payload);
-      const std::uint16_t shard = r.u16();
-      const bool partial = f.type == nt::FrameType::kPartial;
-      const std::uint32_t pipeline = partial ? r.u32() : 0;
-      const bool ok =
-          r.ok() && shard < cfg_.switches && shard % cfg_.nodes == f.source &&
-          (!partial || pipeline < ref_pipelines_.size()) &&
-          read_items(r, partial, [&](std::uint64_t value, std::span<const std::byte> bytes) {
-            // An item that does not decode (for a partial, not to the
-            // pipeline's key layout) is counted and dropped — the same
-            // boundary behaviour as the in-process WireChannel.
-            ShardBuffer& sb = shards_[shard];
-            if (f.type == nt::FrameType::kRecords) {
-              auto rec = decode_report(bytes);
-              if (rec) sb.records.push_back(std::move(*rec));
-              ++(rec ? stats_.records : stats_.decode_failures);
-            } else if (f.type == nt::FrameType::kRaw) {
-              auto t = decode_tuple(bytes);
-              if (t) sb.raws.push_back(std::move(*t));
-              ++(t ? stats_.raw_tuples : stats_.decode_failures);
-            } else {
-              auto t = decode_tuple(bytes);
-              const bool appended = t && sb.polls[pipeline].append(*t, value);
-              ++(appended ? stats_.partial_entries : stats_.decode_failures);
-            }
-            return true;
-          });
-      return ok ? "" : "malformed data frame";
-    }
+    case nt::FrameType::kPartial:
+      return read_data_frame(f, cfg_.nodes, shards_, stats_) ? "" : "malformed data frame";
     case nt::FrameType::kWindowEnd: {
       util::ByteReader r(f.payload);
       const std::uint64_t w = r.u64();
@@ -706,8 +528,9 @@ std::string Collector::close_current(const WindowFn& on_window) {
         winner_chunks_.push_back(std::move(chunk));
       });
   sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
-  sp_->close_window(ws, outputs_, ref_pipelines_, {}, pool_.slots(),
-                    [this](std::size_t count, const util::Task& task) { pool_.run(count, task); });
+  stats_.decode_failures += sp_->close_window(
+      ws, outputs_, ref_pipelines_, {}, pool_.slots(),
+      [this](std::size_t count, const util::Task& task) { pool_.run(count, task); });
   winners_->finish();
   for (auto& sb : shards_) {
     sb.records.clear();

@@ -37,15 +37,15 @@
 // number, the collector's reassembly window counts every gap exactly once
 // at the kWindowEnd flush, and a window that lost frames closes partial
 // with the losing node's shard bits cleared from contribution_mask —
-// PR 5's partial-window machinery, now fed by a real wire. Counters
-// surface as sonata_net_{lost,reordered,resynced,duplicates}_total.
+// the partial-window machinery, fed by a real wire. Counters surface as
+// sonata_net_{lost,reordered,resynced,duplicates}_total; a node's injected
+// faults as sonata_fault_*_total.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -56,11 +56,11 @@
 #include "net/transport/transport.h"
 #include "planner/planner.h"
 #include "runtime/plan_install.h"
+#include "runtime/report.h"
 #include "runtime/shard_exec.h"
 #include "runtime/stream_processor.h"
 #include "util/task_pool.h"
 #include "runtime/window_merge.h"
-#include "util/rng.h"
 
 namespace sonata::runtime {
 
@@ -68,20 +68,17 @@ namespace sonata::runtime {
 // 2: kHello and kHelloAck carry Plan::fingerprint().
 inline constexpr std::uint16_t kDistributedProto = 2;
 
-// Writes one chunked payload stream (distributed.cc).
-class ChunkWriter;
-
 struct DistributedConfig {
   std::size_t switches = 2;      // total data-plane shards across all nodes (<= kMaxSwitches)
   std::uint16_t nodes = 1;       // switch-node process count
   std::uint16_t node_index = 0;  // this process's index (switch role only)
   std::size_t batch = 256;       // data-path handoff granularity
-  // Frame-level fault injection (switch role): drop/dup/reorder act on
-  // whole data frames (a dropped frame consumes its sequence number, so
-  // the collector's gap accounting counts it exactly once);
-  // corrupt/truncate mutate one encoded record inside a kRecords payload,
-  // mirroring the in-process WireChannel's per-record semantics.
-  // register_shrink/hash_seed apply to the node's pipeline build.
+  // Wire faults (switch role), drawn by the node's FrameSender from its
+  // own fault::Injector, seeded per node: drop/dup/reorder act on whole
+  // data frames (a dropped frame consumes its sequence number, so the
+  // collector's gap accounting counts it exactly once), corrupt/truncate on
+  // one encoded record inside a kRecords payload — the wire model of every
+  // driver. register_shrink/hash_seed apply to the node's pipeline build.
   fault::FaultSpec faults;
 };
 
@@ -98,11 +95,6 @@ class SwitchNode {
     std::uint64_t raw_sent = 0;       // raw-mirror tuples shipped
     std::uint64_t partial_entries_sent = 0;
     std::uint64_t winner_installs = 0;
-    std::uint64_t tx_dropped = 0;     // injected frame drops
-    std::uint64_t tx_duplicated = 0;
-    std::uint64_t tx_reordered = 0;
-    std::uint64_t corrupted = 0;      // injected record corruptions
-    std::uint64_t truncated = 0;
   };
 
   // `plan` must outlive the node (the caller owns the PlannedSetup).
@@ -117,6 +109,8 @@ class SwitchNode {
   [[nodiscard]] std::string run(std::span<const net::Packet> trace);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  // The wire faults this node injected.
+  [[nodiscard]] fault::FaultAccount faults() const noexcept { return injector_.account(); }
   [[nodiscard]] const net::transport::TransportCounters& transport_counters() const noexcept;
 
  private:
@@ -131,24 +125,15 @@ class SwitchNode {
   [[nodiscard]] std::string handshake();
   void ingest(const net::Packet& packet);
   [[nodiscard]] std::string close_window(std::uint64_t window, bool final);
-  // Chunked data frames of `shard` (and, for kPartial, `pipeline`) for
-  // send_data; `what` names an item in errors.
-  [[nodiscard]] ChunkWriter data_writer(net::transport::FrameType type, std::size_t shard,
-                                        const char* what, std::uint32_t pipeline = 0);
   void send_records(OwnedShard& shard);
   void send_raw(OwnedShard& shard);
   // One pipeline's polled register block, as kPartial frames.
   void send_partials(const OwnedShard& shard, std::size_t pipeline,
                      const pisa::PolledBlock& block);
-  // Records a failed data send: always warns; fatal (sticky in send_err_,
-  // surfaced by close_window) on in-order transports, where a send failure
-  // is never recoverable loss.
-  void note_send_failure(const char* frame_kind);
-  // Sequence-numbered send with frame-level fault injection; a dropped
-  // frame still consumes its sequence number.
-  bool send_data(net::transport::Frame f);
-  bool raw_send(const net::transport::Frame& f);
-  void flush_held();
+  // The sender's wire: a failed data send always warns, and is fatal
+  // (sticky in send_err_, surfaced by close_window) on in-order transports,
+  // where a send failure is never recoverable loss.
+  void send_data(const net::transport::Frame& f);
   [[nodiscard]] std::string await_feedback(std::uint64_t window,
                                            const net::transport::Frame& end);
   void publish_obs();
@@ -158,11 +143,8 @@ class SwitchNode {
   DistributedConfig cfg_;
   std::unique_ptr<net::transport::ReportTransport> transport_;
   std::vector<std::unique_ptr<OwnedShard>> shards_;  // ascending global index
-  std::uint64_t data_seq_ = 0;
-  std::optional<net::transport::Frame> held_;  // reorder-injected frame
-  util::Rng rng_;
-  bool frame_faults_ = false;
-  bool record_faults_ = false;
+  fault::Injector injector_;  // this node's wire faults
+  FrameSender sender_;        // numbers data frames and draws their faults
   // First fatal error from the window's send phase (oversized entry, or a
   // failed send on an in-order transport); close_window surfaces it.
   std::string send_err_;
@@ -176,12 +158,9 @@ class SwitchNode {
 // The control-plane half: one StreamProcessor fed by every node's frames.
 class Collector {
  public:
-  struct Stats {
+  // FrameItems' decode_failures also counts records that route nowhere.
+  struct Stats : FrameItems {
     std::uint64_t windows = 0;
-    std::uint64_t records = 0;         // EmitRecords decoded and delivered
-    std::uint64_t raw_tuples = 0;
-    std::uint64_t partial_entries = 0;
-    std::uint64_t decode_failures = 0; // records/tuples that failed to decode
     std::uint64_t peer_dropped = 0;    // switch-reported injected frame drops
     std::uint64_t lost_frames = 0;     // reassembly gap accounting (all sources)
   };
@@ -221,12 +200,6 @@ class Collector {
     std::vector<net::transport::Frame> feedback;
     std::uint64_t feedback_window = ~0ull;
   };
-  struct ShardBuffer {
-    std::vector<pisa::EmitRecord> records;
-    std::vector<query::Tuple> raws;
-    std::vector<pisa::PolledBlock> polls;  // per pipeline, decoded kPartial keys
-  };
-
   [[nodiscard]] std::string handle(net::transport::Frame& f);
   [[nodiscard]] std::string close_current(const WindowFn& on_window);
   // The winner sink: appends an install to this window's kWinners chunks.
@@ -246,7 +219,7 @@ class Collector {
   // register-pressure fault options: sizing never affects metadata.
   std::vector<std::unique_ptr<pisa::CompiledSwitchQuery>> ref_pipelines_;
   std::vector<NodeState> nodes_;
-  std::vector<ShardBuffer> shards_;  // indexed by global shard
+  std::vector<ShardFrames> shards_;  // indexed by global shard
   std::vector<ShardOutput> outputs_;  // the close's input, reused
   // This window's kWinners chunks, encoded once and copied to every node.
   std::vector<net::transport::Frame> winner_chunks_;

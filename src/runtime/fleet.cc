@@ -15,6 +15,8 @@
 
 namespace sonata::runtime {
 
+namespace nt = net::transport;
+
 Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_threads,
              std::size_t batch_size, fault::FaultSpec faults, bool pin_workers)
     : plan_(std::move(plan)),
@@ -30,7 +32,15 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
   // (parse_fault_spec rejects this; assert for programmatic specs).
   assert(faults.stall_windows == 0 || faults.watchdog_ms > 0);
   if (faults.any()) injector_ = std::make_unique<fault::Injector>(faults);
-  if (injector_ && faults.wire_active()) wire_ = std::make_unique<WireChannel>(*injector_);
+  if (faults.wire_active()) {
+    for (std::size_t i = 0; i < switch_count; ++i) {
+      senders_.emplace_back(
+          static_cast<std::uint16_t>(i), nt::max_frame_payload(nt::TransportKind::kShm),
+          *injector_, [this](const nt::Frame& f) { reassembly_.push(f, delivered_); });
+    }
+    received_.resize(switch_count);
+    lost_frames_ctr_ = &obs::Registry::global().counter("sonata_net_lost_total");
+  }
   quarantined_.assign(switch_count, 0);
 
   auto& reg = obs::Registry::global();
@@ -250,6 +260,33 @@ void Fleet::shed_packet(Shard& /*shard*/) {
   injector_->note_shed(1);
 }
 
+std::uint64_t Fleet::send_over_wire(FrameItems& items) {
+  std::uint64_t mutated = 0;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    received_[i].records.clear();
+    if (quarantined_[i]) continue;
+    FrameSender& sender = senders_[i];
+    const std::uint64_t mutated_before = sender.mutated_sent();
+    delivered_.clear();
+    ChunkWriter out = sender.writer(nt::FrameType::kRecords, i, "record");
+    if (!sender.send_records(out, shards_[i]->exec.records())) {
+      SONATA_WARN("fleet", "switch %zu: %s", i, out.error().c_str());
+    }
+    sender.flush();
+    const std::uint64_t lost =
+        reassembly_.flush_to(static_cast<std::uint16_t>(i), sender.next_seq(), delivered_);
+    // Faults never touch a frame's header, so every frame reads.
+    for (const nt::Frame& f : delivered_) (void)read_data_frame(f, size(), received_, items);
+    mutated += sender.mutated_sent() - mutated_before;
+    if (lost > 0) {
+      lost_frames_ctr_->add(lost);
+      current_.contribution_mask &= ~(1ull << i);
+      current_.partial = true;
+    }
+  }
+  return mutated;
+}
+
 void Fleet::ingest_at(std::size_t switch_index, const net::Packet& packet) {
   ++current_.packets;
   Shard& shard = *shards_.at(switch_index);
@@ -395,6 +432,8 @@ WindowStats Fleet::do_close_window() {
   // during the barrier/close (quarantine, sketch bounds) carry it; the
   // final increment below assigns the same value.
   current_.window_index = window_counter_;
+  FrameItems wire_items;
+  std::uint64_t mutated = 0;  // mutated reports the wire delivered
   {
     obs::PhaseTimer merge_timer{driver_phases_, obs::Phase::kMerge};
 
@@ -405,24 +444,8 @@ WindowStats Fleet::do_close_window() {
     //    resync, never merged).
     drain_barrier();
 
-    // 1. With wire faults configured every mirrored record round-trips the
-    //    report codec through the faulty channel on this thread, in
-    //    delivery order (ascending switch, arrival order), so the wire's
-    //    decisions are drawn deterministically before any task runs; the
-    //    SP's route check answers each at once, as a serial delivery would.
-    if (wire_) {
-      const auto deliver = [&](pisa::EmitRecord&& rec) {
-        const bool routes = sp_->accepts(rec);
-        wired_.push_back(std::move(rec));
-        return routes;
-      };
-      wired_.clear();
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (quarantined_[i]) continue;
-        for (const pisa::EmitRecord& rec : shards_[i]->exec.records()) wire_->transmit(rec, deliver);
-      }
-      wire_->flush(deliver);  // release a still-held (reordered) record
-    }
+    // 1. The faulty wire draws its decisions here, before any task runs.
+    if (!senders_.empty()) mutated = send_over_wire(wire_items);
   }
   // The barrier made every worker's phase clock visible (the same
   // release/acquire pair that publishes the emit arenas); fold the
@@ -465,15 +488,14 @@ WindowStats Fleet::do_close_window() {
   //    acceptable degradation, its next window runs one refinement step
   //    behind). A quarantined switch is consumer-owned, so the program comes
   //    from the first healthy one (every switch runs the identical program).
-  //    Off the faulty wire, the records arrive as one stream after the
-  //    shards' raw tuples: every executor source sees them in wire order.
-  //    A quarantined shard's guard-table drops count in its next healthy
-  //    window.
+  //    Under wire faults a shard's records are the ones read back off its
+  //    frames. A quarantined shard's guard-table drops count in its next
+  //    healthy window.
   outputs_.clear();
   std::vector<pisa::Switch*> switches;
   for (Shard* s : healthy_) {
     outputs_.push_back(s->exec.output());
-    if (wire_) outputs_.back().records = {};
+    if (!senders_.empty()) outputs_.back().records = received_[s->index].records;
     switches.push_back(&s->exec.sw());
     current_.tuples_to_sp += s->exec.tuples_to_sp();
     current_.raw_mirror_packets += s->exec.raw_mirror_packets();
@@ -481,9 +503,8 @@ WindowStats Fleet::do_close_window() {
     current_.dropped_packets += dropped - s->dropped_mark;
     s->dropped_mark = dropped;
   }
-  if (wire_) outputs_.push_back({wired_, {}, nullptr});
   sp_->begin_delivery(obs::enabled() ? obs::now_ns() : 0);
-  sp_->close_window(current_, outputs_,
+  const std::uint64_t unrouted = sp_->close_window(current_, outputs_,
                     healthy_.empty() ? std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>>{}
                                      : healthy_.front()->exec.sw().pipelines(),
                     switches, pool_.slots(),
@@ -513,9 +534,15 @@ WindowStats Fleet::do_close_window() {
   current_.phases = to_breakdown(driver_phases_);
   driver_phases_.reset();
 
-  // 5. Fault accounting: attribute this window's slice of the injector's
-  //    cumulative counters, and re-arm shedding for the next window.
+  // 5. Fault accounting: a report that did not decode or routes nowhere
+  //    is a decode failure, and every other mutated report the wire
+  //    delivered went in as bad data. Then attribute this window's slice of
+  //    the injector's cumulative counters, and re-arm shedding for the next
+  //    window.
   if (injector_) {
+    const std::uint64_t failures = wire_items.decode_failures + unrouted;
+    injector_->note_decode_failures(failures);
+    injector_->note_corrupted_delivered(mutated - std::min(mutated, failures));
     const fault::FaultAccount cumulative = injector_->account();
     current_.faults = cumulative - last_account_;
     last_account_ = cumulative;

@@ -42,16 +42,16 @@
 // path one packet at a time.
 //
 // Fault injection & graceful degradation (DESIGN.md "Fault model &
-// degradation"). With a FaultSpec configured the fleet can corrupt the
-// report wire (merged records round-trip the report codec through a
-// WireChannel), slow or stall workers, and — when a per-window watchdog
+// degradation"). With a FaultSpec configured the fleet can fault the
+// report wire, slow or stall workers, and — when a per-window watchdog
 // budget is set — survive a stalled shard: the barrier times out, the
 // shard is quarantined for the window (its contribution skipped, its bit
 // cleared in WindowStats::contribution_mask, its packets counted late),
 // and the merge completes partial. The quarantined shard later re-syncs:
 // its next claim holder discards the condemned ring contents, clears its
 // emit arena, and resets its switch registers, so the next window starts
-// from clean state.
+// from clean state. The faulty wire is the distributed deployment's data
+// frames (Fleet::send_over_wire).
 // Ingest sheds packets (counted) instead of spinning once a ring stays
 // full past the watchdog budget. With no spec configured every hook is a
 // single null check — the fault path costs nothing when disabled.
@@ -61,6 +61,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -68,15 +69,16 @@
 
 #include "fault/fault.h"
 #include "net/packet.h"
+#include "net/transport/transport.h"
 #include "pisa/switch.h"
 #include "planner/planner.h"
 #include "runtime/engine.h"
+#include "runtime/report.h"
 #include "runtime/shard_exec.h"
 #include "runtime/spsc_queue.h"
 #include "runtime/stream_processor.h"
 #include "util/task_pool.h"
 #include "runtime/window_merge.h"
-#include "runtime/wire_channel.h"
 
 namespace sonata::runtime {
 
@@ -225,6 +227,11 @@ class Fleet : public TelemetryEngine {
   [[nodiscard]] bool stalled(const Shard& shard) const noexcept;
   // Account one packet shed at ingest (ring full past the watchdog budget).
   void shed_packet(Shard& shard);
+  // The faulty wire, on the driver in ascending shard order: each healthy
+  // shard's records go out through its sender into the reassembly and are
+  // read back into received_; a shard that lost a frame leaves the
+  // contribution mask. Returns the mutated reports delivered.
+  std::uint64_t send_over_wire(FrameItems& items);
 
   planner::Plan plan_;
   // unique_ptr (not a value) so a control-plane swap can rebuild it; sp_
@@ -235,7 +242,13 @@ class Fleet : public TelemetryEngine {
   // Fault injection (null/empty when no spec is configured — every hook on
   // the hot path is then one pointer test).
   std::unique_ptr<fault::Injector> injector_;
-  std::unique_ptr<WireChannel> wire_;
+  // The faulty wire (empty unless wire faults are configured), driver-only;
+  // shard i's sender is frame source i.
+  std::deque<FrameSender> senders_;
+  std::vector<ShardFrames> received_;
+  net::transport::Reassembly reassembly_;
+  std::vector<net::transport::Frame> delivered_;  // reassembly output, reused
+  obs::Counter* lost_frames_ctr_ = nullptr;
   fault::FaultAccount last_account_;        // driver-only, for per-window deltas
   std::vector<std::uint8_t> quarantined_;   // driver-only, reset every window
 
@@ -243,7 +256,6 @@ class Fleet : public TelemetryEngine {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Shard*> healthy_;            // driver-only: this close's shards, reused
   std::vector<ShardOutput> outputs_;       // driver-only: the close's input, reused
-  std::vector<pisa::EmitRecord> wired_;    // driver-only: records off the faulty wire
   util::TaskPool pool_;  // the close's tasks: the driver, and workers on every pass
   alignas(64) std::atomic<bool> stop_{false};
 

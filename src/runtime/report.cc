@@ -138,4 +138,91 @@ std::optional<pisa::EmitRecord> decode_report(std::span<const std::byte> data) {
   return record;
 }
 
+namespace nt = net::transport;
+
+FrameSender::FrameSender(std::uint16_t source, std::size_t max_payload,
+                         fault::Injector& injector, Send send)
+    : source_(source), max_payload_(max_payload), injector_(&injector), send_(std::move(send)) {}
+
+ChunkWriter FrameSender::writer(nt::FrameType type, std::size_t shard, const char* what,
+                                std::uint32_t pipeline) {
+  std::vector<std::byte> header;
+  util::put_u16(header, static_cast<std::uint16_t>(shard));
+  if (type == nt::FrameType::kPartial) util::put_u32(header, pipeline);
+  return ChunkWriter(type, std::move(header), max_payload_, what,
+                     [this](nt::Frame&& f) { send(std::move(f)); });
+}
+
+bool FrameSender::send_records(ChunkWriter& out, std::span<const pisa::EmitRecord> records) {
+  for (const pisa::EmitRecord& rec : records) {
+    report_.clear();
+    encode_report_into(rec, report_);
+    // A report fault mutates one report inside the frame; its length
+    // prefix stays consistent, so exactly this report fails (or
+    // mis-)decodes.
+    const bool mutated = injector_->mutate_report(report_);
+    if (!out.add(report_)) return false;
+    // Counted after add(): a frame that add() emitted holds none of this
+    // report.
+    mutated_open_ += mutated ? 1 : 0;
+  }
+  out.finish();
+  return true;
+}
+
+void FrameSender::send(nt::Frame f) {
+  f.source = source_;
+  f.seq = seq_++;
+  const std::uint64_t mutated = std::exchange(mutated_open_, 0);
+  switch (injector_->frame_fate(!held_.has_value())) {
+    case fault::FrameFate::kDrop:
+      return;
+    case fault::FrameFate::kDuplicate:
+      send_(f);
+      break;
+    case fault::FrameFate::kHold:
+      mutated_sent_ += mutated;
+      held_ = std::move(f);
+      return;
+    case fault::FrameFate::kSend:
+      break;
+  }
+  mutated_sent_ += mutated;
+  send_(f);
+  flush();
+}
+
+void FrameSender::flush() {
+  if (!held_) return;
+  send_(*held_);
+  held_.reset();
+}
+
+bool read_data_frame(const nt::Frame& f, std::size_t sources, std::span<ShardFrames> shards,
+                     FrameItems& items) {
+  util::ByteReader r(f.payload);
+  const std::uint16_t shard = r.u16();
+  const bool partial = f.type == nt::FrameType::kPartial;
+  const std::uint32_t pipeline = partial ? r.u32() : 0;
+  if (!r.ok() || shard >= shards.size() || shard % sources != f.source) return false;
+  ShardFrames& sf = shards[shard];
+  if (partial && pipeline >= sf.polls.size()) return false;
+  return read_items(r, partial, [&](std::uint64_t value, std::span<const std::byte> bytes) {
+    if (f.type == nt::FrameType::kRecords) {
+      auto rec = decode_report(bytes);
+      if (rec) sf.records.push_back(std::move(*rec));
+      ++(rec ? items.records : items.decode_failures);
+    } else if (f.type == nt::FrameType::kRaw) {
+      auto t = decode_tuple(bytes);
+      if (t) sf.raws.push_back(std::move(*t));
+      ++(t ? items.raw_tuples : items.decode_failures);
+    } else {
+      auto t = decode_tuple(bytes);
+      const bool appended = t && sf.polls[pipeline].append(*t, value);
+      ++(appended ? items.partial_entries : items.decode_failures);
+    }
+    return true;
+  });
+}
+
 }  // namespace sonata::runtime

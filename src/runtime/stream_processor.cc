@@ -141,11 +141,6 @@ stream::QueryExecutor& StreamProcessor::executor(query::QueryId qid, int level) 
   return *le->exec;
 }
 
-bool StreamProcessor::accepts(const pisa::EmitRecord& rec) const noexcept {
-  return rec.kind == pisa::EmitRecord::Kind::kKeyReport ||
-         remap_source(rec.qid, rec.level, rec.source_index) >= 0;
-}
-
 bool StreamProcessor::deliver(pisa::EmitRecord&& rec) {
   const std::uint32_t qi = query_index(rec.qid);
   if (qi != kNoQuery) return deliver_to(qi, std::move(rec));
@@ -217,22 +212,30 @@ void StreamProcessor::ingest_merged(const pisa::CompiledSwitchQuery& pipe, std::
                           merged.values(), [&](std::size_t e) { return merged.take_key(e); });
 }
 
-void StreamProcessor::close_window(
+std::uint64_t StreamProcessor::close_window(
     WindowStats& window, std::span<const ShardOutput> shards,
     std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
     std::span<pisa::Switch* const> switches, std::size_t slots, const util::TaskRunner& run) {
   if (task_merges_.size() < slots) task_merges_.resize(slots);
-  if (routed_.size() < shards.size()) routed_.resize(shards.size());
+  if (routed_.size() < shards.size()) {
+    routed_.resize(shards.size());
+    unrouted_.resize(shards.size());
+  }
   // Two rounds of tasks: one routes each shard's records to their queries,
   // the next closes each query, the longest last window first.
   const util::Task route = [&](std::size_t s, std::size_t) {
     auto& lists = routed_[s];
     lists.resize(queries_.size());
     for (auto& list : lists) list.clear();
+    unrouted_[s] = 0;
     const std::span<pisa::EmitRecord> recs = shards[s].records;
     for (std::uint32_t r = 0; r < recs.size(); ++r) {
       const std::uint32_t qi = query_index(recs[r].qid);
-      if (qi != kNoQuery) lists[qi].push_back(r);
+      if (qi != kNoQuery) {
+        lists[qi].push_back(r);
+      } else if (recs[r].kind != pisa::EmitRecord::Kind::kKeyReport) {
+        ++unrouted_[s];
+      }
     }
   };
   const util::Task close = [&](std::size_t i, std::size_t slot) {
@@ -258,7 +261,11 @@ void StreamProcessor::close_window(
   // gets a slot so two runs of the same plan compare equal window-by-window
   // even when a query installs nothing.
   std::uint64_t unplanned = 0;  // records no planned query takes (corrupted qid)
-  for (const ShardOutput& s : shards) unplanned += s.records.size();
+  std::uint64_t unrouted = 0;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    unplanned += shards[s].records.size();
+    unrouted += unrouted_[s];
+  }
   const bool obs_on = obs::enabled();
   window.winners.per_query.resize(queries_.size());
   for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
@@ -267,8 +274,9 @@ void StreamProcessor::close_window(
     auto& installed = window.winners.per_query[qi];
     installed.qid = pq.base->id();
     unplanned -= qs.taken;
+    unrouted += qs.unrouted;
     window.overflow_records += qs.overflows;
-    qs.taken = qs.overflows = 0;
+    qs.taken = qs.overflows = qs.unrouted = 0;
     for (std::size_t li = 0; li < qs.levels.size(); ++li) {
       const state::StateUsage& usage = qs.levels[li].usage;
       if (obs_on && usage.error_bound > 0) {
@@ -294,6 +302,7 @@ void StreamProcessor::close_window(
     }
   }
   emitter_.record_unplanned(unplanned);
+  return unrouted;
 }
 
 void StreamProcessor::close_query(
@@ -306,7 +315,11 @@ void StreamProcessor::close_query(
     for (const std::uint32_t r : routed_[s][qi]) {
       pisa::EmitRecord& rec = shards[s].records[r];
       const bool overflow = rec.kind == pisa::EmitRecord::Kind::kOverflow;
-      if (deliver_to(qi, std::move(rec)) && overflow) ++qs.overflows;
+      if (!deliver_to(qi, std::move(rec))) {
+        ++qs.unrouted;
+      } else if (overflow) {
+        ++qs.overflows;
+      }
     }
     qs.taken += routed_[s][qi].size();
     if (!shards[s].raws.empty()) feed_raw(qs, shards[s].raws, raw_owner_ == qi);

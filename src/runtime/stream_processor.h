@@ -173,14 +173,11 @@ class StreamProcessor {
   // notify the SP which registers to poll; they count but do not ingest).
   // Returns false — and ingests nothing — when the record does not route:
   // unknown (qid, level) or out-of-range source index. Plan-driven callers
-  // always route; the faulty wire (runtime::WireChannel) can hand the SP a
-  // corrupted-but-decodable header, and this boundary check is what keeps
-  // that from indexing into another query's executors. The record's tuple
-  // is moved into the executor.
+  // always route; a faulty wire can hand the SP a corrupted-but-decodable
+  // header, and this boundary check is what keeps that from indexing into
+  // another query's executors. The record's tuple is moved into the
+  // executor.
   bool deliver(pisa::EmitRecord&& rec);
-
-  // Would deliver() accept `rec`? Reads the route table only.
-  [[nodiscard]] bool accepts(const pisa::EmitRecord& rec) const noexcept;
 
   // Batched delivery in record order; every record's tuple is moved.
   // Callers must treat `recs` as consumed.
@@ -221,8 +218,10 @@ class StreamProcessor {
   // and the winner sink, fills `window` and emits the journal events.
   // `run` (default: inline) runs the tasks on up to `slots` threads,
   // starting with the query whose task took longest last window; the
-  // window is the same for every runner and every order.
-  void close_window(WindowStats& window, std::span<const ShardOutput> shards,
+  // window is the same for every runner and every order. Returns the
+  // records dropped because they route nowhere (not key reports, and of
+  // an unknown query, level or source: corrupted but decodable).
+  std::uint64_t close_window(WindowStats& window, std::span<const ShardOutput> shards,
                     std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
                     std::span<pisa::Switch* const> switches, std::size_t slots = 1,
                     const util::TaskRunner& run = {});
@@ -309,6 +308,7 @@ class StreamProcessor {
     obs::Counter* winners_counter = nullptr;
     // The close task's results for the epilogue.
     std::uint64_t taken = 0, overflows = 0;  // records taken; accepted overflows
+    std::uint64_t unrouted = 0;              // records taken that route nowhere
     std::vector<query::Tuple> outputs;               // finest level
     std::vector<std::vector<query::Tuple>> winners;  // per coarse level
     // Close-task order keys: the plan estimate (SP tuples plus the register
@@ -348,8 +348,10 @@ class StreamProcessor {
   WindowMerge merge_;                      // poll_switch's merge
   std::vector<pisa::PolledBlock> polls_;   // poll_switch's blocks, per pipeline
   std::vector<WindowMerge> task_merges_;   // close_window's, one per slot
-  // close_window's routing: [shard][query] -> that query's record indices.
+  // close_window's routing: [shard][query] -> that query's record indices;
+  // per shard, its records of no planned query that are not key reports.
   std::vector<std::vector<std::vector<std::uint32_t>>> routed_;
+  std::vector<std::uint64_t> unrouted_;
   std::uint64_t delivery_now_ = 0;  // see begin_delivery()
   WinnerSink winner_sink_;          // see set_winner_sink()
 };

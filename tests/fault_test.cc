@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -20,6 +21,7 @@
 #include "runtime/engine.h"
 #include "runtime/fleet.h"
 #include "runtime/runtime.h"
+#include "runtime/stream_processor.h"
 #include "test_trace.h"
 #include "util/time.h"
 
@@ -133,36 +135,59 @@ TEST(FaultWire, InjectorDecisionsAreSeedDeterministic) {
   fault::Injector a(spec);
   fault::Injector b(spec);
   for (int i = 0; i < 2000; ++i) {
+    // Frame and report draws interleave on one stream, as a sender draws
+    // them.
+    const bool can_hold = i % 3 != 0;
+    ASSERT_EQ(a.frame_fate(can_hold), b.frame_fate(can_hold)) << "frame " << i;
     std::vector<std::byte> ba(16, std::byte{0x5a});
     std::vector<std::byte> bb(16, std::byte{0x5a});
-    const auto oa = a.apply_wire(ba, true);
-    const auto ob = b.apply_wire(bb, true);
-    ASSERT_EQ(oa.kind, ob.kind) << "record " << i;
-    ASSERT_EQ(oa.mutated, ob.mutated) << "record " << i;
-    ASSERT_EQ(ba, bb) << "record " << i;
+    const bool ma = a.mutate_report(ba);
+    ASSERT_EQ(ma, b.mutate_report(bb)) << "report " << i;
+    ASSERT_EQ(ba, bb) << "report " << i;
+    ASSERT_EQ(ma, ba != std::vector<std::byte>(16, std::byte{0x5a})) << "report " << i;
   }
   EXPECT_EQ(a.account(), b.account());
-  EXPECT_GT(a.account().total(), 0u);
+  const fault::FaultAccount acc = a.account();
+  EXPECT_GT(acc.corrupted, 0u);
+  EXPECT_GT(acc.truncated, 0u);
+  EXPECT_GT(acc.dropped, 0u);
+  EXPECT_GT(acc.duplicated, 0u);
+  EXPECT_GT(acc.reordered, 0u);
+}
+
+// A kMaxDP plan of two queries, whose queries outlive every engine that
+// runs it. It mirrors few records per window (threshold crossings, not
+// per-packet tuples); at `busy` thresholds most keys cross, so every shard
+// of a many-switch Fleet sends records: one kRecords frame per window.
+const Plan& maxdp_plan(bool busy = false) {
+  struct Planned {
+    std::vector<query::Query> qs;
+    Plan plan;
+    explicit Planned(bool busy) {
+      queries::Thresholds th = scenario().thresholds;
+      if (busy) th.newly_opened = th.ddos = 2;
+      qs.push_back(queries::make_newly_opened_tcp(th, util::seconds(3)));
+      qs.push_back(queries::make_ddos(th, util::seconds(3)));
+      PlannerConfig cfg;
+      cfg.mode = PlanMode::kMaxDP;
+      plan = Planner(cfg).plan(qs, scenario().trace);
+    }
+  };
+  static const Planned quiet(false);
+  static const Planned loud(true);
+  return busy ? loud.plan : quiet.plan;
 }
 
 TEST(FaultWire, RuntimeWireRunIsDeterministicAndExercisesDecoder) {
-  std::vector<query::Query> qs;
-  qs.push_back(queries::make_newly_opened_tcp(scenario().thresholds, util::seconds(3)));
-  qs.push_back(queries::make_ddos(scenario().thresholds, util::seconds(3)));
-  PlannerConfig cfg;
-  cfg.mode = PlanMode::kMaxDP;
-  const Plan plan = Planner(cfg).plan(qs, scenario().trace);
+  const Plan& plan = maxdp_plan();
 
-  // Rates are high because a kMaxDP plan mirrors few records per window
-  // (threshold crossings, not per-packet tuples) — the point is to hit
-  // every wire-fault band, not to model a realistic loss rate.
+  // Report faults: rates are high because the plan mirrors few records
+  // per window — the point is to hit both report bands, not to model a
+  // realistic rate.
   fault::FaultSpec spec;
   spec.seed = 3;
   spec.corrupt_rate = 0.1;
   spec.truncate_rate = 0.1;
-  spec.drop_rate = 0.1;
-  spec.dup_rate = 0.1;
-  spec.reorder_rate = 0.25;
 
   auto run = [&] {
     Runtime rt(plan, 256, spec);
@@ -178,19 +203,147 @@ TEST(FaultWire, RuntimeWireRunIsDeterministicAndExercisesDecoder) {
     EXPECT_EQ(first[w].faults, second[w].faults);
     total.corrupted += first[w].faults.corrupted;
     total.truncated += first[w].faults.truncated;
+    total.decode_failures += first[w].faults.decode_failures;
+  }
+  // A real run must have injected both report faults and driven at least
+  // one mutated report into the decoder's reject path.
+  EXPECT_GT(total.corrupted, 0u);
+  EXPECT_GT(total.truncated, 0u);
+  EXPECT_GT(total.decode_failures, 0u);
+  // A truncated report never decodes; a bit flip may decode and route.
+  EXPECT_GE(total.decode_failures, total.truncated);
+  EXPECT_LE(total.decode_failures, total.corrupted + total.truncated);
+}
+
+// The frame-fault half: each shard sends one frame per window, so the run
+// spreads the traffic over 32 switches to draw every frame band.
+TEST(FaultWire, FleetFrameFaultsDrawEveryBandDeterministically) {
+  const Plan& plan = maxdp_plan(true);
+  fault::FaultSpec spec;
+  spec.seed = 3;
+  spec.drop_rate = 0.1;
+  spec.dup_rate = 0.1;
+  spec.reorder_rate = 0.25;
+
+  auto run = [&] {
+    Fleet fleet(plan, 32, 0, 256, spec);
+    return fleet.run_trace(scenario().trace);
+  };
+  const auto first = run();
+  const auto second = run();
+  ASSERT_EQ(first.size(), second.size());
+  fault::FaultAccount total;
+  for (std::size_t w = 0; w < first.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    expect_identical_window(first[w], second[w]);
+    EXPECT_EQ(first[w].faults, second[w].faults);
+    EXPECT_EQ(first[w].contribution_mask, second[w].contribution_mask);
     total.dropped += first[w].faults.dropped;
     total.duplicated += first[w].faults.duplicated;
     total.reordered += first[w].faults.reordered;
-    total.decode_failures += first[w].faults.decode_failures;
   }
-  // At these rates a real run must have injected every wire fault kind and
-  // driven at least one mutated report into the decoder's reject path.
-  EXPECT_GT(total.corrupted, 0u);
-  EXPECT_GT(total.truncated, 0u);
   EXPECT_GT(total.dropped, 0u);
   EXPECT_GT(total.duplicated, 0u);
   EXPECT_GT(total.reordered, 0u);
-  EXPECT_GT(total.decode_failures, 0u);
+}
+
+// Duplicated and reordered frames lose nothing on either in-process
+// driver: the reassembly restores each shard's frame order, so every
+// window is the fault-free run's.
+TEST(FaultWire, DupAndReorderAreRepairedOnFleetAndRuntime) {
+  const Plan& plan = maxdp_plan(true);
+  fault::FaultSpec spec;
+  spec.seed = 5;
+  spec.dup_rate = 0.2;
+  spec.reorder_rate = 0.2;
+  // Returns the dups and reorders injected.
+  const auto check = [&](TelemetryEngine& faulty, TelemetryEngine& clean,
+                         const std::string& label) {
+    const auto got = faulty.run_trace(scenario().trace);
+    const auto want = clean.run_trace(scenario().trace);
+    EXPECT_EQ(got.size(), want.size()) << label;
+    std::uint64_t injected = 0;
+    for (std::size_t w = 0; w < got.size() && w < want.size(); ++w) {
+      SCOPED_TRACE(label + " window " + std::to_string(w));
+      expect_identical_window(got[w], want[w]);
+      EXPECT_EQ(got[w].contribution_mask, want[w].contribution_mask);
+      EXPECT_FALSE(got[w].partial);
+      EXPECT_EQ(got[w].faults.output_affecting(), 0u);
+      injected += got[w].faults.duplicated + got[w].faults.reordered;
+    }
+    return injected;
+  };
+  {
+    Fleet faulty(plan, 8, 2, 256, spec);
+    Fleet clean(plan, 8, 2, 256);
+    EXPECT_GT(check(faulty, clean, "fleet"), 0u);
+  }
+  // One shard sends one frame per window: a sum over seeds draws both
+  // bands.
+  std::uint64_t injected = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    spec.seed = seed;
+    Runtime faulty(plan, 256, spec);
+    Runtime clean(plan, 256);
+    injected += check(faulty, clean, "runtime seed " + std::to_string(seed));
+  }
+  EXPECT_GT(injected, 0u);
+}
+
+// The in-process twin of DistributedE2E.UdpInjectedLossIsExactlyAccounted:
+// a dropped frame closes its window partial with a shard bit cleared, the
+// reassembly counts every dropped frame lost exactly once, and a window
+// that dropped nothing is the fault-free run's.
+TEST(FaultWire, DroppedFramesClosePartialWindowsWithExactLoss) {
+  const Plan& plan = maxdp_plan(true);
+  fault::FaultSpec spec;
+  spec.seed = 7;
+  spec.drop_rate = 0.2;
+  obs::set_enabled(true);
+  obs::Registry::global().reset_values();
+  Fleet faulty(plan, 16, 0, 256, spec);
+  const auto got = faulty.run_trace(scenario().trace);
+  obs::set_enabled(false);
+  Fleet clean(plan, 16, 0, 256);
+  const auto want = clean.run_trace(scenario().trace);
+  ASSERT_EQ(got.size(), want.size());
+  std::uint64_t dropped = 0;
+  std::size_t partial = 0;
+  for (std::size_t w = 0; w < got.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    const std::uint64_t d = got[w].faults.dropped;
+    const int cleared = 16 - std::popcount(got[w].contribution_mask);
+    EXPECT_EQ(got[w].partial, d > 0);
+    EXPECT_EQ(cleared > 0, d > 0);
+    EXPECT_LE(static_cast<std::uint64_t>(cleared), d);
+    if (d == 0) expect_identical_window(got[w], want[w]);
+    dropped += d;
+    partial += got[w].partial ? 1 : 0;
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(partial, 0u);
+  std::uint64_t lost = 0;
+  for (const auto& c : obs::Registry::global().snapshot().counters) {
+    if (c.name == "sonata_net_lost_total") lost = c.value;
+  }
+  EXPECT_EQ(lost, dropped);
+}
+
+// The close counts the records that route nowhere: a record of an unknown
+// query, and one of a planned query at a level it does not run.
+TEST(FaultWire, CloseCountsRecordsThatRouteNowhere) {
+  const Plan& plan = maxdp_plan();
+  StreamProcessor sp(plan);
+  std::vector<pisa::EmitRecord> records(3);
+  records[0].qid = 9999;
+  records[1].qid = plan.queries.front().base->id();
+  records[1].level = 7777;
+  records[2].qid = 9999;  // a key report only names registers to poll
+  records[2].kind = pisa::EmitRecord::Kind::kKeyReport;
+  const ShardOutput shard[] = {{records, {}, nullptr}};
+  WindowStats ws;
+  EXPECT_EQ(sp.close_window(ws, shard, {}, {}), 2u);
+  EXPECT_EQ(sp.close_window(ws, {}, {}, {}), 0u);
 }
 
 TEST(FaultWire, InjectedFaultsAreVisibleInMetricsSnapshot) {

@@ -645,7 +645,7 @@ TEST(DistributedE2E, ShmRecordFaultsAreCountedNotFatal) {
   std::thread collector_thread([&] { collector_err = collector.run({}); });
 
   std::string node_err[kNodes];
-  SwitchNode::Stats node_stats[kNodes];
+  fault::FaultAccount node_faults[kNodes];
   std::vector<std::thread> node_threads;
   for (std::uint16_t n = 0; n < kNodes; ++n) {
     node_threads.emplace_back([&, n] {
@@ -661,7 +661,7 @@ TEST(DistributedE2E, ShmRecordFaultsAreCountedNotFatal) {
       }
       SwitchNode node(plan, ncfg, std::move(*transport));
       node_err[n] = node.run(sc.trace);
-      node_stats[n] = node.stats();
+      node_faults[n] = node.faults();
     });
   }
   for (auto& t : node_threads) t.join();
@@ -674,8 +674,8 @@ TEST(DistributedE2E, ShmRecordFaultsAreCountedNotFatal) {
   EXPECT_EQ(collector_err, "");
   for (std::uint16_t n = 0; n < kNodes; ++n) EXPECT_EQ(node_err[n], "") << "node " << n;
   EXPECT_EQ(collector.stats().windows, fleet_windows);
-  const std::uint64_t corrupted = node_stats[0].corrupted + node_stats[1].corrupted;
-  const std::uint64_t truncated = node_stats[0].truncated + node_stats[1].truncated;
+  const std::uint64_t corrupted = node_faults[0].corrupted + node_faults[1].corrupted;
+  const std::uint64_t truncated = node_faults[0].truncated + node_faults[1].truncated;
   EXPECT_GT(corrupted + truncated, 0u);
   EXPECT_LE(truncated, collector.stats().decode_failures);
   EXPECT_LE(collector.stats().decode_failures, corrupted + truncated);
@@ -763,9 +763,9 @@ TEST(DistributedE2E, UdpInjectedLossIsExactlyAccounted) {
   EXPECT_EQ(collector_err, "");
   EXPECT_EQ(node_err, "");
 
-  EXPECT_GT(node.stats().tx_dropped, 0u);
-  EXPECT_EQ(collector.stats().lost_frames, node.stats().tx_dropped);
-  EXPECT_EQ(collector.stats().peer_dropped, node.stats().tx_dropped);
+  EXPECT_GT(node.faults().dropped, 0u);
+  EXPECT_EQ(collector.stats().lost_frames, node.faults().dropped);
+  EXPECT_EQ(collector.stats().peer_dropped, node.faults().dropped);
   EXPECT_GT(partial_windows, 0u);
 }
 

@@ -575,7 +575,7 @@ std::vector<Observed> run_collector(const Plan& plan, const fault::FaultSpec& fa
       }
       SwitchNode node(plan, ncfg, std::move(*transport));
       node_err[n] = node.run(scenario().trace);
-      node_faults[n] = node.stats().tx_duplicated + node.stats().tx_reordered;
+      node_faults[n] = node.faults().duplicated + node.faults().reordered;
     });
   }
   for (auto& t : node_threads) t.join();

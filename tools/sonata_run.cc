@@ -37,11 +37,11 @@
 //
 // Fault injection: `--fault-spec k=v,...` configures the deterministic
 // chaos harness (DESIGN.md "Fault model & degradation"). Keys: seed,
-// corrupt/truncate/drop/dup/reorder (wire-fault rates per mirrored
-// report), slow_ns (worker slowdown), stall_switch/stall_from/
-// stall_windows (stall one fleet worker for a window range), watchdog_ms
-// (per-window degradation budget; required for stalls), shrink/hash_seed
-// (register pressure). Injected faults are visible per window in the
+// drop/dup/reorder (wire-fault rates per report data frame),
+// corrupt/truncate (per mirrored report), slow_ns (worker slowdown),
+// stall_switch/stall_from/stall_windows (stall one fleet worker for a
+// window range), watchdog_ms (per-window degradation budget; required for
+// stalls), shrink/hash_seed (register pressure). Injected faults are visible per window in the
 // engine log and cumulatively as sonata_fault_* metrics.
 //
 // Live introspection (ISSUE 8): `--introspect HOST:PORT` serves /metrics,
