@@ -160,11 +160,16 @@ InstrumentedResult replay_instrumented(const StreamNode& node, std::span<const T
       // key whose final aggregate passes.
       if (const auto folded = pisa::foldable_threshold(node, i + 1)) {
         std::uint64_t passing = 0;
-        tables.agg.drain_and_clear([&](Tuple&&, std::uint64_t value) {
+        const auto pass = [&](std::uint64_t value) {
           passing += (folded->strict ? value > folded->threshold : value >= folded->threshold)
                          ? 1
                          : 0;
-        });
+        };
+        tables.agg.drain_and_clear(
+            [&](const std::uint64_t*, const std::uint64_t* aggs, std::size_t n, std::size_t) {
+              for (std::size_t e = 0; e < n; ++e) pass(aggs[e]);
+            },
+            [&](Tuple&&, std::uint64_t value) { pass(value); });
         res.n_after[i + 2] = passing;
       }
       break;  // nothing past the (first) reduce runs on the switch
@@ -408,37 +413,38 @@ class EstimatorBuild {
   }
 
   // Round 1, first step: per (query, window) the satisfying keys (the
-  // original query end to end), and per (query, source, window) the rows of
-  // the source's original chain up to and including its threshold filter.
-  // Then, serially, keep the rows whose key satisfies the query.
+  // original query end to end); then per (query, source, window) with a
+  // satisfying key, the rows of the source's original chain up to and
+  // including its threshold filter (a window without one would keep no
+  // row, so it is not replayed). Then, serially, keep the rows whose key
+  // satisfies the query.
   void relax_rows() {
-    struct Task {
+    std::vector<std::pair<Relax*, std::size_t>> windows;  // (estimator, window)
+    for (Relax& r : relax_) {
+      for (std::size_t w = 0; w < r.est->window_count(); ++w) windows.emplace_back(&r, w);
+    }
+    run_tasks(windows.size(), [&](std::size_t i, std::size_t) {
+      const auto [r, w] = windows[i];
+      const CostEstimator& e = *r->est;
+      stream::QueryExecutor exec(*e.query_);
+      for (const Tuple& tuple : (*e.windows_)[w]) exec.ingest_source_tuple(tuple);
+      for (const Tuple& out : exec.end_window()) r->satisfying[w].push_back(out.at(*r->out_idx));
+    });
+    struct Replay {
       Relax* r;
-      std::size_t entry;  // source entry, or kSatisfying
+      std::size_t entry;  // index into r->sources
       std::size_t w;
     };
-    constexpr std::size_t kSatisfying = ~std::size_t{0};
-    std::vector<Task> tasks;
-    for (Relax& r : relax_) {
-      for (std::size_t w = 0; w < r.est->window_count(); ++w) {
-        tasks.push_back({&r, kSatisfying, w});
-        for (std::size_t i = 0; i < r.sources.size(); ++i) tasks.push_back({&r, i, w});
-      }
+    std::vector<Replay> replays;
+    for (const auto& [r, w] : windows) {
+      if (r->satisfying[w].empty()) continue;
+      for (std::size_t i = 0; i < r->sources.size(); ++i) replays.push_back({r, i, w});
     }
-    run_tasks(tasks.size(), [&](std::size_t i, std::size_t) {
-      const Task& t = tasks[i];
+    run_tasks(replays.size(), [&](std::size_t i, std::size_t) {
+      const Replay& t = replays[i];
       const CostEstimator& e = *t.r->est;
-      const TupleWindow& window = (*e.windows_)[t.w];
-      if (t.entry == kSatisfying) {
-        stream::QueryExecutor exec(*e.query_);
-        for (const Tuple& tuple : window) exec.ingest_source_tuple(tuple);
-        for (const Tuple& out : exec.end_window()) {
-          t.r->satisfying[t.w].push_back(out.at(*t.r->out_idx));
-        }
-        return;
-      }
       stream::ChainExecutor chain(*e.query_->sources()[t.r->sources[t.entry]]);
-      for (const Tuple& tuple : window) chain.ingest_view(tuple, 0);
+      for (const Tuple& tuple : (*e.windows_)[t.w]) chain.ingest_view(tuple, 0);
       t.r->fine[t.entry][t.w] = chain.end_window();
     });
     for (Relax& r : relax_) {

@@ -103,14 +103,13 @@ void TelemetryEngine::mitigate(WindowStats& w) {
       }
     }
   }
-  // Every contributing switch holds every blocked key (Switch::block is
-  // idempotent). A quarantined switch is consumer-owned until its resync
-  // and misses this close, as it misses its winners; it catches up at the
-  // next close it contributes to. The switches update in parallel, so the
-  // window's control latency grows by the busiest switch's installs.
+  // Every switch but a quarantined one holds every blocked key
+  // (Switch::block is idempotent); a quarantined one catches up at its next
+  // close. The switches update in parallel, so the window's control
+  // latency grows by the busiest switch's installs.
   std::uint64_t most = 0;
-  for (std::size_t i = 0; i < data_plane_count() && i < kMaxSwitches; ++i) {
-    if ((w.contribution_mask >> i & 1) == 0) continue;
+  for (std::size_t i = 0; i < data_plane_count(); ++i) {
+    if (data_plane_quarantined(i)) continue;
     pisa::Switch& sw = mutable_data_plane(i);
     const std::uint64_t before = sw.stats().filter_entry_updates;
     for (const Mitigation& m : mitigations_) {

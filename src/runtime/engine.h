@@ -153,8 +153,10 @@ class TelemetryEngine {
   virtual void apply_plan(planner::Plan plan) = 0;
   // The switch behind data_plane(i), for the window-end policies. They
   // touch it only between do_close_window and the next ingest, and only
-  // when its bit is set in the closed window's contribution mask.
+  // when it is not quarantined: a quarantined switch's worker owns it until
+  // its resync. (A switch whose frame the wire lost is not quarantined.)
   [[nodiscard]] virtual pisa::Switch& mutable_data_plane(std::size_t i) = 0;
+  [[nodiscard]] virtual bool data_plane_quarantined(std::size_t i) const noexcept = 0;
 
  private:
   friend class EngineBuilder;

@@ -456,14 +456,14 @@ WindowStats Fleet::do_close_window() {
     shards_[i]->phases.reset();
   }
 
-  std::vector<double> control_before;
-  control_before.reserve(shards_.size());
+  // A quarantined switch is consumer-owned until its resync completes:
+  // the close reads neither its stats nor its registers.
+  healthy_.clear();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    // A quarantined switch is consumer-owned until its resync completes —
-    // don't even read its stats (placeholder keeps the vector aligned).
-    control_before.push_back(quarantined_[i] ? 0.0
-                                             : shards_[i]->exec.sw().stats().control_update_millis);
+    if (!quarantined_[i]) healthy_.push_back(shards_[i].get());
   }
+  std::vector<double> control_before;  // by healthy shard
+  for (Shard* s : healthy_) control_before.push_back(s->exec.sw().stats().control_update_millis);
 
   // 2. Parallel poll + reset, one task per healthy shard: poll its
   //    stateful tails into packed blocks (registers already hold the
@@ -471,10 +471,6 @@ WindowStats Fleet::do_close_window() {
   //    barrier no worker touches a healthy shard's switch, so any thread
   //    may poll it. Quarantined switches are skipped: their registers hold
   //    a torn mid-window state and are reset by the shard's resync.
-  healthy_.clear();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!quarantined_[i]) healthy_.push_back(shards_[i].get());
-  }
   {
     obs::PhaseTimer t{driver_phases_, obs::Phase::kPoll};
     pool_.run(healthy_.size(), [&](std::size_t i, std::size_t) { healthy_[i]->exec.poll_and_reset(); });
@@ -517,10 +513,9 @@ WindowStats Fleet::do_close_window() {
   //    cost — plus this window's winner installs from step 3 — is in the
   //    stats delta, exactly as the serial close accounted it.
   double control = 0.0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (quarantined_[i]) continue;  // reset happens in the shard's resync
-    control =
-        std::max(control, shards_[i]->exec.sw().stats().control_update_millis - control_before[i]);
+  for (std::size_t h = 0; h < healthy_.size(); ++h) {
+    const double now = healthy_[h]->exec.sw().stats().control_update_millis;
+    control = std::max(control, now - control_before[h]);
   }
   current_.control_update_millis = control;
   // Quiet point: flush the driver's spin-wait escalation tallies.

@@ -144,6 +144,9 @@ class Fleet : public TelemetryEngine {
   [[nodiscard]] pisa::Switch& mutable_data_plane(std::size_t i) override {
     return shards_.at(i)->exec.sw();
   }
+  [[nodiscard]] bool data_plane_quarantined(std::size_t i) const noexcept override {
+    return quarantined_[i] != 0;
+  }
 
  private:
   struct Shard {

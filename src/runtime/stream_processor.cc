@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "obs/journal.h"
-#include "util/flat_table.h"
 
 namespace sonata::runtime {
 
@@ -39,10 +38,10 @@ StreamProcessor::StreamProcessor(const planner::Plan& plan) : plan_(&plan) {
     qs.pq = &pq;
     emitter_.register_query(qid);
     const std::string qid_str = std::to_string(qid);
-    {
-      const std::pair<std::string_view, std::string> labels[] = {{"qid", qid_str}};
-      qs.winners_counter = &reg.counter(obs::labeled("sonata_sp_winners_total", labels));
-    }
+    const std::pair<std::string_view, std::string> qid_label[] = {{"qid", qid_str}};
+    qs.winners_counter = &reg.counter(obs::labeled("sonata_sp_winners_total", qid_label));
+    qs.close_task_hist = &reg.histogram(obs::labeled("sonata_sp_close_task_ns", qid_label),
+                                        LatencyTally::kBounds);
     for (const int level : pq.chain) {
       LevelExec le;
       le.level = level;
@@ -201,15 +200,14 @@ void StreamProcessor::poll_switch(const pisa::Switch& sw) {
   for (std::size_t p = 0; p < pipelines.size(); ++p) merge_.merge(*this, *pipelines[p], p, shard);
 }
 
-void StreamProcessor::ingest_merged(const pisa::CompiledSwitchQuery& pipe, std::uint64_t logical,
-                                    WindowMerge& merged) {
+stream::ChainExecutor* StreamProcessor::ingest_merged(const pisa::CompiledSwitchQuery& pipe,
+                                                     std::uint64_t logical) {
   const auto& o = pipe.options();
   const int src_idx = remap_source(o.qid, o.level, o.source_index);
-  if (src_idx < 0) return;
+  if (src_idx < 0) return nullptr;
   auto* le = const_cast<LevelExec*>(level_exec(o.qid, o.level));
   le->tuples_in += logical;
-  le->exec->ingest_reduce(src_idx, pipe.poll_entry_op(), merged.size(), merged.hashes(),
-                          merged.values(), [&](std::size_t e) { return merged.take_key(e); });
+  return &le->exec->source_chain(src_idx);
 }
 
 std::uint64_t StreamProcessor::close_window(
@@ -275,6 +273,7 @@ std::uint64_t StreamProcessor::close_window(
     installed.qid = pq.base->id();
     unplanned -= qs.taken;
     unrouted += qs.unrouted;
+    if (obs_on) qs.close_task_hist->observe(qs.task_ns);
     window.overflow_records += qs.overflows;
     qs.taken = qs.overflows = qs.unrouted = 0;
     for (std::size_t li = 0; li < qs.levels.size(); ++li) {
@@ -334,7 +333,7 @@ void StreamProcessor::close_query(
   const PlannedQuery& pq = *qs.pq;
   for (std::size_t li = 0; li < qs.levels.size(); ++li) {
     LevelExec& le = qs.levels[li];
-    // Reduce-state peak for the window: read before end_window clears it.
+    // Reduce-state peak for the window: read before close() clears it.
     le.usage = obs_on ? le.exec->state_usage() : state::StateUsage{};
     if (obs_on) {
       le.state_gauge->set(static_cast<std::int64_t>(le.usage.entries));
@@ -349,10 +348,10 @@ void StreamProcessor::close_query(
     }
     le.latency.reset();
     le.tuples_in = 0;
-    std::vector<Tuple> outputs = le.exec->end_window();
+    stream::RowBlock& outputs = le.exec->close();
     if (obs_on) le.out_counter->add(outputs.size());
     if (li + 1 == qs.levels.size()) {
-      qs.outputs = std::move(outputs);
+      qs.outputs = outputs.take_tuples();
       break;
     }
     // Winner keys: the refinement key column of this level's output.
@@ -361,15 +360,7 @@ void StreamProcessor::close_query(
     const auto idx = schema.index_of(key_col);
     std::vector<Tuple>& winners = qs.winners[li];
     winners.clear();
-    if (idx) {
-      util::FlatSet dedup;
-      dedup.reserve(outputs.size());
-      for (const Tuple& out : outputs) {
-        Tuple key;
-        key.values.push_back(out.at(*idx));
-        if (dedup.insert(key)) winners.push_back(std::move(key));
-      }
-    }
+    if (idx) outputs.distinct_column(*idx, winners);
     for (const auto& p : pq.pipelines) {
       if (p.level != qs.levels[li + 1].level || p.filter_table.empty()) continue;
       qs.levels[li + 1].exec->set_filter_entries(p.filter_table, winners);

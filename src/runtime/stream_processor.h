@@ -233,12 +233,12 @@ class StreamProcessor {
     close_window(window, {}, {}, switches);
   }
 
-  // Feed one pipeline's merged polls (`merged`, the WindowMerge's last
-  // fold) into its executor's reduce at pipe.poll_entry_op(). `logical` is
-  // the pre-merge entry count, which is what tuples_in counts, so SP
-  // ingress metrics do not depend on how many shards the merge folded.
-  void ingest_merged(const pisa::CompiledSwitchQuery& pipe, std::uint64_t logical,
-                     WindowMerge& merged);
+  // The chain whose reduce one pipeline's polls fold into (WindowMerge),
+  // after adding `logical`, the pre-merge entry count, to its level's
+  // tuples_in (so SP ingress does not depend on the shard count). nullptr
+  // when the pipeline's source does not execute at its level.
+  stream::ChainExecutor* ingest_merged(const pisa::CompiledSwitchQuery& pipe,
+                                       std::uint64_t logical);
 
   [[nodiscard]] stream::QueryExecutor& executor(query::QueryId qid, int level);
   // Executor-side source index for an original source at a level (-1 when
@@ -277,11 +277,7 @@ class StreamProcessor {
       sum += latency_ns;
       ++n;
     }
-    void reset() noexcept {
-      for (std::uint64_t& c : counts) c = 0;
-      sum = 0;
-      n = 0;
-    }
+    void reset() noexcept { *this = LatencyTally{}; }
   };
   struct LevelExec {
     int level = planner::kFinestIpLevel;
@@ -290,7 +286,7 @@ class StreamProcessor {
     // Single-writer per-window tallies (the query's close task, or the
     // one thread that delivers as it goes); published at the close.
     std::uint64_t tuples_in = 0;
-    state::StateUsage usage;  // read before end_window clears it (obs only)
+    state::StateUsage usage;  // read before close() clears it (obs only)
     obs::Counter* in_counter = nullptr;
     obs::Counter* out_counter = nullptr;
     obs::Gauge* state_gauge = nullptr;
@@ -306,6 +302,7 @@ class StreamProcessor {
     // Active raw-mirror feeds: (index into levels, executor source).
     std::vector<std::pair<std::size_t, int>> raw_feeds;
     obs::Counter* winners_counter = nullptr;
+    obs::Histogram* close_task_hist = nullptr;  // task_ns, once per window
     // The close task's results for the epilogue.
     std::uint64_t taken = 0, overflows = 0;  // records taken; accepted overflows
     std::uint64_t unrouted = 0;              // records taken that route nowhere

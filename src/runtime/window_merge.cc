@@ -1,39 +1,52 @@
 #include "runtime/window_merge.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "runtime/stream_processor.h"
-#include "state/engine.h"
 
 namespace sonata::runtime {
+
+constexpr std::size_t kAhead = 8;  // entries prefetched ahead of the fold
 
 void WindowMerge::merge(StreamProcessor& sp, const pisa::CompiledSwitchQuery& pipe,
                         std::size_t p, std::span<const ShardOutput> shards) {
   if (!pipe.has_stateful_tail()) return;
-  const std::uint64_t logical = fold(pipe, p, shards);
-  if (logical != 0) sp.ingest_merged(pipe, logical, *this);
+  std::uint64_t logical = 0;
+  for (const ShardOutput& shard : shards) {
+    if (shard.polls != nullptr) logical += (*shard.polls)[p].size();
+  }
+  if (stream::ChainExecutor* chain = logical == 0 ? nullptr : sp.ingest_merged(pipe, logical)) {
+    chain->count_polled(fold(pipe, p, shards, chain->poll_reduce(pipe.poll_entry_op())));
+  }
+  for (const ShardOutput& shard : shards) {
+    if (shard.polls != nullptr) (*shard.polls)[p].clear();
+  }
 }
 
 std::uint64_t WindowMerge::fold(const pisa::CompiledSwitchQuery& pipe, std::size_t p,
-                                std::span<const ShardOutput> shards) {
+                                std::span<const ShardOutput> shards, state::ReduceEngine& agg) {
   const std::span<const query::ValueKind> kinds = pipe.tail_key_kinds();
-  table_.reset(kinds.size());
+  const std::size_t arity = kinds.size();
+  string_count_ = static_cast<std::size_t>(std::ranges::count(kinds, query::ValueKind::kString));
+  const bool words = string_count_ == 0;
+  // An empty exact reduce keyed on numbers takes the polls straight into
+  // its word table.
+  const bool direct = words && agg.exact() && agg.size() == 0;
+  const query::ReduceFn fn = pipe.tail_reduce_fn();
+  table_.reset(arity);
   values_.clear();
   strings_.clear();
-  string_col_.resize(kinds.size());
-  string_count_ = 0;
-  for (std::size_t c = 0; c < kinds.size(); ++c) {
-    string_col_[c] = kinds[c] == query::ValueKind::kString ? 1 : 0;
-    string_count_ += string_col_[c];
-  }
-  const query::ReduceFn fn = pipe.tail_reduce_fn();
-  std::uint64_t logical = 0;
   for (const ShardOutput& shard : shards) {
     if (shard.polls == nullptr) continue;
     pisa::PolledBlock& block = (*shard.polls)[p];
-    assert(block.empty() || block.width() == kinds.size());
-    logical += block.size();
-    if (string_count_ == 0) {
+    assert(block.empty() || block.width() == arity);
+    if (direct) {
+      for (std::size_t i = 0, n = block.size(); i < n; ++i) {
+        if (i + kAhead < n) agg.prefetch(block.hash(i + kAhead));
+        agg.update(block.key(i), arity, block.hash(i), block.value(i));
+      }
+    } else if (string_count_ == 0) {
       fold_block(block, fn, [](std::size_t, std::size_t) { return true; });
     } else {
       // Equal words: the string columns' hashes agree, so compare bytes.
@@ -45,14 +58,22 @@ std::uint64_t WindowMerge::fold(const pisa::CompiledSwitchQuery& pipe, std::size
         return true;
       });
     }
-    block.clear();
   }
-  return logical;
+  if (direct) return agg.size();
+  const std::uint64_t* hashes = table_.hashes().data();
+  for (std::size_t e = 0; e < values_.size(); ++e) {
+    if (e + kAhead < values_.size()) agg.prefetch(hashes[e + kAhead]);
+    if (words) {
+      agg.update(table_.key(e), arity, hashes[e], values_[e]);
+    } else {
+      agg.update(take_key(e, kinds), hashes[e], values_[e]);
+    }
+  }
+  return values_.size();
 }
 
 template <typename Same>
 void WindowMerge::fold_block(pisa::PolledBlock& block, query::ReduceFn fn, Same&& same) {
-  constexpr std::size_t kAhead = 8;
   const std::size_t n = block.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kAhead < n) table_.prefetch(block.hash(i + kAhead));
@@ -68,13 +89,13 @@ void WindowMerge::fold_block(pisa::PolledBlock& block, query::ReduceFn fn, Same&
   }
 }
 
-query::Tuple WindowMerge::take_key(std::size_t e) {
+query::Tuple WindowMerge::take_key(std::size_t e, std::span<const query::ValueKind> kinds) {
   const std::uint64_t* w = table_.key(e);
   query::Value* s = strings_.data() + e * string_count_;
   query::Tuple t;
-  t.values.reserve(string_col_.size());
-  for (std::size_t c = 0; c < string_col_.size(); ++c) {
-    if (string_col_[c] != 0) {
+  t.values.reserve(kinds.size());
+  for (std::size_t c = 0; c < kinds.size(); ++c) {
+    if (kinds[c] == query::ValueKind::kString) {
       t.values.push_back(std::move(*s++));
     } else {
       t.values.emplace_back(w[c]);

@@ -4,27 +4,26 @@
 // Collector the polls its switch nodes ship.
 //
 // Per pipeline with a stateful tail, the shards' PolledBlocks fold key-wise
-// in ascending shard order into a reused word-keyed dense table
-// (util::FlatWordSet with parallel aggregates; string columns compare
-// through its `same` predicate). First-appearance order across ascending
-// shards is exactly the reduce-table insertion order a shard-by-shard
-// ingest produces, and every tail reduce fn (sum/max/min/bit-or) is
-// associative and commutative, so folding first and ingesting each merged
-// key once is bit-identical to ingesting every shard's aggregates in turn.
-// The merged (words, hash, aggregate) entries then go straight into the
-// stream processor's reduce at the pipeline's poll_entry_op(): a merged
-// key becomes a Tuple once, there, and is never re-hashed.
+// in ascending shard order into the stream processor's reduce at
+// poll_entry_op(). First-appearance order across ascending shards is the
+// insertion order a shard-by-shard ingest produces, and every tail reduce
+// fn (sum/max/min/bit-or) is associative and commutative, so the fold is
+// bit-identical to ingesting every shard's aggregates in turn. An empty
+// exact number-keyed reduce takes the entries straight into its word
+// table. Any other reduce takes the merged entries of a reused FlatWordSet
+// fold once each: by words when number-keyed (an exact reduce that
+// overflow records reached first, or a sketch), else as Tuples.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "pisa/register.h"
 #include "pisa/switch.h"
 #include "query/tuple.h"
+#include "state/engine.h"
 #include "util/flat_table.h"
 
 namespace sonata::runtime {
@@ -42,31 +41,25 @@ struct ShardOutput {
 class WindowMerge {
  public:
   // Fold the stateful tail of `pipe`, pipeline `p` of the switch program
-  // every contributing shard runs, and ingest the merged keys. `shards`
-  // are the contributing shards in ascending shard order; their blocks of
-  // pipeline p are left empty. The SP's tuples_in counts the pre-merge
-  // entries; its executors count the merged ones.
+  // every contributing shard runs, into the stream processor's reduce.
+  // `shards` are the contributing shards in ascending shard order; their
+  // blocks of pipeline p are left empty. The SP's tuples_in counts the
+  // pre-merge entries; its executors count the merged ones.
   void merge(StreamProcessor& sp, const pisa::CompiledSwitchQuery& pipe, std::size_t p,
              std::span<const ShardOutput> shards);
 
-  // The last fold's merged entries, in first-appearance order.
-  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-  [[nodiscard]] const std::uint64_t* hashes() const noexcept { return table_.hashes().data(); }
-  [[nodiscard]] const std::uint64_t* values() const noexcept { return values_.data(); }
-  // Merged entry e's key as a Tuple; its string Values are moved out.
-  [[nodiscard]] query::Tuple take_key(std::size_t e);
-
  private:
-  // Fold pipeline p's blocks into the table; returns the pre-merge count.
+  // Fold pipeline p's blocks into `agg`; returns the merged entry count.
   std::uint64_t fold(const pisa::CompiledSwitchQuery& pipe, std::size_t p,
-                     std::span<const ShardOutput> shards);
+                     std::span<const ShardOutput> shards, state::ReduceEngine& agg);
   template <typename Same>
   void fold_block(pisa::PolledBlock& block, query::ReduceFn fn, Same&& same);
+  // Merged entry e's key (of `kinds`) as a Tuple, its strings moved out.
+  [[nodiscard]] query::Tuple take_key(std::size_t e, std::span<const query::ValueKind> kinds);
 
   util::FlatWordSet table_;
   std::vector<std::uint64_t> values_;     // by dense position
   std::vector<query::Value> strings_;     // [dense position][string column]
-  std::vector<std::uint8_t> string_col_;  // per key column: 1 = string
   std::size_t string_count_ = 0;
 };
 

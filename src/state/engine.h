@@ -187,6 +187,24 @@ class ReduceEngine {
     sketch_->update(key, hash, delta);
   }
 
+  // update() for an all-numeric key given as its `arity` words in key
+  // order (`hash` is its Tuple::hash()): the window merge's entry for
+  // polled register aggregates, which folds them straight into the word
+  // table with no Tuple built. A sketch, or a window whose keys moved to
+  // Tuples, takes the key as a Tuple.
+  void update(const std::uint64_t* key, std::size_t arity, std::uint64_t hash,
+              std::uint64_t delta) {
+    if (!sketch_ && !tuple_keys_) {
+      if (words_.empty()) words_.reset(arity);
+      if (words_.arity() == arity) {
+        fold_words(key, hash, delta);
+        return;
+      }
+      move_to_tuple_keys();
+    }
+    update(words_key(key, arity), hash, delta);
+  }
+
   // Software-prefetch the exact table's first probe slot for `hash` (a
   // no-op for sketches): batched callers that know their hashes ahead of
   // time overlap the index miss with the current update.
@@ -199,19 +217,35 @@ class ReduceEngine {
     }
   }
 
-  // Drain (key, value) pairs in the engine's canonical order. Exact mode
-  // preserves PR 4's first-insertion order bit-for-bit; keys are moved out
-  // (or rebuilt from their words) and the table is left cleared either way.
-  template <typename Emit>
-  void drain_and_clear(Emit&& emit) {
+  // Drain (key, value) pairs in the engine's canonical order and leave the
+  // table cleared. Exact mode preserves first-insertion order
+  // bit-for-bit: the word-keyed entries first, as one run handed to
+  // `words(keys, aggs, n, arity)` (n keys of `arity` words each, densely,
+  // and their aggregates), then every Tuple-keyed entry through
+  // `emit(key, value)`, its key moved out. A sketch emits its surviving
+  // keys the same way.
+  template <typename Words, typename Emit>
+  void drain_and_clear(Words&& words, Emit&& emit) {
     if (!sketch_) {
-      for (std::size_t e = 0; e < words_.size(); ++e) emit(word_key(e), word_aggs_[e]);
+      if (!words_.empty()) {
+        words(words_.key(0), word_aggs_.data(), words_.size(), words_.arity());
+      }
       for (auto& e : exact_.entries()) emit(std::move(e.key), e.value);
       clear();
       return;
     }
     sketch_->drain(emit);
     sketch_->clear();
+  }
+  // drain_and_clear() with every key as a Tuple.
+  template <typename Emit>
+  void drain_and_clear(Emit&& emit) {
+    drain_and_clear(
+        [&](const std::uint64_t* keys, const std::uint64_t* aggs, std::size_t n,
+            std::size_t arity) {
+          for (std::size_t e = 0; e < n; ++e) emit(words_key(keys + e * arity, arity), aggs[e]);
+        },
+        emit);
   }
 
   void clear() {
@@ -252,28 +286,32 @@ class ReduceEngine {
     }
     if (words_.empty()) words_.reset(probe_.size());
     if (words_.arity() != probe_.size()) return move_to_tuple_keys();
-    const auto [at, inserted] = words_.insert(probe_.data(), hash, [](std::size_t) { return true; });
+    fold_words(probe_.data(), hash, delta);
+    return true;
+  }
+  void fold_words(const std::uint64_t* key, std::uint64_t hash, std::uint64_t delta) {
+    const auto [at, inserted] = words_.insert(key, hash, [](std::size_t) { return true; });
     if (inserted) {
       word_aggs_.push_back(delta);
     } else {
       word_aggs_[at] = apply_reduce(fn_, word_aggs_[at], delta);
     }
-    return true;
   }
   bool move_to_tuple_keys() {
     tuple_keys_ = true;
     exact_.reserve(words_.size());
     for (std::size_t e = 0; e < words_.size(); ++e) {
-      exact_.try_emplace(word_key(e), words_.hashes()[e], word_aggs_[e]);
+      exact_.try_emplace(words_key(words_.key(e), words_.arity()), words_.hashes()[e],
+                         word_aggs_[e]);
     }
     words_.clear();
     word_aggs_.clear();
     return false;
   }
-  [[nodiscard]] query::Tuple word_key(std::size_t e) const {
+  [[nodiscard]] static query::Tuple words_key(const std::uint64_t* words, std::size_t arity) {
     query::Tuple key;
-    key.values.reserve(words_.arity());
-    for (std::size_t c = 0; c < words_.arity(); ++c) key.values.emplace_back(words_.key(e)[c]);
+    key.values.reserve(arity);
+    for (std::size_t c = 0; c < arity; ++c) key.values.emplace_back(words[c]);
     return key;
   }
 

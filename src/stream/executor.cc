@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "obs/metrics.h"
+#include "util/hash.h"
 
 namespace sonata::stream {
 
@@ -48,11 +50,136 @@ void publish_one_table(Table& table, obs::Histogram& probes, obs::Histogram& loa
 }
 }  // namespace
 
+using pisa::kernel::kBlock;
 using query::OpKind;
 using query::Operator;
 using query::Schema;
 using query::StreamNode;
 using query::Tuple;
+using query::Value;
+
+// --- RowBlock ----------------------------------------------------------------
+
+void RowBlock::reset(const Schema& schema) {
+  const std::size_t width = schema.size();
+  string_.resize(width);
+  words_.resize(width);
+  values_.resize(width);
+  for (std::size_t c = 0; c < width; ++c) {
+    string_[c] = schema.at(c).kind == query::ValueKind::kString ? 1 : 0;
+    words_[c].clear();
+    values_[c].clear();
+  }
+  rows_ = 0;
+}
+
+void RowBlock::append(Tuple&& t) {
+  for (std::size_t c = 0; c < width(); ++c) {
+    if (c < t.size()) {
+      push(c, std::move(t.values[c]));
+    } else {
+      push(c, std::uint64_t{0});
+    }
+  }
+  ++rows_;
+}
+
+void RowBlock::append_words(const std::uint64_t* keys, const std::uint64_t* aggs, std::size_t n,
+                            std::size_t arity) {
+  if (width() == 0) return;
+  const std::size_t key_cols = width() - 1;
+  for (std::size_t c = 0; c < key_cols; ++c) {
+    if (string_[c] != 0 || c >= arity) {
+      for (std::size_t e = 0; e < n; ++e) push(c, c < arity ? keys[e * arity + c] : 0);
+      continue;
+    }
+    std::vector<std::uint64_t>& col = words_[c];
+    const std::size_t at = col.size();
+    col.resize(at + n);
+    for (std::size_t e = 0; e < n; ++e) col[at + e] = keys[e * arity + c];
+  }
+  for (std::size_t e = 0; e < n; ++e) push(key_cols, aggs[e]);
+  rows_ += n;
+}
+
+void RowBlock::append_columns(const pisa::kernel::Column* cols, const std::uint32_t* sel,
+                              std::size_t m) {
+  for (std::size_t c = 0; c < width(); ++c) {
+    const pisa::kernel::Column& col = cols[c];
+    if (col.strings != nullptr) {
+      for (std::size_t k = 0; k < m; ++k) push(c, Value(*col.strings[sel[k]]));
+      continue;
+    }
+    if (string_[c] != 0) {
+      for (std::size_t k = 0; k < m; ++k) push(c, col.words[sel[k]]);
+      continue;
+    }
+    std::vector<std::uint64_t>& out = words_[c];
+    const std::size_t at = out.size();
+    out.resize(at + m);
+    for (std::size_t k = 0; k < m; ++k) out[at + k] = col.words[sel[k]];
+  }
+  rows_ += m;
+}
+
+void RowBlock::append_column(std::size_t c, const RowBlock& from, std::size_t fc,
+                             const std::uint32_t* rows, std::size_t m) {
+  const std::uint64_t* w = from.words(fc);
+  if (const Value* v = from.values(fc)) {
+    for (std::size_t k = 0; k < m; ++k) push(c, Value(v[rows[k]]));
+    return;
+  }
+  if (string_[c] != 0) {
+    for (std::size_t k = 0; k < m; ++k) push(c, w[rows[k]]);
+    return;
+  }
+  std::vector<std::uint64_t>& out = words_[c];
+  const std::size_t at = out.size();
+  out.resize(at + m);
+  for (std::size_t k = 0; k < m; ++k) out[at + k] = w[rows[k]];
+}
+
+std::vector<Tuple> RowBlock::take_tuples() {
+  std::vector<Tuple> out(rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    query::ValueVec& t = out[r].values;
+    t.reserve(width());
+    for (std::size_t c = 0; c < width(); ++c) {
+      if (string_[c] != 0) {
+        t.push_back(std::move(values_[c][r]));
+      } else {
+        t.emplace_back(words_[c][r]);
+      }
+    }
+  }
+  return out;
+}
+
+void RowBlock::distinct_column(std::size_t c, std::vector<Tuple>& out) {
+  const std::uint64_t* words = words_[c].data();
+  const Value* values = this->values(c);
+  seen_.reset(1);
+  seen_rows_.clear();
+  for (std::uint32_t r = 0; r < rows_; ++r) {
+    // A string's word is already its hash, and a number's hash is a
+    // bijection of it, so only strings need their Values compared.
+    const std::uint64_t hash = values != nullptr ? words[r] : util::hash_u64(words[r], 0);
+    const auto same = [&](std::size_t e) {
+      return values == nullptr || values[seen_rows_[e]] == values[r];
+    };
+    if (!seen_.insert(&words[r], hash, same).second) continue;
+    seen_rows_.push_back(r);
+    Tuple key;
+    if (values != nullptr) {
+      key.values.push_back(values[r]);
+    } else {
+      key.values.emplace_back(words[r]);
+    }
+    out.push_back(std::move(key));
+  }
+}
+
+// --- ChainExecutor -----------------------------------------------------------
 
 ChainExecutor::ChainExecutor(const StreamNode& node, const query::StateSpec& spec)
     : node_(node) {
@@ -61,18 +188,28 @@ ChainExecutor::ChainExecutor(const StreamNode& node, const query::StateSpec& spe
   for (std::size_t i = 0; i < node_.ops.size(); ++i) {
     const Operator& op = node_.ops[i];
     const Schema& in = node_.schemas[i];
+    // The column path reads column j of `in` from slot j.
+    std::vector<std::uint32_t> env(in.size());
+    std::iota(env.begin(), env.end(), 0U);
     BoundOp bop;
     bop.kind = op.kind;
     switch (op.kind) {
-      case OpKind::kFilter:
+      case OpKind::kFilter: {
         bop.pred = op.predicate->bind(in);
+        std::vector<const query::Expr*> conjuncts;
+        pisa::kernel::split_conjuncts(op.predicate, conjuncts);
+        for (const query::Expr* c : conjuncts) bop.columns.emplace_back(*c, in, env);
         break;
+      }
       case OpKind::kFilterIn:
         for (const auto& m : op.match_exprs) bop.match.push_back(m->bind(in));
         bop.table_name = op.table_name;
         break;
       case OpKind::kMap:
-        for (const auto& p : op.projections) bop.projections.push_back(p.expr->bind(in));
+        for (const auto& p : op.projections) {
+          bop.projections.push_back(p.expr->bind(in));
+          bop.columns.emplace_back(*p.expr, in, env);
+        }
         break;
       case OpKind::kDistinct:
         bop.seen.configure(spec);
@@ -178,7 +315,18 @@ void ChainExecutor::ingest_view(const Tuple& t, std::size_t entry) {
   pending_.push_back(t);
 }
 
-std::vector<Tuple> ChainExecutor::end_window() {
+state::ReduceEngine& ChainExecutor::poll_reduce(std::size_t entry) {
+  BoundOp& op = ops_.at(entry);
+  assert(op.kind == OpKind::kReduce);
+  return op.agg;
+}
+
+RowBlock& ChainExecutor::close(const RowBlock* joined) {
+  out_.reset(node_.schemas.back());
+  if (joined != nullptr) {
+    ingested_ += joined->size();
+    run_columns(*joined, 0);
+  }
   // Publish the window's ingest tally to the registry in one add — the
   // per-tuple path keeps only the plain ingested_ increment (metrics.h:
   // single-writer loops publish once per window).
@@ -187,27 +335,105 @@ std::vector<Tuple> ChainExecutor::end_window() {
     publish_table_obs();
   }
   ingested_pub_ = ingested_;
-  // Flush reduces in ascending order: outputs of an earlier reduce flow into
-  // later operators (possibly another reduce, flushed next). The drain walks
-  // the dense entry array in insertion order — deterministic regardless of
-  // probe order or capacity — and may move keys out in place: a reduce's
-  // outputs only ever enter LATER operators, never its own table.
+  // Drain reduces in ascending order: outputs of an earlier reduce flow
+  // into later operators (possibly another reduce, drained next). A drain
+  // walks the engine's dense entries in insertion order — deterministic
+  // regardless of probe order or capacity — and its rows only ever enter
+  // LATER operators, never its own table.
   for (std::size_t i = 0; i < ops_.size(); ++i) {
     BoundOp& op = ops_[i];
     if (op.kind != OpKind::kReduce) continue;
-    op.agg.drain_and_clear([&](Tuple&& key, std::uint64_t value) {
-      Tuple out = std::move(key);
-      out.values.emplace_back(value);
-      process(std::move(out), i + 1);
-    });
+    drained_.reset(node_.schemas[i + 1]);
+    op.agg.drain_and_clear(
+        [&](const std::uint64_t* keys, const std::uint64_t* aggs, std::size_t n,
+            std::size_t arity) { drained_.append_words(keys, aggs, n, arity); },
+        [&](Tuple&& key, std::uint64_t value) {
+          key.values.emplace_back(value);
+          drained_.append(std::move(key));
+        });
+    run_columns(drained_, i + 1);
   }
   for (auto& op : ops_) {
     op.seen.clear();
     op.agg.clear();
   }
-  std::vector<Tuple> out = std::move(pending_);
+  flush_pending();
+  return out_;
+}
+
+void ChainExecutor::flush_pending() {
+  for (Tuple& t : pending_) out_.append(std::move(t));
   pending_.clear();
-  return out;
+}
+
+void ChainExecutor::run_columns(const RowBlock& in, std::size_t entry) {
+  // Filters and maps run on columns up to `stop`, the first operator that
+  // needs the per-tuple path (or the chain end).
+  std::size_t stop = entry;
+  while (stop < ops_.size() &&
+         (ops_[stop].kind == OpKind::kFilter || ops_[stop].kind == OpKind::kMap)) {
+    ++stop;
+  }
+  const bool to_end = stop == ops_.size();
+  // Rows reaching the end follow every row in-window ingest left there:
+  // nothing after this run adds to pending_ (no stateful operator is left).
+  if (to_end) flush_pending();
+  const std::size_t width = in.width();
+  if (strings_.size() < width) strings_.resize(width);
+  for (std::size_t base = 0; base < in.size(); base += kBlock) {
+    const std::size_t n = std::min(kBlock, in.size() - base);
+    scratch_.release();
+    cols_.resize(width);
+    for (std::size_t c = 0; c < width; ++c) {
+      cols_[c] = {in.words(c) + base, nullptr};
+      if (const Value* v = in.values(c)) {
+        std::vector<const Value*>& ptrs = strings_[c];
+        ptrs.resize(kBlock);
+        for (std::size_t k = 0; k < n; ++k) ptrs[k] = v + base + k;
+        cols_[c].strings = ptrs.data();
+      }
+    }
+    std::uint32_t* sel = scratch_.sel();
+    std::iota(sel, sel + n, 0U);
+    std::size_t m = n;
+    for (std::size_t i = entry; i < stop && m != 0; ++i) {
+      const BoundOp& op = ops_[i];
+      if (op.kind == OpKind::kFilter) {
+        for (const auto& conjunct : op.columns) {
+          m = conjunct.narrow(cols_.data(), sel, m, scratch_);
+          if (m == 0) break;
+        }
+        continue;
+      }
+      // A map: its projections become the columns, compacted to the
+      // selection.
+      next_cols_.resize(op.columns.size());
+      for (std::size_t j = 0; j < op.columns.size(); ++j) {
+        const pisa::kernel::Temp t = scratch_.temp(op.columns[j].string_result());
+        op.columns[j].eval(cols_.data(), sel, m, scratch_, t);
+        next_cols_[j] = {t.words, t.strings};
+      }
+      cols_.swap(next_cols_);
+      std::iota(sel, sel + m, 0U);
+    }
+    if (m == 0) continue;
+    if (to_end) {
+      out_.append_columns(cols_.data(), sel, m);
+      continue;
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      Tuple t;
+      t.values.reserve(cols_.size());
+      for (const pisa::kernel::Column& col : cols_) {
+        if (col.strings != nullptr) {
+          t.values.push_back(*col.strings[sel[k]]);
+        } else {
+          t.values.emplace_back(col.words[sel[k]]);
+        }
+      }
+      process(std::move(t), stop);
+    }
+  }
 }
 
 void ChainExecutor::publish_table_obs() {
@@ -289,46 +515,96 @@ NodeExecutor::NodeExecutor(const StreamNode& node, const query::StateSpec& spec)
   }
 }
 
-std::vector<Tuple> NodeExecutor::end_window() {
-  if (node_.kind == StreamNode::Kind::kJoin) {
-    const std::vector<Tuple> lhs = left_->end_window();
-    const std::vector<Tuple> rhs = right_->end_window();
+RowBlock& NodeExecutor::close() {
+  if (node_.kind != StreamNode::Kind::kJoin) return chain_.close();
+  const RowBlock& lhs = left_->close();
+  const RowBlock& rhs = right_->close();
+  join(lhs, rhs);
+  return chain_.close(&joined_);
+}
 
-    // Build on the right, probe with the left. The build key's hash is
-    // computed once and cached in the flat table's slot; a repeated key
-    // appends its row to the key's chain.
-    constexpr std::uint32_t kEnd = ~std::uint32_t{0};
-    join_index_.clear();
-    join_index_.reserve(rhs.size());
-    join_next_.assign(rhs.size(), kEnd);
-    for (std::uint32_t r = 0; r < rhs.size(); ++r) {
-      Tuple key = query::project(rhs[r], rkeys_);
-      const std::uint64_t hash = key.hash();
-      auto [rows, inserted] = join_index_.try_emplace(std::move(key), hash, {r, r});
-      if (!inserted) {
-        join_next_[rows->second] = r;
-        rows->second = r;
-      }
+std::uint64_t NodeExecutor::key_of(const RowBlock& b, std::span<const std::size_t> keys,
+                                   std::size_t r) {
+  // Each key word is its Value's hash (a string column's word already is;
+  // a number's is a bijection of it), so equal words are equal numbers and
+  // only string columns need their Values compared.
+  std::uint64_t h = query::kTupleHashSeed;
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    const std::uint64_t w = b.words(keys[j])[r];
+    key_[j] = b.is_string(keys[j]) ? w : util::hash_u64(w, 0);
+    h = util::hash_combine(h, key_[j]);
+  }
+  return h;
+}
+
+namespace {
+// Column ac of row ar of `a` equals column bc of row br of `b`, given their
+// words' hashes agree.
+bool same_value(const RowBlock& a, std::size_t ac, std::size_t ar, const RowBlock& b,
+                std::size_t bc, std::size_t br) {
+  const Value* av = a.values(ac);
+  const Value* bv = b.values(bc);
+  if (av == nullptr && bv == nullptr) return true;
+  if (av != nullptr && bv != nullptr) return av[ar] == bv[br];
+  return av != nullptr ? av[ar] == Value(b.words(bc)[br]) : Value(a.words(ac)[ar]) == bv[br];
+}
+}  // namespace
+
+void NodeExecutor::join(const RowBlock& lhs, const RowBlock& rhs) {
+  constexpr std::uint32_t kEnd = ~std::uint32_t{0};
+  const std::size_t nk = lkeys_.size();
+  bool string_keys = false;
+  for (std::size_t j = 0; j < nk; ++j) {
+    string_keys = string_keys || lhs.is_string(lkeys_[j]) || rhs.is_string(rkeys_[j]);
+  }
+  // Rows ar of `a` (key columns akeys) and br of rhs have equal keys.
+  const auto same_keys = [&](const RowBlock& a, const std::vector<std::size_t>& akeys,
+                             std::size_t ar, std::size_t br) {
+    for (std::size_t j = 0; string_keys && j < nk; ++j) {
+      if (!same_value(a, akeys[j], ar, rhs, rkeys_[j], br)) return false;
     }
-
-    const std::size_t width = lkeys_.size() + lrest_.size() + rrest_.size();
-    for (const auto& l : lhs) {
-      const Tuple key = query::project(l, lkeys_);
-      const auto* rows = join_index_.find(key, key.hash());
-      if (rows == nullptr) continue;
-      for (std::uint32_t r = rows->first; r != kEnd; r = join_next_[r]) {
-        // Output layout must match validate_node(): keys, left non-keys,
-        // right non-keys.
-        Tuple joined;
-        joined.values.reserve(width);
-        for (std::size_t k : lkeys_) joined.values.push_back(l.at(k));
-        for (std::size_t i : lrest_) joined.values.push_back(l.at(i));
-        for (std::size_t i : rrest_) joined.values.push_back(rhs[r].at(i));
-        chain_.ingest(std::move(joined), 0);
-      }
+    return true;
+  };
+  // Build on the right: a repeated key appends its row to the key's chain.
+  key_.resize(nk);
+  index_.reset(nk);
+  heads_.clear();
+  tails_.clear();
+  next_.assign(rhs.size(), kEnd);
+  for (std::uint32_t r = 0; r < rhs.size(); ++r) {
+    const std::uint64_t h = key_of(rhs, rkeys_, r);
+    const auto [e, inserted] = index_.insert(
+        key_.data(), h, [&](std::size_t at) { return same_keys(rhs, rkeys_, r, heads_[at]); });
+    if (inserted) {
+      heads_.push_back(r);
+      tails_.push_back(r);
+    } else {
+      next_[tails_[e]] = r;
+      tails_[e] = r;
     }
   }
-  return chain_.end_window();
+  // Probe with the left, in its row order.
+  lrows_.clear();
+  rrows_.clear();
+  for (std::uint32_t l = 0; l < lhs.size(); ++l) {
+    const std::uint64_t h = key_of(lhs, lkeys_, l);
+    const std::size_t e = index_.find(
+        key_.data(), h, [&](std::size_t at) { return same_keys(lhs, lkeys_, l, heads_[at]); });
+    if (e == util::FlatWordSet::npos) continue;
+    for (std::uint32_t r = heads_[e]; r != kEnd; r = next_[r]) {
+      lrows_.push_back(l);
+      rrows_.push_back(r);
+    }
+  }
+  // Output layout must match validate_node(): keys, left non-keys, right
+  // non-keys.
+  joined_.reset(node_.schemas.front());
+  const std::size_t m = lrows_.size();
+  std::size_t c = 0;
+  for (const std::size_t k : lkeys_) joined_.append_column(c++, lhs, k, lrows_.data(), m);
+  for (const std::size_t i : lrest_) joined_.append_column(c++, lhs, i, lrows_.data(), m);
+  for (const std::size_t i : rrest_) joined_.append_column(c++, rhs, i, rrows_.data(), m);
+  joined_.end_append(m);
 }
 
 std::uint64_t NodeExecutor::stateful_entries() const noexcept {
@@ -378,8 +654,6 @@ void QueryExecutor::ingest_packet(const net::Packet& p) {
 void QueryExecutor::ingest_source_tuple(const Tuple& source_tuple) {
   for (auto* src : sources_) src->chain().ingest_view(source_tuple, 0);
 }
-
-std::vector<Tuple> QueryExecutor::end_window() { return root_->end_window(); }
 
 std::uint64_t QueryExecutor::stateful_entries() const noexcept {
   return root_->stateful_entries();

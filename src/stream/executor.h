@@ -8,10 +8,12 @@
 //   * stateless switch tails stream tuples in at the partition point,
 //   * register overflow packets re-enter at the stateful operator that
 //     overflowed (the SP re-aggregates them, paper §3.1.3),
-//   * end-of-window register polls enter after the reduce (and folded
-//     threshold) the switch already applied.
-// Joins always run here: children are flushed at window end and hash-joined
-// (paper §3.1.2).
+//   * end-of-window register polls fold, as key words, into the reduce
+//     the switch ran (runtime::WindowMerge).
+// The close runs on columns (RowBlock): each reduce drains into a block,
+// the filters and maps after it run over kernel::kBlock-row slices with
+// the switch's lowered evaluator, and joins build and probe on the
+// children's blocks (paper §3.1.2: joins always run here).
 #pragma once
 
 #include <cassert>
@@ -23,12 +25,81 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "pisa/kernel.h"
 #include "query/query.h"
 #include "query/state_spec.h"
 #include "state/engine.h"
 #include "util/flat_table.h"
 
 namespace sonata::stream {
+
+// A node's rows at the window close, as columns: one 64-bit word per row
+// of every column (a number as-is, a string as its Value::hash(), the
+// layout kernel::Phv gives the switch) and, for a string column, the row's
+// Value itself. Reduce drains, the filters and maps after them, and joins
+// run over blocks; a block is reused window after window.
+class RowBlock {
+ public:
+  // Empty the block and lay it out for rows of `schema` (capacity kept).
+  void reset(const query::Schema& schema);
+
+  [[nodiscard]] std::size_t size() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t width() const noexcept { return words_.size(); }
+  [[nodiscard]] bool is_string(std::size_t c) const noexcept { return string_[c] != 0; }
+  [[nodiscard]] const std::uint64_t* words(std::size_t c) const noexcept {
+    return words_[c].data();
+  }
+  // A string column's Values by row (null for a numeric column).
+  [[nodiscard]] const query::Value* values(std::size_t c) const noexcept {
+    return string_[c] != 0 ? values_[c].data() : nullptr;
+  }
+
+  // Append a row; its string Values are moved. A row wider or narrower
+  // than the layout (only a corrupted record can be one) is cut or padded
+  // with zeros.
+  void append(query::Tuple&& t);
+  // Append n rows of an all-numeric key of `arity` words (row-major, as
+  // ReduceEngine::drain_and_clear hands them out) and its aggregate.
+  void append_words(const std::uint64_t* keys, const std::uint64_t* aggs, std::size_t n,
+                    std::size_t arity);
+  // Append rows sel[0..m) of `cols`, one Column per block column.
+  void append_columns(const pisa::kernel::Column* cols, const std::uint32_t* sel, std::size_t m);
+  // Append to column c the entries rows[0..m) of column fc of `from`;
+  // end_append(m) then counts the m rows every column received.
+  void append_column(std::size_t c, const RowBlock& from, std::size_t fc,
+                     const std::uint32_t* rows, std::size_t m);
+  void end_append(std::size_t m) noexcept { rows_ += m; }
+
+  // The rows as Tuples, in order; string Values are moved out.
+  [[nodiscard]] std::vector<query::Tuple> take_tuples();
+  // Append to `out` the distinct values of column c as one-column Tuples,
+  // in first-appearance order: the close's winner keys.
+  void distinct_column(std::size_t c, std::vector<query::Tuple>& out);
+
+ private:
+  void push(std::size_t c, std::uint64_t word) {
+    if (string_[c] != 0) {
+      values_[c].emplace_back(word);
+      word = values_[c].back().hash();
+    }
+    words_[c].push_back(word);
+  }
+  void push(std::size_t c, query::Value&& v) {
+    if (string_[c] != 0) {
+      words_[c].push_back(v.hash());
+      values_[c].push_back(std::move(v));
+    } else {
+      words_[c].push_back(v.as_uint());
+    }
+  }
+
+  std::vector<std::uint8_t> string_;                // per column: 1 = string
+  std::vector<std::vector<std::uint64_t>> words_;   // [column][row]
+  std::vector<std::vector<query::Value>> values_;   // [string column][row]
+  std::size_t rows_ = 0;
+  util::FlatWordSet seen_;               // distinct_column's, reused
+  std::vector<std::uint32_t> seen_rows_;  // its entries' rows
+};
 
 class ChainExecutor {
  public:
@@ -54,18 +125,25 @@ class ChainExecutor {
   // a tuple. Callers must treat `ts` as consumed.
   void ingest_batch(std::span<query::Tuple> ts, std::size_t entry);
 
-  // Fold `n` keyed aggregates straight into the reduce at ops[entry]: the
-  // i-th has key key_at(i) (a Tuple in the reduce's key order), Tuple hash
-  // hashes[i] and aggregate values[i]. Equivalent to ingesting reduce-input
-  // tuples carrying those keys and values at `entry`, without building,
-  // projecting or re-hashing them — the window merge's entry for polled
-  // register aggregates. Counts n ingested tuples.
-  template <typename KeyAt>
-  void ingest_reduce(std::size_t entry, std::size_t n, const std::uint64_t* hashes,
-                     const std::uint64_t* values, KeyAt&& key_at);
+  // The reduce at ops[entry], into which the window merge folds polled
+  // register aggregates (ReduceEngine::update by words), and the count of
+  // merged entries it folded, which the chain counts as ingested tuples.
+  [[nodiscard]] state::ReduceEngine& poll_reduce(std::size_t entry);
+  void count_polled(std::uint64_t merged) noexcept { ingested_ += merged; }
 
-  // Flush stateful operators (ascending), collect outputs, clear state.
-  [[nodiscard]] std::vector<query::Tuple> end_window();
+  // Close the window (DESIGN.md "Parallel window close"): run `joined`
+  // (a join node's joined rows, or null) through the chain from ops[0],
+  // drain the reduces in ascending order, and return the chain's output: the
+  // rows in-window ingest left at the chain end, then the drained rows
+  // that reach it. Drained rows run the filters and maps after their
+  // reduce on columns, kernel::kBlock rows at a time; a row that reaches
+  // a later distinct, filter_in or reduce becomes a Tuple there and goes
+  // on through the per-tuple path. The block stays valid until the next
+  // close; the keyed state is cleared.
+  RowBlock& close(const RowBlock* joined = nullptr);
+
+  // close() with the output as Tuples.
+  [[nodiscard]] std::vector<query::Tuple> end_window() { return close().take_tuples(); }
 
   // Update a dynamic-refinement filter table executed on the SP side.
   bool set_filter_entries(const std::string& table_name, std::vector<query::Tuple> entries);
@@ -90,6 +168,8 @@ class ChainExecutor {
     util::FlatSet entries;                            // filter_in (persists windows)
     query::Tuple probe_scratch;                       // reused filter_in probe key
     std::vector<query::Expr::Evaluator> projections;  // map
+    // The close's column form: a filter's conjuncts, a map's projections.
+    std::vector<pisa::kernel::ColumnExpr> columns;
     std::vector<std::size_t> key_idx;                 // reduce
     std::size_t value_idx = 0;
     query::ReduceFn fn = query::ReduceFn::kSum;
@@ -106,26 +186,25 @@ class ChainExecutor {
   static query::Tuple mapped(const BoundOp& op, const query::Tuple& t);
   static void fold(BoundOp& op, const query::Tuple& t);
   void publish_table_obs();
+  // The close's column path: rows of `in` (columns of schemas[entry])
+  // through ops[entry..), see close().
+  void run_columns(const RowBlock& in, std::size_t entry);
+  // Move pending_ to the end of out_.
+  void flush_pending();
 
   const query::StreamNode& node_;
   std::vector<BoundOp> ops_;
   std::vector<query::Tuple> pending_;
   std::uint64_t ingested_ = 0;
   std::uint64_t ingested_pub_ = 0;  // last value published to the registry
+  // The close's reused state: the output, a reduce's drained rows, and
+  // the column path's views, selection and temps.
+  RowBlock out_;
+  RowBlock drained_;
+  std::vector<pisa::kernel::Column> cols_, next_cols_;
+  std::vector<std::vector<const query::Value*>> strings_;  // per block column
+  pisa::kernel::Scratch scratch_;
 };
-
-template <typename KeyAt>
-void ChainExecutor::ingest_reduce(std::size_t entry, std::size_t n, const std::uint64_t* hashes,
-                                  const std::uint64_t* values, KeyAt&& key_at) {
-  BoundOp& op = ops_.at(entry);
-  assert(op.kind == query::OpKind::kReduce);
-  ingested_ += n;
-  constexpr std::size_t kAhead = 8;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kAhead < n) op.agg.prefetch(hashes[i + kAhead]);
-    op.agg.update(key_at(i), hashes[i], values[i]);
-  }
-}
 
 // Executes a whole (sub)tree: join children recursively, then this node's
 // chain.
@@ -139,25 +218,36 @@ class NodeExecutor {
   [[nodiscard]] NodeExecutor* left() noexcept { return left_.get(); }
   [[nodiscard]] NodeExecutor* right() noexcept { return right_.get(); }
 
-  // Flush children, join their outputs (if a join node), run them through
-  // this node's chain, and flush it.
-  [[nodiscard]] std::vector<query::Tuple> end_window();
+  // Close the children, join their blocks (if a join node) and close this
+  // node's chain on the joined rows; returns the chain's output block.
+  RowBlock& close();
 
   // Keyed-state entries across this node's chain and all children.
   [[nodiscard]] std::uint64_t stateful_entries() const noexcept;
   [[nodiscard]] state::StateUsage state_usage() const noexcept;
 
  private:
+  // Hash-join `lhs` with `rhs` into joined_: build on the right, probe in
+  // left-row order, a key's matches in right-row order.
+  void join(const RowBlock& lhs, const RowBlock& rhs);
+  // Key words of row r of `b` (key columns `keys`) into key_; returns
+  // their hash, Tuple::hash() of the projected key.
+  std::uint64_t key_of(const RowBlock& b, std::span<const std::size_t> keys, std::size_t r);
+
   const query::StreamNode& node_;
   std::unique_ptr<NodeExecutor> left_;
   std::unique_ptr<NodeExecutor> right_;
   ChainExecutor chain_;
-  // Join nodes: key and non-key column indices of each side, and the build
-  // side's index, reused every window: a build key maps to the (head, tail)
-  // of its rows' chain through join_next_, so a key's rows stay in rhs order.
+  // Join nodes: key and non-key column indices of each side, and the
+  // join's reused state: the build side's key index (entry e's rows run
+  // heads_[e], next_[heads_[e]], ... in rhs order), the matched row
+  // pairs and the joined rows.
   std::vector<std::size_t> lkeys_, rkeys_, lrest_, rrest_;
-  util::FlatMap<std::pair<std::uint32_t, std::uint32_t>> join_index_;
-  std::vector<std::uint32_t> join_next_;
+  util::FlatWordSet index_;
+  std::vector<std::uint32_t> heads_, tails_, next_;
+  std::vector<std::uint64_t> key_;
+  std::vector<std::uint32_t> lrows_, rrows_;
+  RowBlock joined_;
 };
 
 // Stream-processor-side execution of one query. Sources are indexed in the
@@ -172,13 +262,9 @@ class QueryExecutor {
   // Batched ingest; tuples in `ts` are moved (see ChainExecutor).
   void ingest_batch(int source_index, std::span<query::Tuple> ts, std::size_t entry);
 
-  // ChainExecutor::ingest_reduce on source `source_index`.
-  template <typename KeyAt>
-  void ingest_reduce(int source_index, std::size_t entry, std::size_t n,
-                     const std::uint64_t* hashes, const std::uint64_t* values, KeyAt&& key_at) {
-    sources_.at(static_cast<std::size_t>(source_index))
-        ->chain()
-        .ingest_reduce(entry, n, hashes, values, key_at);
+  // The chain of source `source_index` (DFS order).
+  [[nodiscard]] ChainExecutor& source_chain(int source_index) {
+    return sources_.at(static_cast<std::size_t>(source_index))->chain();
   }
 
   // Convenience for unpartitioned (All-SP) execution: materialize the
@@ -187,8 +273,10 @@ class QueryExecutor {
   void ingest_packet(const net::Packet& p);
   void ingest_source_tuple(const query::Tuple& source_tuple);
 
-  // Close the window: run joins and flushes; returns the query's results.
-  [[nodiscard]] std::vector<query::Tuple> end_window();
+  // Close the window: run joins and flushes; returns the query's results
+  // as the root's block (valid until the next close) or as Tuples.
+  RowBlock& close() { return root_->close(); }
+  [[nodiscard]] std::vector<query::Tuple> end_window() { return close().take_tuples(); }
 
   bool set_filter_entries(const std::string& table_name, std::vector<query::Tuple> entries);
 

@@ -291,6 +291,37 @@ TEST(Mitigation, QuarantinedSwitchCatchesUpOnDropRules) {
   }
 }
 
+// A switch that only lost a frame on the faulty wire is healthy: its
+// contribution bit is cleared for the window, but it must still get every
+// drop rule at that close, so every switch blocks the same keys throughout.
+TEST(Mitigation, WireLossDoesNotSkipAHealthySwitch) {
+  const auto& sc = testing::make_scenario();
+  // Every evaluation query, so every switch ships record frames to lose.
+  const auto qs = queries::evaluation_queries(sc.thresholds, util::seconds(3));
+  PlannerConfig cfg;
+  cfg.mode = PlanMode::kSonata;
+  const Plan plan = Planner(cfg).plan(qs, sc.trace);
+  fault::FaultSpec wire;
+  wire.seed = 2;
+  wire.drop_rate = 0.2;
+  Fleet fleet(plan, 8, 2, 256, wire);
+  fleet.enable_mitigation({.qid = 1, .output_column = "dIP", .packet_field = "dIP"});
+  std::size_t blocked = 0;
+  std::size_t lossy_and_new = 0;  // windows that lost frames and blocked new keys
+  for (const auto& slice : trace::split_windows(sc.trace, plan.window)) {
+    const WindowStats ws = fleet.process_window(slice);
+    std::size_t most = 0;
+    for (std::size_t i = 0; i < fleet.data_plane_count(); ++i) {
+      EXPECT_EQ(fleet.data_plane(i).blocked_keys(), fleet.data_plane(0).blocked_keys())
+          << "window " << ws.window_index << " switch " << i;
+      most = std::max(most, fleet.data_plane(i).blocked_keys());
+    }
+    if (ws.faults.dropped > 0 && most > blocked) ++lossy_and_new;
+    blocked = most;
+  }
+  EXPECT_GT(lossy_and_new, 0u) << "fixture: no window both lost a frame and blocked a new key";
+}
+
 TEST(Mitigation, GuardTableBudgetIsRespected) {
   const auto& sc = testing::make_scenario();
   std::vector<query::Query> qs;

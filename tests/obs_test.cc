@@ -579,5 +579,27 @@ TEST(ObsEngine, ReportLatencyHistogramPublishedPerWindow) {
   EXPECT_TRUE(labeled_series);
 }
 
+TEST(ObsEngine, CloseTaskHistogramPublishedPerWindow) {
+  obs::set_enabled(true);
+  Registry::global().reset_values();
+  Fleet fleet(small_plan(), 2, 2, 256);
+  const auto windows = fleet.run_trace(scenario().trace);
+  obs::set_enabled(false);
+  ASSERT_GT(windows.size(), 0u);
+  // One sample per planned query per window: the close task's duration,
+  // the same reading that orders the next window's tasks.
+  const obs::Snapshot snap = Registry::global().snapshot();
+  std::size_t series = 0;
+  for (const auto& h : snap.histograms) {
+    // Series another plan in this process registered stay empty.
+    if (h.name.rfind("sonata_sp_close_task_ns", 0) != 0 || h.count == 0) continue;
+    ++series;
+    EXPECT_NE(h.name.find("qid="), std::string::npos) << h.name;
+    EXPECT_EQ(h.count, windows.size()) << h.name;
+    EXPECT_GT(h.sum, 0u) << h.name;
+  }
+  EXPECT_EQ(series, small_plan().queries.size());
+}
+
 }  // namespace
 }  // namespace sonata
